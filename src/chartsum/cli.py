@@ -54,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -97,7 +104,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=5e-5, help="initial learning rate")
     p.add_argument("--epochs", type=int, default=20, help="training epochs")
     p.add_argument("--batch-size", type=int, default=8, help="examples per update")
-    p.add_argument("--max-summary-tokens", type=int, default=128, help="decode length cap")
+    p.add_argument("--max-summary-tokens", type=_positive_int, default=128,
+                   help="decode length cap")
 
 
 def _add_mask_flags(p: argparse.ArgumentParser, stride_default: int = 4) -> None:
@@ -421,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="trained model file")
     p.add_argument("--eval", required=True, help="corpus to summarize")
     p.add_argument("--out", default=None, help="prediction file (default: stdout)")
-    p.add_argument("--max-summary-tokens", type=int, default=128, help="decode length cap")
+    p.add_argument("--max-summary-tokens", type=_positive_int, default=128,
+                   help="decode length cap")
     _add_corpus_flags(p)
     _add_mask_flags(p)
     p.set_defaults(func=_cmd_predict)

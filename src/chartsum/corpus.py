@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -207,10 +207,9 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     random.Random(seed).shuffle(indices)
     train_idx = sorted(indices[:n_train])
     val_idx = sorted(indices[n_train:])
-    prov = corpus.provenance
     return (
-        Corpus(tuple(corpus.encounters[i] for i in train_idx), replace(prov, format=prov.format)),
-        Corpus(tuple(corpus.encounters[i] for i in val_idx), replace(prov, format=prov.format)),
+        Corpus(tuple(corpus.encounters[i] for i in train_idx), corpus.provenance),
+        Corpus(tuple(corpus.encounters[i] for i in val_idx), corpus.provenance),
     )
 
 

@@ -25,7 +25,6 @@ from .model import (
     ModelConfig,
     SequenceTooLong,
     TinyModel,
-    attention,
     forward,
     init_model,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ModelConfig",
     "SequenceTooLong",
     "TinyModel",
-    "attention",
     "forward",
     "init_model",
     "EmptyTrainingSet",

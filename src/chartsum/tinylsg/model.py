@@ -113,8 +113,9 @@ def init_model(cfg: ModelConfig, vocab: Vocab, seed: int, init_scale: float = 0.
     return TinyModel(config=cfg, vocab=vocab, params=params)
 
 
-def positional_encoding(n: int, d: int) -> np.ndarray:
-    positions = np.arange(n, dtype=np.float64)[:, None]
+def positional_encoding(n: int, d: int, start: int = 0) -> np.ndarray:
+    """Sinusoidal encodings of positions start .. start+n-1; shape (n, d)."""
+    positions = np.arange(start, start + n, dtype=np.float64)[:, None]
     freqs = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
     angles = positions * freqs[None, :]
     pe = np.empty((n, d))
@@ -129,31 +130,6 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Single-head scaled dot-product attention restricted to mask-allowed keys.
-
-    Every query row must allow at least one key.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionMismatch("q, k, v must be 2-D matrices")
-    if q.shape[1] != k.shape[1]:
-        raise DimensionMismatch(f"q width {q.shape[1]} != k width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"k rows {k.shape[0]} != v rows {v.shape[0]}")
-    if mask.shape != (q.shape[0], k.shape[0]):
-        raise DimensionMismatch(
-            f"mask shape {mask.shape} != (q rows, k rows) {(q.shape[0], k.shape[0])}"
-        )
-    if not mask.any(axis=1).all():
-        raise DimensionMismatch("every query row must allow at least one key")
-    scores = q @ k.T / math.sqrt(q.shape[1]) + mask_to_bias(mask)
-    return _softmax_rows(scores) @ v
-
-
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     n, d = x.shape
     return x.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
@@ -164,18 +140,26 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _mha_forward(params, prefix: str, x_q, x_kv, bias, n_heads: int):
-    q = x_q @ params[f"{prefix}.wq"]
-    k = x_kv @ params[f"{prefix}.wk"]
-    v = x_kv @ params[f"{prefix}.wv"]
-    qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
+def _attend(params, prefix: str, x_q, kh, vh, bias, n_heads: int):
+    """Attention of x_q's queries over keys/values already split into heads.
+
+    `bias` is an additive (n_q, n_kv) mask, or None for unmasked attention.
+    """
+    qh = _split_heads(x_q @ params[f"{prefix}.wq"], n_heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = qh @ kh.transpose(0, 2, 1) * scale + bias[None, :, :]
+    scores = qh @ kh.transpose(0, 2, 1) * scale
+    if bias is not None:
+        scores += bias[None, :, :]
     probs = _softmax_rows(scores)
     merged = _merge_heads(probs @ vh)
-    out = merged @ params[f"{prefix}.wo"]
-    cache = (x_q, x_kv, qh, kh, vh, probs, merged, scale)
-    return out, cache
+    return merged @ params[f"{prefix}.wo"], (qh, probs, merged, scale)
+
+
+def _mha_forward(params, prefix: str, x_q, x_kv, bias, n_heads: int):
+    kh = _split_heads(x_kv @ params[f"{prefix}.wk"], n_heads)
+    vh = _split_heads(x_kv @ params[f"{prefix}.wv"], n_heads)
+    out, (qh, probs, merged, scale) = _attend(params, prefix, x_q, kh, vh, bias, n_heads)
+    return out, (x_q, x_kv, qh, kh, vh, probs, merged, scale)
 
 
 def _mha_backward(params, prefix: str, cache, d_out, grads):
@@ -218,12 +202,12 @@ def _ln_backward(params, prefix: str, cache, d_out, grads):
 
 
 def _gelu(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 
 def _gelu_grad(x, t):
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
 
 
 def _ff_forward(params, prefix: str, x):
@@ -290,7 +274,6 @@ def _encode_backward(params, cache, d_out, grads):
 def _decode(params, enc_out, tgt_prefix: Sequence[int], cfg: ModelConfig):
     x, ids = _embed(params, tgt_prefix)
     self_bias = mask_to_bias(causal_mask(len(ids)))
-    cross_bias = np.zeros((len(ids), enc_out.shape[0]))
     layers = []
     for i in range(cfg.n_layers_dec):
         p = f"dec.{i}"
@@ -301,7 +284,7 @@ def _decode(params, enc_out, tgt_prefix: Sequence[int], cfg: ModelConfig):
         x = x + self_out
         normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
         cross_out, cross_attn = _mha_forward(
-            params, f"{p}.cross", normed2, enc_out, cross_bias, cfg.n_heads
+            params, f"{p}.cross", normed2, enc_out, None, cfg.n_heads
         )
         x = x + cross_out
         normed3, ln3 = _ln_forward(params, f"{p}.ln3", x)
@@ -311,6 +294,55 @@ def _decode(params, enc_out, tgt_prefix: Sequence[int], cfg: ModelConfig):
     normed, ln_final = _ln_forward(params, "dec.norm", x)
     logits = normed @ params["out.w"] + params["out.b"]
     return logits, (ids, layers, ln_final, normed)
+
+
+class DecodeState:
+    """Keys/values that greedy decoding of one source reuses across steps.
+
+    The cross-attention keys/values of each decoder layer are projected from
+    the encoder output once; the self-attention keys/values grow by one row
+    per decoded position. All are split into heads: (n_heads, rows, d_head).
+    """
+
+    def __init__(self, params, enc_out, cfg: ModelConfig):
+        h = cfg.n_heads
+        empty = np.empty((h, 0, cfg.d_model // h))
+        self.cross = [
+            (
+                _split_heads(enc_out @ params[f"dec.{i}.cross.wk"], h),
+                _split_heads(enc_out @ params[f"dec.{i}.cross.wv"], h),
+            )
+            for i in range(cfg.n_layers_dec)
+        ]
+        self.self_kv = [(empty, empty)] * cfg.n_layers_dec
+        self.length = 0
+
+
+def _decode_step(params, state: DecodeState, token: int, cfg: ModelConfig) -> np.ndarray:
+    """Logits (V,) after feeding `token` at the next position; extends `state` by that position.
+
+    Equal, up to rounding, to the last row of `_decode` on the whole prefix.
+    """
+    h = cfg.n_heads
+    x = params["tok_emb"][token] + positional_encoding(1, cfg.d_model, state.length)
+    for i, (cross_k, cross_v) in enumerate(state.cross):
+        p = f"dec.{i}"
+        normed1, _ = _ln_forward(params, f"{p}.ln1", x)
+        self_k, self_v = state.self_kv[i]
+        self_k = np.concatenate([self_k, _split_heads(normed1 @ params[f"{p}.self.wk"], h)], axis=1)
+        self_v = np.concatenate([self_v, _split_heads(normed1 @ params[f"{p}.self.wv"], h)], axis=1)
+        state.self_kv[i] = (self_k, self_v)
+        self_out, _ = _attend(params, f"{p}.self", normed1, self_k, self_v, None, h)
+        x = x + self_out
+        normed2, _ = _ln_forward(params, f"{p}.ln2", x)
+        cross_out, _ = _attend(params, f"{p}.cross", normed2, cross_k, cross_v, None, h)
+        x = x + cross_out
+        normed3, _ = _ln_forward(params, f"{p}.ln3", x)
+        ff_out, _ = _ff_forward(params, f"{p}.ff", normed3)
+        x = x + ff_out
+    state.length += 1
+    normed, _ = _ln_forward(params, "dec.norm", x)
+    return (normed @ params["out.w"] + params["out.b"])[0]
 
 
 def _decode_backward(params, cache, d_logits, grads):

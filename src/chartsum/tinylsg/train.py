@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ChartsumError
 from .masks import LsgConfig
-from .model import TinyModel, _decode, _encode, loss_and_grads, zero_grads
+from .model import DecodeState, TinyModel, _decode_step, _encode, loss_and_grads, zero_grads
 from .vocab import BOS_ID, EOS_ID
 
 _ADAM_BETA1 = 0.9
@@ -118,19 +118,23 @@ def train(
 
 
 def generate(model: TinyModel, src: Sequence[int], max_len: int, lsg: LsgConfig) -> list[int]:
-    """Greedy decode from BOS until EOS or max_len tokens; argmax ties pick the lowest id."""
+    """Greedy decode from BOS until EOS or max_len tokens; argmax ties pick the lowest id.
+
+    Each step runs the decoder on the newest token only, reusing the cached
+    keys/values of the source and of the earlier positions.
+    """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    enc_out, _ = _encode(model.params, src, model.config, lsg)
-    prefix = [BOS_ID]
+    params, cfg = model.params, model.config
+    enc_out, _ = _encode(params, src, cfg, lsg)
+    state = DecodeState(params, enc_out, cfg)
+    token = BOS_ID
     emitted: list[int] = []
     while len(emitted) < max_len:
-        logits, _ = _decode(model.params, enc_out, prefix, model.config)
-        nxt = int(np.argmax(logits[-1]))
-        if nxt == EOS_ID:
+        token = int(np.argmax(_decode_step(params, state, token, cfg)))
+        if token == EOS_ID:
             break
-        emitted.append(nxt)
-        prefix.append(nxt)
+        emitted.append(token)
     return emitted
 
 

@@ -93,6 +93,18 @@ def test_unknown_section_name_is_a_validation_error(corpus_csv, eval_csv, capsys
     assert "unknown section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["run", "--approach", "single", "--backend", "tiny-lsg", "--seed", "0",
+     "--train", "missing-train.csv", "--eval", "missing-eval.csv"],
+    ["predict", "--checkpoint", "missing-model.json", "--eval", "missing-eval.csv"],
+])
+def test_nonpositive_max_summary_tokens_fails_at_parse_time(command, value, capsys):
+    # The inputs do not exist: reaching them would be a runtime error (exit 2).
+    assert main(command + ["--max-summary-tokens", value]) == 1
+    assert f"--max-summary-tokens: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Help text documents defaults
 # ---------------------------------------------------------------------------

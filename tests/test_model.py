@@ -1,8 +1,9 @@
-"""Vocabulary, attention-op, forward-pass, and checkpoint tests.
+"""Vocabulary, attention-op, GELU, forward-pass, and checkpoint tests.
 
 The full-attention comparison uses a reference encoder/decoder written here
 with plain per-position loops, sharing nothing with the library's vectorized
-implementation except the parameter dictionary.
+implementation except the parameter dictionary. `attention` and `ref_gelu`
+are likewise references for the model's multi-head attention and GELU.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import numpy as np
 import pytest
 
 from chartsum.tinylsg.checkpoint import MalformedCheckpoint, load_model, save_model
-from chartsum.tinylsg.masks import LsgConfig
+from chartsum.tinylsg.masks import LsgConfig, lsg_mask, mask_to_bias
 from chartsum.tinylsg.model import (
     DimensionMismatch,
     ModelConfig,
     SequenceTooLong,
     TinyModel,
-    attention,
+    _attend,
+    _gelu,
+    _gelu_grad,
+    _split_heads,
     encoder_input_ids,
     forward,
     init_model,
@@ -165,6 +169,32 @@ def test_positional_encoding_matches_sinusoid_formula():
 # Attention op
 # ---------------------------------------------------------------------------
 
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Reference single-head scaled dot-product attention restricted to mask-allowed keys.
+
+    Every query row must allow at least one key.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise DimensionMismatch("q, k, v must be 2-D matrices")
+    if q.shape[1] != k.shape[1]:
+        raise DimensionMismatch(f"q width {q.shape[1]} != k width {k.shape[1]}")
+    if k.shape[0] != v.shape[0]:
+        raise DimensionMismatch(f"k rows {k.shape[0]} != v rows {v.shape[0]}")
+    if mask.shape != (q.shape[0], k.shape[0]):
+        raise DimensionMismatch(
+            f"mask shape {mask.shape} != (q rows, k rows) {(q.shape[0], k.shape[0])}"
+        )
+    if not mask.any(axis=1).all():
+        raise DimensionMismatch("every query row must allow at least one key")
+    scores = q @ k.T / math.sqrt(q.shape[1]) + mask_to_bias(mask)
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True) @ v
+
+
 def test_attention_all_allowed_equals_plain_softmax():
     rng = np.random.default_rng(0)
     q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
@@ -221,6 +251,33 @@ def test_attention_rejects_fully_masked_row():
     mask = np.array([[True, True], [False, False]])
     with pytest.raises(DimensionMismatch):
         attention(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), mask)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("masked", [False, True])
+def test_multi_head_attend_is_per_head_reference_attention(n_heads, masked):
+    rng = np.random.default_rng(n_heads)
+    d, n_q, n_kv = 8, 5, 7
+    params = {f"a.{w}": rng.normal(size=(d, d)) for w in ("wq", "wk", "wv", "wo")}
+    x_q, x_kv = rng.normal(size=(n_q, d)), rng.normal(size=(n_kv, d))
+    k, v = x_kv @ params["a.wk"], x_kv @ params["a.wv"]
+    mask = lsg_mask(n_kv, LsgConfig(block_size=2, num_global=1))[:n_q] if masked else None
+    got, _ = _attend(params, "a", x_q, _split_heads(k, n_heads), _split_heads(v, n_heads),
+                     None if mask is None else mask_to_bias(mask), n_heads)
+    q, dh = x_q @ params["a.wq"], d // n_heads
+    full = np.ones((n_q, n_kv), dtype=bool) if mask is None else mask
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    heads = [attention(q[:, c], k[:, c], v[:, c], full) for c in cols]
+    assert np.max(np.abs(got - np.hstack(heads) @ params["a.wo"])) <= 1e-12
+
+
+def test_attend_without_bias_equals_zero_bias():
+    rng = np.random.default_rng(3)
+    params = {f"a.{w}": rng.normal(size=(4, 4)) for w in ("wq", "wk", "wv", "wo")}
+    x_q, kh, vh = rng.normal(size=(3, 4)), rng.normal(size=(2, 6, 2)), rng.normal(size=(2, 6, 2))
+    plain, _ = _attend(params, "a", x_q, kh, vh, None, 2)
+    zero, _ = _attend(params, "a", x_q, kh, vh, np.zeros((3, 6)), 2)
+    assert np.array_equal(plain, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +347,28 @@ def ref_mha(x_q, x_kv, p, prefix, n_heads, causal=False):
 
 def ref_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def test_gelu_matches_reference_cube():
+    """`_gelu` cubes by multiplication, `ref_gelu` by `**`; they differ by rounding only.
+
+    Where GELU is tiny (x < -3) it is x * (1 + tanh(u)) with tanh(u) near -1,
+    and one ulp of tanh moves it by up to ~1e-11 relative, so an absolute
+    floor of 1e-15 goes with the 1e-14 relative bound.
+    """
+    x = np.concatenate([np.linspace(-30.0, 30.0, 600_001),
+                        np.random.default_rng(0).uniform(-30.0, 30.0, 100_000)])
+    got, _ = _gelu(x)
+    expect = ref_gelu(x)
+    assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect) + 1e-15)
+
+
+def test_gelu_grad_matches_central_difference():
+    x = np.linspace(-8.0, 8.0, 1601)
+    h = 1e-5
+    numeric = (ref_gelu(x + h) - ref_gelu(x - h)) / (2.0 * h)
+    analytic = _gelu_grad(x, _gelu(x)[1])
+    assert np.max(np.abs(analytic - numeric)) <= 1e-9
 
 
 def ref_ff(x, p, prefix):
