@@ -15,7 +15,14 @@ from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 
-from .corpus import Corpus, PredictionSet, load_corpus, load_predictions, save_predictions
+from .corpus import (
+    Corpus,
+    MalformedFile,
+    PredictionSet,
+    load_corpus,
+    load_predictions,
+    save_predictions,
+)
 from .errors import ChartsumError
 from .pipeline import (
     ApproachConfig,
@@ -351,10 +358,17 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     runs = []
     for path in args.infiles:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedFile(f"{path}: not a valid report file ({exc})") from exc
         if not isinstance(payload, list):
-            raise ChartsumError(f"{path}: expected a JSON list of run reports")
-        runs.extend(run_report_from_dict(entry) for entry in payload)
+            raise MalformedFile(f"{path}: expected a JSON list of run reports")
+        for index, entry in enumerate(payload):
+            try:
+                runs.append(run_report_from_dict(entry))
+            except MalformedFile as exc:
+                raise MalformedFile(f"{path}: run {index}: {exc}") from None
     _write_output(report(runs, format=args.format), args.out)
     return 0
 

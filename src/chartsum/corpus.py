@@ -159,15 +159,15 @@ def _load_jsonl(path: Path, cols: dict[str, str]) -> list[Encounter]:
                 raise MissingColumn(cols["id"], str(path))
             if cols["dialogue"] not in record:
                 raise MissingColumn(cols["dialogue"], str(path))
-            encounters.append(
-                _make_encounter(
-                    record.get(cols["id"]),
-                    record.get(cols["dialogue"]),
-                    record.get(cols["note"]),
-                    row_num,
-                    seen,
-                )
-            )
+            fields = [record.get(cols[name]) for name in CANONICAL_COLUMNS]
+            for name, value in zip(CANONICAL_COLUMNS, fields):
+                # A missing or null note marks an unlabeled row.
+                if not isinstance(value, str) and not (name == "note" and value is None):
+                    raise MalformedFile(
+                        f"{path}: row {row_num}: field {cols[name]!r} must be a string, "
+                        f"got {type(value).__name__}"
+                    )
+            encounters.append(_make_encounter(*fields, row_num, seen))
     return encounters
 
 

@@ -20,11 +20,19 @@ from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from io import StringIO
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .corpus import Corpus, PredictionSet
+from .corpus import Corpus, MalformedFile, PredictionSet
 from .errors import ChartsumError
-from .rouge import AggregateScores, corpus_rouge, rouge_n, tokenize
+from .rouge import (
+    AggregateScores,
+    DocumentScores,
+    RougeScore,
+    corpus_rouge,
+    rouge_n,
+    tokenize,
+)
 from .sections import (
     SECTION_ORDER,
     ChartNote,
@@ -115,14 +123,18 @@ class OracleSummarizer(Summarizer):
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
-def split_sentences(text: str) -> list[str]:
-    """Newline-then-punctuation sentence split, dropping token-free fragments."""
+def split_sentences(text: str) -> list[tuple[str, list[str]]]:
+    """Newline-then-punctuation sentence split, each sentence paired with its tokens.
+
+    Token-free fragments are dropped. Every cut falls on whitespace or a line
+    break, so the sentences' tokens together are exactly `tokenize(text)`.
+    """
     sentences = []
     for line in text.splitlines():
         for part in _SENTENCE_SPLIT.split(line):
-            part = part.strip()
-            if part and tokenize(part):
-                sentences.append(part)
+            tokens = tokenize(part)
+            if tokens:
+                sentences.append((part.strip(), tokens))
     return sentences
 
 
@@ -142,11 +154,10 @@ class ExtractiveSummarizer(Summarizer):
         sentences = split_sentences(text)
         if not sentences:
             return ""
-        freq = Counter(tokenize(text))
+        freq = Counter(chain.from_iterable(tokens for _, tokens in sentences))
         scored = []
-        for idx, sentence in enumerate(sentences):
-            tokens = tokenize(sentence)
-            scored.append((-sum(freq[t] for t in tokens) / len(tokens), idx, sentence))
+        for idx, (sentence, tokens) in enumerate(sentences):
+            scored.append((-sum(map(freq.__getitem__, tokens)) / len(tokens), idx, sentence))
         top = sorted(sorted(scored)[: self.k], key=lambda item: item[1])
         return " ".join(sentence for _, _, sentence in top)
 
@@ -579,35 +590,61 @@ def run_report_to_dict(run: RunReport) -> dict:
     }
 
 
+_NUMBER = (int, float)
+_KIND_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number", dict: "an object"}
+_SCORE_FIELDS = ("precision", "recall", "f1")
+_METRICS = ("rouge1", "rouge2", "rougeL")
+
+
+def _typed(mapping: Mapping, key: str, kind, where: str = ""):
+    """mapping[key], which must be an instance of kind (never a bool); where names mapping."""
+    path = f"{where}.{key}" if where else key
+    if key not in mapping:
+        raise MalformedFile(f"missing key {path!r}")
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedFile(
+            f"{path!r} must be {_KIND_NAMES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def run_report_from_dict(payload: Mapping) -> RunReport:
-    from .rouge import DocumentScores, RougeScore
+    """Inverse of run_report_to_dict; a missing or mistyped field raises MalformedFile."""
+    if not isinstance(payload, dict):
+        raise MalformedFile(f"run report must be an object, got {type(payload).__name__}")
 
-    def score(d) -> RougeScore:
-        return RougeScore(precision=d["precision"], recall=d["recall"], f1=d["f1"])
+    def score(parent: Mapping, metric: str, where: str) -> RougeScore:
+        fields = _typed(parent, metric, dict, where)
+        where = f"{where}.{metric}"
+        return RougeScore(**{name: _typed(fields, name, _NUMBER, where) for name in _SCORE_FIELDS})
 
-    raw = payload["scores"]
+    def document(parent: Mapping, doc_id: str, where: str) -> DocumentScores:
+        metrics = _typed(parent, doc_id, dict, where)
+        where = f"{where}.{doc_id}"
+        return DocumentScores(**{metric: score(metrics, metric, where) for metric in _METRICS})
+
+    raw = _typed(payload, "scores", dict)
+    per_document = _typed(raw, "per_document", dict, "scores")
     scores = AggregateScores(
-        rouge1=score(raw["rouge1"]),
-        rouge2=score(raw["rouge2"]),
-        rougeL=score(raw["rougeL"]),
+        **{metric: score(raw, metric, "scores") for metric in _METRICS},
         per_document={
-            doc_id: DocumentScores(
-                rouge1=score(doc["rouge1"]),
-                rouge2=score(doc["rouge2"]),
-                rougeL=score(doc["rougeL"]),
-            )
-            for doc_id, doc in raw["per_document"].items()
+            doc_id: document(per_document, doc_id, "scores.per_document")
+            for doc_id in per_document
         },
     )
+    division_f1 = _typed(payload, "division_f1", dict)
     return RunReport(
-        approach=payload["approach"],
+        approach=_typed(payload, "approach", str),
         scores=scores,
-        division_f1={div: payload["division_f1"][div.value] for div in DIVISIONS},
-        division_average=payload["division_average"],
-        division_metric=payload["division_metric"],
-        config_hash=payload["config_hash"],
-        seed=payload["seed"],
-        n_documents=payload["n_documents"],
-        skipped_divisions=payload["skipped_divisions"],
-        unknown_sections=payload["unknown_sections"],
+        division_f1={
+            div: _typed(division_f1, div.value, _NUMBER, "division_f1") for div in DIVISIONS
+        },
+        division_average=_typed(payload, "division_average", _NUMBER),
+        division_metric=_typed(payload, "division_metric", str),
+        config_hash=_typed(payload, "config_hash", str),
+        seed=_typed(payload, "seed", int),
+        n_documents=_typed(payload, "n_documents", int),
+        skipped_divisions=_typed(payload, "skipped_divisions", int),
+        unknown_sections=_typed(payload, "unknown_sections", int),
     )

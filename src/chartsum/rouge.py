@@ -1,8 +1,10 @@
 """Exact ROUGE-1/2/L scoring with deterministic tokenization and corpus aggregation.
 
-The longest-common-subsequence step runs on a compiled kernel when the
-extension was built, and on a pure-Python twin otherwise; both implement the
-same rolling-row dynamic program. `lcs_backend()` reports which one is active.
+The longest-common-subsequence step is the bit-parallel algorithm of Allison &
+Dix (1986) in the formulation of Hyyrö (2004), "Bit-parallel LCS-length
+computation revisited": one Python int holds a whole DP row as a bit vector,
+so each token of one side costs a handful of big-int operations instead of a
+row of DP cells.
 """
 
 from __future__ import annotations
@@ -12,18 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ChartsumError
-
-try:
-    from . import _lcs as _lcs_kernel
-
-    _LCS_BACKEND = "cython"
-except ImportError:  # extension not built
-    from . import _lcs_py as _lcs_kernel
-
-    _LCS_BACKEND = "python"
 
 
 class EmptyEvaluation(ChartsumError):
@@ -40,8 +31,8 @@ _STOPWORDS = frozenset(
 
 
 def lcs_backend() -> str:
-    """Name of the active LCS kernel: "cython" or "python"."""
-    return _LCS_BACKEND
+    """Name of the LCS kernel, recorded by benchmark runs."""
+    return "bit-parallel"
 
 
 def tokenize(text: str, *, stem: bool = False, drop_stopwords: bool = False) -> list[str]:
@@ -124,13 +115,28 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence of two token sequences."""
-    if not a or not b:
+    """Length of the longest common subsequence of two token sequences.
+
+    After each token of the longer side, bit i of `v` is 0 exactly where the
+    DP row over the shorter side steps up at position i, so the LCS length is
+    the number of zero bits. Tokens of the longer side that never occur in the
+    shorter one leave `v` unchanged.
+    """
+    if len(a) > len(b):
+        a, b = b, a  # the bit vector spans the shorter side
+    if not a:
         return 0
-    ids: dict[str, int] = {}
-    enc_a = np.fromiter((ids.setdefault(t, len(ids)) for t in a), dtype=np.intc, count=len(a))
-    enc_b = np.fromiter((ids.setdefault(t, len(ids)) for t in b), dtype=np.intc, count=len(b))
-    return _lcs_kernel.lcs_length_ids(enc_a, enc_b)
+    masks: dict = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for token in b:
+        match = masks.get(token)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

@@ -304,6 +304,86 @@ def test_report_rerenders_saved_runs(tmp_path, corpus_csv, eval_csv, capsys):
     assert rows[2].startswith("section-wise,")
 
 
+def _assert_one_line_error(err, *fragments):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_report_non_json_file_is_a_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_text("not json")
+    assert main(["report", "--in", str(bad)]) == 2
+    _assert_one_line_error(capsys.readouterr().err, str(bad), "not a valid report file")
+
+
+def _drop(*keys):
+    def mutate(entry):
+        for key in keys[:-1]:
+            entry = entry[key]
+        del entry[keys[-1]]
+    return mutate
+
+
+def _set(value, *keys):
+    def mutate(entry):
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (_drop("scores"), "missing key 'scores'"),
+    (_drop("seed"), "missing key 'seed'"),
+    (_drop("division_f1", "Exam"), "missing key 'division_f1.Exam'"),
+    (_drop("scores", "rouge2", "recall"), "missing key 'scores.rouge2.recall'"),
+    (_drop("scores", "per_document", "synth-006", "rougeL"),
+     "missing key 'scores.per_document.synth-006.rougeL'"),
+    (_set("7", "seed"), "'seed' must be an integer, got str"),
+    (_set(True, "n_documents"), "'n_documents' must be an integer, got bool"),
+    (_set([1, 2], "scores", "rouge1"), "'scores.rouge1' must be an object, got list"),
+    (_set("high", "scores", "rougeL", "f1"), "'scores.rougeL.f1' must be a number, got str"),
+    (_set(None, "approach"), "'approach' must be a string, got NoneType"),
+])
+def test_report_malformed_entry_is_a_runtime_error(
+    tmp_path, corpus_csv, eval_csv, capsys, mutate, fragment
+):
+    out_dir = tmp_path / "run"
+    assert main([
+        "run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,
+        "--backend", "oracle", "--seed", "0", "--out-dir", str(out_dir),
+    ]) == 0
+    capsys.readouterr()
+    path = out_dir / "report.json"
+    payload = json.loads(path.read_text())
+    mutate(payload[0])
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--in", str(path)]) == 2
+    _assert_one_line_error(capsys.readouterr().err, f"{path}: run 0: ", fragment)
+
+
+def test_report_entry_that_is_not_an_object_is_a_runtime_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("[3]")
+    assert main(["report", "--in", str(path)]) == 2
+    _assert_one_line_error(capsys.readouterr().err, "run 0: run report must be an object")
+
+
+def test_jsonl_corpus_with_non_string_field_is_a_runtime_error(tmp_path, corpus_csv, capsys):
+    bad = tmp_path / "eval.jsonl"
+    bad.write_text('{"id": "a", "dialogue": 5}\n')
+    code = main([
+        "run", "--approach", "single", "--train", corpus_csv, "--eval", str(bad),
+        "--backend", "oracle", "--seed", "0",
+    ])
+    assert code == 2
+    _assert_one_line_error(
+        capsys.readouterr().err, "row 1: field 'dialogue' must be a string, got int"
+    )
+
+
 def test_run_csv_format_to_stdout(corpus_csv, eval_csv, capsys):
     assert main([
         "run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,

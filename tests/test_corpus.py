@@ -132,6 +132,26 @@ def test_load_jsonl_missing_keys(tmp_path):
         load_corpus(p, format="jsonl")
 
 
+@pytest.mark.parametrize("row, field, got", [
+    ('{"id": 1, "dialogue": "hi"}', "id", "int"),
+    ('{"id": null, "dialogue": "hi"}', "id", "NoneType"),
+    ('{"id": "e2", "dialogue": 5}', "dialogue", "int"),
+    ('{"id": "e2", "dialogue": ["hi"]}', "dialogue", "list"),
+    ('{"id": "e2", "dialogue": "hi", "note": {"cc": "x"}}', "note", "dict"),
+    ('{"id": "e2", "dialogue": "hi", "note": false}', "note", "bool"),
+])
+def test_load_jsonl_non_string_field_names_row_and_field(tmp_path, row, field, got):
+    p = write(tmp_path / "c.jsonl", '{"id": "e1", "dialogue": "hi"}\n' + row + "\n")
+    with pytest.raises(MalformedFile) as info:
+        load_corpus(p, format="jsonl")
+    assert f"row 2: field {field!r} must be a string, got {got}" in str(info.value)
+
+
+def test_load_jsonl_null_note_is_unlabeled(tmp_path):
+    p = write(tmp_path / "c.jsonl", '{"id": "e1", "dialogue": "hi", "note": null}\n')
+    assert load_corpus(p, format="jsonl").encounters[0].note is None
+
+
 def test_load_jsonl_column_remap(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"k": "e1", "d": "hi", "n": "note"}\n')
     corpus = load_corpus(p, format="jsonl", columns={"id": "k", "dialogue": "d", "note": "n"})

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartsum.corpus import Corpus, Encounter, PredictionSet, Provenance
 from chartsum.pipeline import (
@@ -52,7 +56,12 @@ def eval_refs(corpus):
 
 def test_split_sentences_newlines_and_punctuation():
     text = "first one. second one!\nthird here? fourth\n\n...\n"
-    assert split_sentences(text) == ["first one.", "second one!", "third here?", "fourth"]
+    assert split_sentences(text) == [
+        ("first one.", ["first", "one"]),
+        ("second one!", ["second", "one"]),
+        ("third here?", ["third", "here"]),
+        ("fourth", ["fourth"]),
+    ]
 
 
 def test_split_sentences_drops_tokenless_fragments():
@@ -101,6 +110,52 @@ def test_extractive_empty_and_validation():
     assert ExtractiveSummarizer(k=2).summarize("...!") == ""
     with pytest.raises(ValueError):
         ExtractiveSummarizer(k=0)
+
+
+_REF_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+
+
+def ref_extractive(text, k):
+    """Two-pass extractive summary: one tokenize pass over the whole text for the
+    frequencies, another per sentence for the scores."""
+    sentences = []
+    for line in text.splitlines():
+        for part in _REF_SENTENCE_SPLIT.split(line):
+            part = part.strip()
+            if part and tokenize(part):
+                sentences.append(part)
+    if not sentences:
+        return ""
+    freq = Counter(tokenize(text))
+    scored = []
+    for idx, sentence in enumerate(sentences):
+        tokens = tokenize(sentence)
+        scored.append((-sum(freq[t] for t in tokens) / len(tokens), idx, sentence))
+    top = sorted(sorted(scored)[:k], key=lambda item: item[1])
+    return " ".join(sentence for _, _, sentence in top)
+
+
+# Few distinct words so that sentence scores tie often; underscores and digits
+# inside words; every line break str.splitlines knows; token-free fragments.
+_EXTRACT_PIECES = st.sampled_from([
+    "pain", "Pain", "knee", "x_ray", "bp_120", "a1c", "7", "2024", "ΑΣ", "İstanbul",
+    ".", "!", "?", "...", "--", "_", "__", " ", "  ", "\t", ". ", "! ", "? ",
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\xa0",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(_EXTRACT_PIECES, max_size=60), k=st.integers(1, 5))
+def test_extractive_matches_two_pass_reference(pieces, k):
+    text = "".join(pieces)
+    assert ExtractiveSummarizer(k=k).summarize(text) == ref_extractive(text, k)
+
+
+def test_extractive_matches_reference_on_tied_scores_and_line_breaks():
+    text = "pain knee.\r\nknee pain!\x0cpain_knee 12\x85... __ \u2028knee? pain"
+    for k in range(1, 6):
+        assert ExtractiveSummarizer(k=k).summarize(text) == ref_extractive(text, k)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartsum import rouge
-from chartsum._lcs_py import lcs_length_ids as lcs_py
 from chartsum.rouge import (
     AggregateScores,
     DocumentScores,
@@ -25,22 +22,6 @@ from chartsum.rouge import (
     score_pair,
     tokenize,
 )
-
-
-def _as_intc(seq):
-    return np.asarray(list(seq), dtype=np.intc)
-
-
-KERNELS = [("python", lambda a, b: lcs_py(a, b))]
-try:
-    from chartsum._lcs import lcs_length_ids as lcs_cy
-
-    KERNELS.append(("cython", lambda a, b: lcs_cy(_as_intc(a), _as_intc(b))))
-except ImportError:  # compiled kernel is optional
-    pass
-
-KERNEL_IDS = [name for name, _ in KERNELS]
-KERNEL_FNS = [fn for _, fn in KERNELS]
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +41,31 @@ def brute_lcs(a, b):
                 best = r
                 break
     return best
+
+
+def dp_lcs(a, b):
+    """Longest-common-subsequence length by the rolling-row dynamic program."""
+    a = list(a)
+    b = list(b)
+    if not a or not b:
+        return 0
+    if len(b) > len(a):
+        a, b = b, a  # keep the DP row on the shorter side
+    m = len(b)
+    row = [0] * (m + 1)
+    for x in a:
+        prev = 0
+        for j in range(1, m + 1):
+            cur = row[j]
+            if x == b[j - 1]:
+                row[j] = prev + 1
+            elif row[j - 1] > cur:
+                row[j] = row[j - 1]
+            prev = cur
+    return row[m]
+
+
+KERNELS = {"bit-parallel": lcs_length, "dp": dp_lcs}
 
 
 def brute_clipped_ngram_overlap(cand, ref, n):
@@ -177,10 +183,10 @@ def test_f1_harmonic_mean():
 
 
 # ---------------------------------------------------------------------------
-# LCS kernels vs brute force
+# LCS: bit-parallel kernel and DP oracle vs brute force, then against each other
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kernel", KERNEL_FNS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 def test_lcs_kernel_matches_brute_force(kernel):
     rng = random.Random(7)
     for _ in range(200):
@@ -189,7 +195,7 @@ def test_lcs_kernel_matches_brute_force(kernel):
         assert kernel(a, b) == brute_lcs(a, b)
 
 
-@pytest.mark.parametrize("kernel", KERNEL_FNS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 def test_lcs_kernel_edges(kernel):
     assert kernel([], []) == 0
     assert kernel([1, 2, 3], []) == 0
@@ -198,21 +204,43 @@ def test_lcs_kernel_edges(kernel):
     assert kernel([1, 2, 3], [3, 2, 1]) == 1
 
 
-def test_backends_agree_when_both_present():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(11)
-    for _ in range(100):
-        a = [rng.randrange(6) for _ in range(rng.randrange(30))]
-        b = [rng.randrange(6) for _ in range(rng.randrange(30))]
-        assert KERNEL_FNS[0](a, b) == KERNEL_FNS[1](a, b)
+@st.composite
+def lcs_pairs(draw):
+    """Two token lists of 0-300 tokens over a shared alphabet of 1-50 tokens."""
+    alphabet = [f"t{i}" for i in range(draw(st.integers(1, 50)))]
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(0, 300))
+        sides.append(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
+    return sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=lcs_pairs())
+def test_bit_parallel_lcs_matches_dp(pair):
+    # Masks over up to 300 positions span several machine words, so carries
+    # must propagate across word boundaries.
+    a, b = pair
+    expected = dp_lcs(a, b)
+    assert lcs_length(a, b) == expected
+    assert lcs_length(b, a) == expected
+
+
+@pytest.mark.parametrize("alphabet", [3, 40])
+def test_bit_parallel_lcs_matches_dp_on_note_length_sequences(alphabet):
+    # Scored notes run to several hundred tokens, past the property test's sizes.
+    rng = random.Random(alphabet)
+    a = [rng.randrange(alphabet) for _ in range(1200)]
+    b = [rng.randrange(alphabet) for _ in range(700)]
+    expected = dp_lcs(a, b)
+    assert lcs_length(a, b) == expected
+    assert lcs_length(b, a) == expected
 
 
 def test_lcs_length_on_token_lists():
     assert lcs_length(["a", "b", "c"], ["a", "c"]) == 2
     assert lcs_length([], ["a"]) == 0
-    assert lcs_backend() in {"python", "cython"}
-    assert lcs_backend() == rouge._LCS_BACKEND
+    assert lcs_backend() == "bit-parallel"
 
 
 # ---------------------------------------------------------------------------
