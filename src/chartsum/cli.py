@@ -1,7 +1,8 @@
 """Single `chartsum` executable: section splitting, training, prediction, scoring, reports.
 
-Exit codes: 0 success, 1 flag/validation error, 2 runtime error. Diagnostics go
-to stderr; data goes to stdout or the requested output path.
+Exit codes: 0 success, 1 bad flag or flag value, 2 runtime error (a missing file,
+any malformed input file, a failed gradient check). Diagnostics go to stderr;
+data goes to stdout or the requested output path.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from io import StringIO
 from pathlib import Path
 
 from .corpus import (
+    APPROACH_TAGS,
     Corpus,
     MalformedFile,
     PredictionSet,
@@ -25,6 +27,7 @@ from .corpus import (
 )
 from .errors import ChartsumError
 from .pipeline import (
+    BACKEND_KINDS,
     ApproachConfig,
     BackendSpec,
     TinyLsgSummarizer,
@@ -135,17 +138,21 @@ def _lsg_from_args(args) -> LsgConfig:
     )
 
 
+def _model_from_args(args) -> ModelConfig:
+    return ModelConfig(
+        d_model=args.d_model,
+        n_heads=args.heads,
+        n_layers_enc=args.enc_layers,
+        n_layers_dec=args.dec_layers,
+        d_ff=args.d_ff,
+    )
+
+
 def _backend_from_args(args, kind: str) -> BackendSpec:
     return BackendSpec(
         kind=kind,
         extract_k=args.extract_k,
-        model=ModelConfig(
-            d_model=args.d_model,
-            n_heads=args.heads,
-            n_layers_enc=args.enc_layers,
-            n_layers_dec=args.dec_layers,
-            d_ff=args.d_ff,
-        ),
+        model=_model_from_args(args),
         lsg=_lsg_from_args(args),
         train=TrainConfig(
             initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
@@ -197,14 +204,7 @@ def _cmd_train(args) -> int:
         raise ChartsumError(f"{args.train}: no encounters with reference notes")
     lsg = _lsg_from_args(args)
     vocab = build_vocab([text for pair in pairs for text in pair], min_freq=args.min_freq)
-    config = ModelConfig(
-        d_model=args.d_model,
-        n_heads=args.heads,
-        n_layers_enc=args.enc_layers,
-        n_layers_dec=args.dec_layers,
-        d_ff=args.d_ff,
-    )
-    model = init_model(config, vocab, seed=args.seed, init_scale=args.init_scale)
+    model = init_model(_model_from_args(args), vocab, seed=args.seed, init_scale=args.init_scale)
     print(f"vocabulary {vocab.size} tokens, {model.num_params} parameters", file=sys.stderr)
     tc = TrainConfig(
         initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
@@ -339,7 +339,7 @@ def _cmd_run(args) -> int:
         stage2=stage2,
         seed=args.seed,
     )
-    predictions = run_approach(train_corpus, eval_corpus, cfg, jobs=args.jobs)
+    predictions = run_approach(train_corpus, eval_corpus, cfg)
     run = evaluate(predictions, eval_corpus)
     rendered = report([run], format=args.format)
     if args.out_dir is not None:
@@ -362,8 +362,8 @@ def _cmd_report(args) -> int:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedFile(f"{path}: not a valid report file ({exc})") from exc
-        if not isinstance(payload, list):
-            raise MalformedFile(f"{path}: expected a JSON list of run reports")
+        if not isinstance(payload, list) or not payload:
+            raise MalformedFile(f"{path}: expected a non-empty JSON list of run reports")
         for index, entry in enumerate(payload):
             try:
                 runs.append(run_report_from_dict(entry))
@@ -379,14 +379,7 @@ _GRAD_CHECK_TGT = "left knee pain after fall"
 
 def _cmd_grad_check(args) -> int:
     vocab = build_vocab([_GRAD_CHECK_SRC, _GRAD_CHECK_TGT], min_freq=1)
-    config = ModelConfig(
-        d_model=args.d_model,
-        n_heads=args.heads,
-        n_layers_enc=args.enc_layers,
-        n_layers_dec=args.dec_layers,
-        d_ff=args.d_ff,
-    )
-    model = init_model(config, vocab, seed=args.seed, init_scale=args.init_scale)
+    model = init_model(_model_from_args(args), vocab, seed=args.seed, init_scale=args.init_scale)
     lsg = _lsg_from_args(args)
     err = grad_check(
         model,
@@ -463,16 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", formatter_class=fmt,
                        help="train, predict, and score one approach end to end")
-    p.add_argument("--approach", required=True,
-                   choices=["single", "section-wise", "multi-layer"],
+    p.add_argument("--approach", required=True, choices=APPROACH_TAGS,
                    help="which architecture to run")
     p.add_argument("--train", required=True, help="training corpus file")
     p.add_argument("--eval", required=True, help="evaluation corpus file")
-    p.add_argument("--backend", default="tiny-lsg",
-                   choices=["tiny-lsg", "oracle", "extractive", "identity"],
+    p.add_argument("--backend", default="tiny-lsg", choices=BACKEND_KINDS,
                    help="summarizer filling each model slot")
-    p.add_argument("--stage2-backend", default="tiny-lsg",
-                   choices=["tiny-lsg", "oracle", "extractive", "identity"],
+    p.add_argument("--stage2-backend", default="tiny-lsg", choices=BACKEND_KINDS,
                    help="second-stage backend for multi-layer runs")
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
     p.add_argument("--sections", default=None,
@@ -480,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: every section observed in training)")
     p.add_argument("--extract-k", type=int, default=3,
                    help="sentences kept by the extractive backend")
-    p.add_argument("--jobs", type=int, default=1, help="parallel inference width")
     p.add_argument("--out-dir", default=None,
                    help="directory for predictions.json, report.txt, report.json")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",

@@ -14,9 +14,8 @@ from .errors import ChartsumError
 
 CANONICAL_COLUMNS = ("id", "dialogue", "note")
 
-# Tags accepted in PredictionSet.approach: the three pipeline architectures plus
-# the two trainingless baselines usable as standalone prediction runs.
-APPROACH_TAGS = ("single", "section-wise", "multi-layer", "oracle", "extractive")
+# The three pipeline architectures; PredictionSet.approach is one of them.
+APPROACH_TAGS = ("single", "section-wise", "multi-layer")
 
 
 class CorpusError(ChartsumError):
@@ -48,6 +47,30 @@ class CorpusTooSmall(CorpusError):
 
 class MalformedFile(CorpusError):
     pass
+
+
+_NUMBER = (int, float)
+_OPTIONAL_STR = (str, type(None))
+_KIND_NAMES = {
+    str: "a string",
+    int: "an integer",
+    _NUMBER: "a number",
+    dict: "an object",
+    _OPTIONAL_STR: "a string or null",
+}
+
+
+def _typed(mapping: Mapping, key: str, kind, where: str = ""):
+    """mapping[key], which must be an instance of kind (never a bool); where names mapping."""
+    path = f"{where}.{key}" if where else key
+    if key not in mapping:
+        raise MalformedFile(f"missing key {path!r}")
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedFile(
+            f"{path!r} must be {_KIND_NAMES[kind]}, got {type(value).__name__}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -247,6 +270,7 @@ def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
 
 
 def load_predictions(path: str | Path) -> PredictionSet:
+    """Read a save_predictions file; a missing or mistyped field raises MalformedFile."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -254,22 +278,28 @@ def load_predictions(path: str | Path) -> PredictionSet:
         raise MalformedFile(f"{path}: not a valid prediction file ({exc})") from exc
     if not isinstance(payload, dict):
         raise MalformedFile(f"{path}: expected a JSON object")
-    for key in ("approach", "seed", "config_hash", "entries"):
-        if key not in payload:
-            raise MalformedFile(f"{path}: missing key {key!r}")
-    entries = payload["entries"]
-    if not isinstance(entries, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in entries.items()
-    ):
-        raise MalformedFile(f"{path}: entries must map id strings to note strings")
+    try:
+        approach = _typed(payload, "approach", str)
+        seed = _typed(payload, "seed", int)
+        config_hash = _typed(payload, "config_hash", str)
+        entries = _typed(payload, "entries", dict)
+        # created_at and extra may be absent; they then take their defaults.
+        optional = {"created_at": None, "extra": {}, **payload}
+        created_at = _typed(optional, "created_at", _OPTIONAL_STR)
+        extra = _typed(optional, "extra", dict)
+    except MalformedFile as exc:
+        raise MalformedFile(f"{path}: {exc}") from None
+    for key, mapping in (("entries", entries), ("extra", extra)):
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
+            raise MalformedFile(f"{path}: {key} must map strings to strings")
     try:
         return PredictionSet(
-            approach=payload["approach"],
+            approach=approach,
             entries=entries,
-            config_hash=payload["config_hash"],
-            seed=payload["seed"],
-            created_at=payload.get("created_at"),
-            extra=payload.get("extra", {}),
+            config_hash=config_hash,
+            seed=seed,
+            created_at=created_at,
+            extra=extra,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedFile(f"{path}: {exc}") from exc

@@ -15,15 +15,14 @@ import json
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from io import StringIO
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
-from .corpus import Corpus, MalformedFile, PredictionSet
+from .corpus import APPROACH_TAGS, Corpus, MalformedFile, PredictionSet, _NUMBER, _typed
 from .errors import ChartsumError
 from .rouge import (
     AggregateScores,
@@ -56,7 +55,6 @@ from .tinylsg import (
 from .tinylsg.train import summarize_ids
 
 BACKEND_KINDS = ("identity", "oracle", "extractive", "tiny-lsg")
-APPROACHES = ("single", "section-wise", "multi-layer")
 DIVISIONS = (Division.SUBJECTIVE, Division.EXAM, Division.RESULTS, Division.ASSESSMENT_AND_PLAN)
 
 # Per-slot training seeds: section models use seed + canonical section index,
@@ -64,21 +62,8 @@ DIVISIONS = (Division.SUBJECTIVE, Division.EXAM, Division.RESULTS, Division.ASSE
 _STAGE2_SEED_OFFSET = len(SECTION_ORDER)
 
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
 class PipelineError(ChartsumError):
     pass
-
-
-def _map_ordered(fn: Callable[[_T], _R], items: Iterable[_T], jobs: int) -> list[_R]:
-    """Apply fn to each item, optionally on a thread pool; result order matches input."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 class MissingReference(PipelineError):
@@ -199,11 +184,9 @@ class ApproachConfig:
     sections: tuple[Section, ...] | None = None
     stage2: BackendSpec | None = None
     seed: int = 0
-    stage2_split: bool = False
-    stage2_headers: bool = True
 
     def __post_init__(self):
-        if self.approach not in APPROACHES:
+        if self.approach not in APPROACH_TAGS:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.approach == "multi-layer" and self.stage2 is None:
             raise ValueError("multi-layer runs need a stage2 backend")
@@ -264,23 +247,13 @@ def _labeled_pairs(corpus: Corpus) -> list[tuple[str, str, str]]:
     return [(e.id, e.dialogue, e.note) for e in corpus if e.note is not None]
 
 
-def run_approach1(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, jobs: int = 1
-) -> PredictionSet:
+def _run_single(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) -> dict[str, str]:
     """One summarizer over full dialogue → full note."""
-    if cfg.approach != "single":
-        raise ValueError(f"run_approach1 needs approach 'single', got {cfg.approach!r}")
     pairs = [(dialogue, note) for _, dialogue, note in _labeled_pairs(train_corpus)]
     summarizer = _build_summarizer(
         cfg.backend, pairs, _reference_lookup(train_corpus, eval_corpus), cfg.seed
     )
-    outputs = _map_ordered(
-        lambda e: summarizer.summarize(e.dialogue, encounter_id=e.id), eval_corpus, jobs
-    )
-    entries = {e.id: text for e, text in zip(eval_corpus, outputs)}
-    return PredictionSet(
-        approach="single", entries=entries, config_hash=config_hash(cfg), seed=cfg.seed
-    )
+    return {e.id: summarizer.summarize(e.dialogue, encounter_id=e.id) for e in eval_corpus}
 
 
 def _configured_sections(cfg: ApproachConfig, segmented: Mapping[str, ChartNote]) -> list[Section]:
@@ -325,46 +298,31 @@ def _train_section_models(
     return models
 
 
-def _apply_section_models(
-    models: Mapping[Section, Summarizer], corpus: Corpus, jobs: int = 1
-) -> dict[str, str]:
+def _run_section_wise(models: Mapping[Section, Summarizer], corpus: Corpus) -> dict[str, str]:
+    """Per-section summarizer outputs, assembled in canonical order."""
     ordered = sorted(models, key=SECTION_ORDER.index)
-
-    def render(e) -> str:
+    entries = {}
+    for e in corpus:
         produced = []
         for section in ordered:
             text = models[section].summarize(e.dialogue, encounter_id=e.id)
             if text:
                 produced.append(NoteSection(id=section, body=text))
-        return assemble_note(ChartNote(sections=tuple(produced)))
-
-    outputs = _map_ordered(render, corpus, jobs)
-    return {e.id: text for e, text in zip(corpus, outputs)}
+        entries[e.id] = assemble_note(ChartNote(sections=tuple(produced)))
+    return entries
 
 
-def run_approach2(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, jobs: int = 1
-) -> PredictionSet:
-    """Per-section summarizers, outputs assembled in canonical order."""
-    if cfg.approach != "section-wise":
-        raise ValueError(f"run_approach2 needs approach 'section-wise', got {cfg.approach!r}")
-    models = _train_section_models(train_corpus, eval_corpus, cfg)
-    entries = _apply_section_models(models, eval_corpus, jobs)
-    return PredictionSet(
-        approach="section-wise", entries=entries, config_hash=config_hash(cfg), seed=cfg.seed
-    )
+def _run_multi_layer(
+    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Section-wise stage 1, then a second summarizer over the assembled text.
 
-
-def run_approach3(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, jobs: int = 1
-) -> PredictionSet:
-    """Section-wise stage 1, then a second summarizer over the assembled text."""
-    if cfg.approach != "multi-layer":
-        raise ValueError(f"run_approach3 needs approach 'multi-layer', got {cfg.approach!r}")
+    Returns the entries and the stage-1 facts recorded in PredictionSet.extra.
+    """
     stage1_cfg = replace(cfg, approach="section-wise", stage2=None)
     models = _train_section_models(train_corpus, eval_corpus, stage1_cfg)
-    stage1_train = _apply_section_models(models, train_corpus, jobs)
-    stage1_eval = _apply_section_models(models, eval_corpus, jobs)
+    stage1_train = _run_section_wise(models, train_corpus)
+    stage1_eval = _run_section_wise(models, eval_corpus)
     stage2_pairs = [
         (stage1_train[eid], note) for eid, _, note in _labeled_pairs(train_corpus)
     ]
@@ -374,35 +332,34 @@ def run_approach3(
         _reference_lookup(train_corpus, eval_corpus),
         cfg.seed + _STAGE2_SEED_OFFSET,
     )
-    outputs = _map_ordered(
-        lambda e: stage2.summarize(stage1_eval[e.id], encounter_id=e.id), eval_corpus, jobs
-    )
-    entries = {e.id: text for e, text in zip(eval_corpus, outputs)}
+    entries = {
+        e.id: stage2.summarize(stage1_eval[e.id], encounter_id=e.id) for e in eval_corpus
+    }
     extra = {
         "stage1_config_hash": config_hash(stage1_cfg),
-        "stage2_split": str(cfg.stage2_split).lower(),
-        "stage2_headers": str(cfg.stage2_headers).lower(),
         "stage1_empty_train": str(sum(1 for text in stage1_train.values() if not text)),
         "stage1_empty_eval": str(sum(1 for text in stage1_eval.values() if not text)),
     }
+    return entries, extra
+
+
+def run_approach(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) -> PredictionSet:
+    """Train cfg.approach on train_corpus and summarize every eval_corpus encounter."""
+    extra: dict[str, str] = {}
+    if cfg.approach == "single":
+        entries = _run_single(train_corpus, eval_corpus, cfg)
+    elif cfg.approach == "section-wise":
+        models = _train_section_models(train_corpus, eval_corpus, cfg)
+        entries = _run_section_wise(models, eval_corpus)
+    else:
+        entries, extra = _run_multi_layer(train_corpus, eval_corpus, cfg)
     return PredictionSet(
-        approach="multi-layer",
+        approach=cfg.approach,
         entries=entries,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
         extra=extra,
     )
-
-
-def run_approach(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, jobs: int = 1
-) -> PredictionSet:
-    runner = {
-        "single": run_approach1,
-        "section-wise": run_approach2,
-        "multi-layer": run_approach3,
-    }[cfg.approach]
-    return runner(train_corpus, eval_corpus, cfg, jobs)
 
 
 @dataclass(frozen=True)
@@ -590,23 +547,8 @@ def run_report_to_dict(run: RunReport) -> dict:
     }
 
 
-_NUMBER = (int, float)
-_KIND_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number", dict: "an object"}
 _SCORE_FIELDS = ("precision", "recall", "f1")
 _METRICS = ("rouge1", "rouge2", "rougeL")
-
-
-def _typed(mapping: Mapping, key: str, kind, where: str = ""):
-    """mapping[key], which must be an instance of kind (never a bool); where names mapping."""
-    path = f"{where}.{key}" if where else key
-    if key not in mapping:
-        raise MalformedFile(f"missing key {path!r}")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise MalformedFile(
-            f"{path!r} must be {_KIND_NAMES[kind]}, got {type(value).__name__}"
-        )
-    return value
 
 
 def run_report_from_dict(payload: Mapping) -> RunReport:

@@ -23,43 +23,18 @@ class EmptyEvaluation(ChartsumError):
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-# Small closed-class list used only when drop_stopwords=True; not applied by default.
-_STOPWORDS = frozenset(
-    "a an and are as at be but by for from had has have he her his i in is it its "
-    "of on or she that the their they this to was were will with you".split()
-)
-
 
 def lcs_backend() -> str:
     """Name of the LCS kernel, recorded by benchmark runs."""
     return "bit-parallel"
 
 
-def tokenize(text: str, *, stem: bool = False, drop_stopwords: bool = False) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split on any run of non-alphanumeric characters.
 
-    Digits are kept. Stemming and stopword removal are off by default and only
-    applied when the corresponding flag is set.
+    Digits are kept; there is no stemming and no stopword removal.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if drop_stopwords:
-        tokens = [t for t in tokens if t not in _STOPWORDS]
-    if stem:
-        tokens = [_light_stem(t) for t in tokens]
-    return tokens
-
-
-def _light_stem(token: str) -> str:
-    # Plural-style suffix stripping only; deliberately much weaker than Porter.
-    if token.endswith("sses"):
-        return token[:-2]
-    if token.endswith("ies") and len(token) > 4:
-        return token[:-3] + "y"
-    if token.endswith("ss") or len(token) <= 3:
-        return token
-    if token.endswith("s"):
-        return token[:-1]
-    return token
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -147,16 +122,10 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     return RougeScore.from_pr(length / len(candidate), length / len(reference))
 
 
-def score_pair(
-    candidate_text: str,
-    reference_text: str,
-    *,
-    stem: bool = False,
-    drop_stopwords: bool = False,
-) -> DocumentScores:
+def score_pair(candidate_text: str, reference_text: str) -> DocumentScores:
     """Tokenize two texts and score ROUGE-1, ROUGE-2, and ROUGE-L."""
-    cand = tokenize(candidate_text, stem=stem, drop_stopwords=drop_stopwords)
-    ref = tokenize(reference_text, stem=stem, drop_stopwords=drop_stopwords)
+    cand = tokenize(candidate_text)
+    ref = tokenize(reference_text)
     return DocumentScores(
         rouge1=rouge_n(cand, ref, 1),
         rouge2=rouge_n(cand, ref, 2),
@@ -174,12 +143,7 @@ def _mean_scores(scores: Iterable[RougeScore]) -> RougeScore:
     )
 
 
-def corpus_rouge(
-    pairs: Sequence[tuple[str, str, str]],
-    *,
-    stem: bool = False,
-    drop_stopwords: bool = False,
-) -> AggregateScores:
+def corpus_rouge(pairs: Sequence[tuple[str, str, str]]) -> AggregateScores:
     """Score (id, candidate text, reference text) triples and average per document.
 
     Corpus values are unweighted arithmetic means of the per-document scores,
@@ -189,9 +153,7 @@ def corpus_rouge(
         raise EmptyEvaluation("no candidate/reference pairs to score")
     per_document: dict[str, DocumentScores] = {}
     for doc_id, cand_text, ref_text in pairs:
-        per_document[doc_id] = score_pair(
-            cand_text, ref_text, stem=stem, drop_stopwords=drop_stopwords
-        )
+        per_document[doc_id] = score_pair(cand_text, ref_text)
     docs = [per_document[doc_id] for doc_id in sorted(per_document)]
     return AggregateScores(
         rouge1=_mean_scores(d.rouge1 for d in docs),

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from .errors import ChartsumError
 
@@ -34,8 +36,8 @@ class UnknownSection:
 
 SectionId = Union[Section, UnknownSection]
 
-# Display headers emitted by assemble_note(style="canonical_headers"); each one
-# must resolve back to its Section through the default alias table.
+# Display headers emitted by assemble_note; each one must resolve back to its
+# Section through the default alias table.
 CANONICAL_HEADERS: dict[Section, str] = {
     Section.CC: "CHIEF COMPLAINT",
     Section.HPI: "HISTORY OF PRESENT ILLNESS",
@@ -152,30 +154,20 @@ def load_alias_table(path: str | Path) -> dict[str, Section]:
     return table
 
 
-def default_alias_table() -> dict[str, Section]:
+@functools.cache
+def default_alias_table() -> Mapping[str, Section]:
+    """The packaged alias table, parsed on first use and shared read-only."""
     with resources.as_file(resources.files("chartsum.data") / "section_aliases.txt") as path:
-        return load_alias_table(path)
+        return MappingProxyType(load_alias_table(path))
 
 
-_DEFAULT_ALIASES: dict[str, Section] | None = None
-
-
-def _aliases(aliases: Mapping[str, Section] | None) -> Mapping[str, Section]:
-    global _DEFAULT_ALIASES
-    if aliases is not None:
-        return aliases
-    if _DEFAULT_ALIASES is None:
-        _DEFAULT_ALIASES = default_alias_table()
-    return _DEFAULT_ALIASES
-
-
-def normalize_header(raw: str, aliases: Mapping[str, Section] | None = None) -> SectionId:
+def normalize_header(raw: str) -> SectionId:
     """Resolve a header string to a Section via canonical-key lookup; miss → UnknownSection."""
-    section = _aliases(aliases).get(canonical_key(raw))
+    section = default_alias_table().get(canonical_key(raw))
     return section if section is not None else UnknownSection(raw)
 
 
-def is_header_line(line: str, aliases: Mapping[str, Section] | None = None) -> bool:
+def is_header_line(line: str) -> bool:
     """True iff the line's canonical form is an alias key or the line fits the header shape.
 
     Shape rule: at most 6 words, at least one uppercase letter, no lowercase
@@ -184,7 +176,7 @@ def is_header_line(line: str, aliases: Mapping[str, Section] | None = None) -> b
     text = line.strip()
     if not text:
         return False
-    if canonical_key(text) in _aliases(aliases):
+    if canonical_key(text) in default_alias_table():
         return True
     if text.endswith(":"):
         text = text[:-1].rstrip()
@@ -202,9 +194,8 @@ def _trim_blank_edges(lines: list[str]) -> list[str]:
     return lines[start:end]
 
 
-def segment_note(text: str, aliases: Mapping[str, Section] | None = None) -> ChartNote:
+def segment_note(text: str) -> ChartNote:
     """Split note text into (section, body) runs; text before the first header is preamble."""
-    table = _aliases(aliases)
     preamble_lines: list[str] = []
     sections: list[NoteSection] = []
     current_header: str | None = None
@@ -215,11 +206,11 @@ def segment_note(text: str, aliases: Mapping[str, Section] | None = None) -> Cha
             return
         body = "\n".join(_trim_blank_edges(current_body))
         sections.append(
-            NoteSection(id=normalize_header(current_header, table), body=body, header=current_header)
+            NoteSection(id=normalize_header(current_header), body=body, header=current_header)
         )
 
     for line in text.splitlines():
-        if is_header_line(line, table):
+        if is_header_line(line):
             flush()
             current_header = line.strip()
             current_body = []
@@ -236,34 +227,13 @@ def canonical_header(section: SectionId) -> str:
     return section.raw if isinstance(section, UnknownSection) else CANONICAL_HEADERS[section]
 
 
-def _order_key(section: NoteSection) -> int:
-    if isinstance(section.id, UnknownSection):
-        return len(SECTION_ORDER)
-    return SECTION_ORDER.index(section.id)
-
-
-def assemble_note(
-    note: ChartNote, style: str = "canonical_headers", reorder: bool = False
-) -> str:
-    """Render sections as header / blank line / body / blank line blocks.
-
-    With `reorder`, known sections are emitted in canonical order and unknown
-    ones last, preserving relative source order within ties.
-    """
-    if style not in ("canonical_headers", "verbatim_headers"):
-        raise ValueError(f"unknown assembly style {style!r}")
-    ordered: Iterable[NoteSection] = note.sections
-    if reorder:
-        ordered = sorted(note.sections, key=_order_key)
+def assemble_note(note: ChartNote) -> str:
+    """Render sections in their given order as canonical header / blank line / body / blank line."""
     parts: list[str] = []
     if note.preamble:
         parts.extend([note.preamble, ""])
-    for sec in ordered:
-        if style == "verbatim_headers" and sec.header is not None:
-            header = sec.header
-        else:
-            header = canonical_header(sec.id)
-        parts.extend([header, "", sec.body, ""])
+    for sec in note.sections:
+        parts.extend([canonical_header(sec.id), "", sec.body, ""])
     return "\n".join(parts)
 
 

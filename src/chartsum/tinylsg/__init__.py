@@ -25,7 +25,6 @@ from .model import (
     ModelConfig,
     SequenceTooLong,
     TinyModel,
-    forward,
     init_model,
 )
 from .train import (
@@ -59,7 +58,6 @@ __all__ = [
     "ModelConfig",
     "SequenceTooLong",
     "TinyModel",
-    "forward",
     "init_model",
     "EmptyTrainingSet",
     "NonFiniteLoss",

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ChartsumError
-from .model import ModelConfig, TinyModel
+from .model import ModelConfig, TinyModel, _param_shapes
 from .vocab import Vocab
 
 FORMAT_VERSION = 1
@@ -50,14 +50,28 @@ def load_model(path: str | Path) -> TinyModel:
     for key in ("model_config", "vocab", "params"):
         if key not in payload:
             raise MalformedCheckpoint(f"{path}: missing key {key!r}")
+    tokens = payload["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+        raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")
     try:
         config = ModelConfig(**payload["model_config"])
-        vocab = Vocab(id_to_token=tuple(payload["vocab"]))
+        vocab = Vocab(id_to_token=tuple(tokens))
         params = {}
         for name, record in payload["params"].items():
             raw = base64.b64decode(record["data"])
             shape = tuple(record["shape"])
             params[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-    except (TypeError, ValueError, KeyError) as exc:
+    except (AttributeError, TypeError, ValueError, KeyError) as exc:
         raise MalformedCheckpoint(f"{path}: {exc}") from exc
+    expected = _param_shapes(config, vocab.size)
+    if params.keys() != expected.keys():
+        raise MalformedCheckpoint(
+            f"{path}: missing parameters {sorted(expected.keys() - params.keys())}, "
+            f"unexpected parameters {sorted(params.keys() - expected.keys())}"
+        )
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise MalformedCheckpoint(
+                f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
+            )
     return TinyModel(config=config, vocab=vocab, params=params)

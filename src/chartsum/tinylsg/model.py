@@ -366,17 +366,6 @@ def _decode_backward(params, cache, d_logits, grads):
     return d_enc
 
 
-def forward(
-    model: TinyModel, src: Sequence[int], tgt_prefix: Sequence[int], cfg: LsgConfig
-) -> np.ndarray:
-    """Logits over the vocabulary for each target-prefix position; shape (len(tgt_prefix), V)."""
-    if len(tgt_prefix) < 1:
-        raise DimensionMismatch("tgt_prefix must contain at least one token")
-    enc_out, _ = _encode(model.params, src, model.config, cfg)
-    logits, _ = _decode(model.params, enc_out, tgt_prefix, model.config)
-    return logits
-
-
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(value) for name, value in params.items()}
 

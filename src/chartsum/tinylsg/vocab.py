@@ -43,13 +43,9 @@ class Vocab:
         """Token ids for the text; out-of-vocabulary words map to UNK. No BOS/EOS added."""
         return [self.token_id(tok) for tok in tokenize(text)]
 
-    def decode(self, ids: Sequence[int], skip_reserved: bool = True) -> str:
-        tokens = []
-        for i in ids:
-            if skip_reserved and i < len(RESERVED_TOKENS):
-                continue
-            tokens.append(self.id_to_token[i])
-        return " ".join(tokens)
+    def decode(self, ids: Sequence[int]) -> str:
+        """Space-joined tokens of the ids, skipping the reserved ones."""
+        return " ".join(self.id_to_token[i] for i in ids if i >= len(RESERVED_TOKENS))
 
 
 def build_vocab(texts: Iterable[str], min_freq: int = 1) -> Vocab:

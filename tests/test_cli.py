@@ -371,6 +371,24 @@ def test_report_entry_that_is_not_an_object_is_a_runtime_error(tmp_path, capsys)
     _assert_one_line_error(capsys.readouterr().err, "run 0: run report must be an object")
 
 
+def test_report_with_no_runs_is_a_runtime_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("[]")
+    assert main(["report", "--in", str(path)]) == 2
+    _assert_one_line_error(
+        capsys.readouterr().err, f"{path}: expected a non-empty JSON list of run reports"
+    )
+
+
+def test_mistyped_prediction_file_is_a_runtime_error(tmp_path, corpus_csv, capsys):
+    bad = tmp_path / "preds.json"
+    bad.write_text(json.dumps({
+        "approach": "single", "seed": "abc", "config_hash": 5, "entries": {}, "extra": [1],
+    }))
+    assert main(["score", "--candidates", str(bad), "--references", corpus_csv]) == 2
+    _assert_one_line_error(capsys.readouterr().err, f"{bad}: 'seed' must be an integer, got str")
+
+
 def test_jsonl_corpus_with_non_string_field_is_a_runtime_error(tmp_path, corpus_csv, capsys):
     bad = tmp_path / "eval.jsonl"
     bad.write_text('{"id": "a", "dialogue": 5}\n')

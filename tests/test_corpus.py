@@ -254,6 +254,9 @@ def test_predictions_serialization_is_stable(tmp_path):
 def test_predictions_unknown_tag_rejected():
     with pytest.raises(ValueError):
         PredictionSet(approach="quantum", entries={})
+    # Backends are not approaches: an oracle or extractive run is tagged by its approach.
+    with pytest.raises(ValueError):
+        PredictionSet(approach="oracle", entries={})
 
 
 @pytest.mark.parametrize(
@@ -271,3 +274,41 @@ def test_load_predictions_rejects_malformed(tmp_path, payload):
     p = write(tmp_path / "bad.json", payload)
     with pytest.raises(MalformedFile):
         load_predictions(p)
+
+
+VALID_PREDICTIONS = {
+    "approach": "multi-layer",
+    "seed": 3,
+    "config_hash": "abc",
+    "created_at": None,
+    "entries": {"e1": "note"},
+    "extra": {"stage1_empty_eval": "0"},
+}
+
+
+@pytest.mark.parametrize("key, value, fragment", [
+    ("seed", "abc", "'seed' must be an integer, got str"),
+    ("seed", True, "'seed' must be an integer, got bool"),
+    ("seed", 1.5, "'seed' must be an integer, got float"),
+    ("config_hash", 5, "'config_hash' must be a string, got int"),
+    ("approach", None, "'approach' must be a string, got NoneType"),
+    ("created_at", 20240101, "'created_at' must be a string or null, got int"),
+    ("extra", [1], "'extra' must be an object, got list"),
+    ("extra", {"k": 1}, "extra must map strings to strings"),
+])
+def test_load_predictions_rejects_mistyped_fields(tmp_path, key, value, fragment):
+    p = write(tmp_path / "bad.json", json.dumps({**VALID_PREDICTIONS, key: value}))
+    with pytest.raises(MalformedFile) as info:
+        load_predictions(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: ") and fragment in message and "\n" not in message
+
+
+def test_load_predictions_defaults_absent_created_at_and_extra(tmp_path):
+    payload = {k: v for k, v in VALID_PREDICTIONS.items() if k not in ("created_at", "extra")}
+    loaded = load_predictions(write(tmp_path / "p.json", json.dumps(payload)))
+    assert loaded.created_at is None and loaded.extra == {}
+    stamped = {**VALID_PREDICTIONS, "created_at": "2024-01-01T00:00:00Z"}
+    assert load_predictions(write(tmp_path / "q.json", json.dumps(stamped))).created_at == (
+        "2024-01-01T00:00:00Z"
+    )

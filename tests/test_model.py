@@ -3,11 +3,13 @@
 The full-attention comparison uses a reference encoder/decoder written here
 with plain per-position loops, sharing nothing with the library's vectorized
 implementation except the parameter dictionary. `attention` and `ref_gelu`
-are likewise references for the model's multi-head attention and GELU.
+are likewise references for the model's multi-head attention and GELU, and
+`forward` runs the library's own encoder and decoder over a whole target prefix.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,11 +23,12 @@ from chartsum.tinylsg.model import (
     SequenceTooLong,
     TinyModel,
     _attend,
+    _decode,
+    _encode,
     _gelu,
     _gelu_grad,
     _split_heads,
     encoder_input_ids,
-    forward,
     init_model,
     positional_encoding,
 )
@@ -84,7 +87,6 @@ def test_vocab_encode_decode():
     assert ids == [v.token_id("knee"), v.token_id("pain"), UNK_ID]
     assert v.decode(ids) == "knee pain"
     assert v.decode([BOS_ID, ids[0], EOS_ID]) == "knee"
-    assert v.decode([BOS_ID, ids[0]], skip_reserved=False) == "<bos> knee"
 
 
 def test_vocab_empty_corpus():
@@ -402,6 +404,15 @@ def ref_forward(model, src, tgt_prefix):
     return normed @ p["out.w"] + p["out.b"]
 
 
+def forward(model, src, tgt_prefix, cfg):
+    """Full-sequence logits of `_encode` + `_decode`; shape (len(tgt_prefix), V)."""
+    if len(tgt_prefix) < 1:
+        raise DimensionMismatch("tgt_prefix must contain at least one token")
+    enc_out, _ = _encode(model.params, src, model.config, cfg)
+    logits, _ = _decode(model.params, enc_out, tgt_prefix, model.config)
+    return logits
+
+
 def test_forward_matches_loop_reference_under_full_attention():
     rng = np.random.default_rng(9)
     for seed in range(5):
@@ -510,3 +521,57 @@ def test_checkpoint_missing_key_and_bad_shape(tmp_path):
     p.write_text(_json.dumps(payload))
     with pytest.raises(MalformedCheckpoint):
         load_model(p)
+
+
+def _mutated_checkpoint(tmp_path, mutate):
+    p = tmp_path / "model.json"
+    save_model(small_model(), p)
+    payload = json.loads(p.read_text())
+    mutate(payload)
+    p.write_text(json.dumps(payload))
+    return p
+
+
+def _rename(params, old, new):
+    params[new] = params.pop(old)
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (lambda c: c["params"].pop("out.b"), "missing parameters ['out.b'], unexpected parameters []"),
+    (lambda c: c["params"].update({"extra.w": c["params"]["out.b"]}),
+     "missing parameters [], unexpected parameters ['extra.w']"),
+    (lambda c: _rename(c["params"], "enc.0.ff.w1", "enc.9.ff.w1"),
+     "missing parameters ['enc.0.ff.w1'], unexpected parameters ['enc.9.ff.w1']"),
+], ids=["missing", "unexpected", "renamed"])
+def test_checkpoint_parameter_names_must_match_config(tmp_path, mutate, fragment):
+    p = _mutated_checkpoint(tmp_path, mutate)
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_model(p)
+    assert str(info.value) == f"{p}: {fragment}"
+
+
+def test_checkpoint_parameter_shapes_must_match_config(tmp_path):
+    # A transposed out.w keeps its element count, so it reshapes without error.
+    def transpose(c):
+        c["params"]["out.w"]["shape"].reverse()
+
+    p = _mutated_checkpoint(tmp_path, transpose)
+    model = small_model()
+    d, v = model.config.d_model, model.vocab.size
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_model(p)
+    assert str(info.value) == f"{p}: parameter 'out.w' has shape ({v}, {d}), expected ({d}, {v})"
+
+
+def test_checkpoint_params_must_be_an_object(tmp_path):
+    p = _mutated_checkpoint(tmp_path, lambda c: c.update(params=[1]))
+    with pytest.raises(MalformedCheckpoint):
+        load_model(p)
+
+
+def test_checkpoint_vocab_must_hold_strings(tmp_path):
+    # A non-string token loads otherwise and fails only when decode joins it.
+    p = _mutated_checkpoint(tmp_path, lambda c: c["vocab"].__setitem__(5, 7))
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_model(p)
+    assert str(info.value) == f"{p}: vocab must be a list of strings"

@@ -29,9 +29,6 @@ from chartsum.pipeline import (
     report,
     round4,
     run_approach,
-    run_approach1,
-    run_approach2,
-    run_approach3,
     run_report_from_dict,
     run_report_to_dict,
     split_sentences,
@@ -193,7 +190,7 @@ def test_config_hash_stable_and_sensitive():
 def test_approach1_oracle_reproduces_references():
     train_c, eval_c = synth_corpus(6), synth_corpus(3, start=6)
     cfg = ApproachConfig(approach="single", backend=ORACLE)
-    preds = run_approach1(train_c, eval_c, cfg)
+    preds = run_approach(train_c, eval_c, cfg)
     assert preds.approach == "single"
     assert preds.entries == eval_refs(eval_c)
     run = evaluate(preds, eval_c)
@@ -205,15 +202,9 @@ def test_approach1_oracle_reproduces_references():
     assert run.skipped_divisions == 0
 
 
-def test_approach1_rejects_wrong_approach_tag():
-    cfg = ApproachConfig(approach="section-wise", backend=ORACLE)
-    with pytest.raises(ValueError):
-        run_approach1(synth_corpus(2), synth_corpus(2, start=2), cfg)
-
-
 def test_approach1_identity_echoes_dialogues():
     train_c, eval_c = synth_corpus(3), synth_corpus(2, start=3)
-    preds = run_approach1(train_c, eval_c, ApproachConfig(approach="single", backend=IDENTITY))
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach="single", backend=IDENTITY))
     assert preds.entries == {e.id: e.dialogue for e in eval_c}
 
 
@@ -227,8 +218,8 @@ def test_approach1_tiny_lsg_trains_and_is_deterministic():
         max_summary_tokens=8,
     )
     cfg = ApproachConfig(approach="single", backend=backend, seed=5)
-    p1 = run_approach1(train_c, eval_c, cfg)
-    p2 = run_approach1(train_c, eval_c, cfg)
+    p1 = run_approach(train_c, eval_c, cfg)
+    p2 = run_approach(train_c, eval_c, cfg)
     assert p1 == p2
     assert set(p1.entries) == set(eval_c.ids())
     assert all(isinstance(v, str) for v in p1.entries.values())
@@ -263,7 +254,7 @@ def test_approach1_tiny_lsg_memorizes_references_when_eval_is_train():
         max_summary_tokens=16,
     )
     cfg = ApproachConfig(approach="single", backend=backend, seed=0)
-    preds = run_approach1(corpus, corpus, cfg)
+    preds = run_approach(corpus, corpus, cfg)
     assert preds.entries == {e.id: e.note for e in corpus}
     assert evaluate(preds, corpus).scores.rouge1.f1 == 1.0
 
@@ -275,7 +266,7 @@ def test_approach1_tiny_lsg_memorizes_references_when_eval_is_train():
 def test_approach2_oracle_rebuilds_references_byte_for_byte():
     train_c, eval_c = synth_corpus(6), synth_corpus(3, start=6)
     cfg = ApproachConfig(approach="section-wise", backend=ORACLE)
-    preds = run_approach2(train_c, eval_c, cfg)
+    preds = run_approach(train_c, eval_c, cfg)
     assert preds.approach == "section-wise"
     # synthetic notes use canonical headers in canonical order, so assembly is exact
     assert preds.entries == eval_refs(eval_c)
@@ -285,7 +276,7 @@ def test_approach2_oracle_rebuilds_references_byte_for_byte():
 
 def test_approach2_oracle_sections_match_reference_segmentation():
     train_c, eval_c = synth_corpus(5), synth_corpus(2, start=5)
-    preds = run_approach2(train_c, eval_c, ApproachConfig(approach="section-wise", backend=ORACLE))
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=ORACLE))
     for e in eval_c:
         got = segment_note(preds.entries[e.id])
         want = segment_note(e.note)
@@ -294,7 +285,7 @@ def test_approach2_oracle_sections_match_reference_segmentation():
 
 def test_approach2_identity_puts_dialogue_in_every_observed_section():
     train_c, eval_c = synth_corpus(3), synth_corpus(2, start=3)
-    preds = run_approach2(train_c, eval_c, ApproachConfig(approach="section-wise", backend=IDENTITY))
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=IDENTITY))
     expected_sections = [Section.CC, Section.HPI, Section.PE, Section.RESULTS,
                          Section.ASSESSMENT_AND_PLAN]
     for e in eval_c:
@@ -308,7 +299,7 @@ def test_approach2_explicit_sections_limit_output():
     cfg = ApproachConfig(
         approach="section-wise", backend=ORACLE, sections=(Section.PE, Section.CC)
     )
-    preds = run_approach2(train_c, eval_c, cfg)
+    preds = run_approach(train_c, eval_c, cfg)
     note = segment_note(preds.entries[eval_c.ids()[0]])
     # canonical order regardless of the order given in the config
     assert [s.id for s in note.sections] == [Section.CC, Section.PE]
@@ -318,7 +309,7 @@ def test_approach2_unseen_configured_section_raises():
     train_c, eval_c = synth_corpus(3), synth_corpus(2, start=3)
     cfg = ApproachConfig(approach="section-wise", backend=ORACLE, sections=(Section.ROS,))
     with pytest.raises(SectionNeverObserved):
-        run_approach2(train_c, eval_c, cfg)
+        run_approach(train_c, eval_c, cfg)
 
 
 def test_approach2_no_sections_at_all_raises():
@@ -329,16 +320,16 @@ def test_approach2_no_sections_at_all_raises():
     flat = Corpus(encounters=enc, provenance=Provenance("mem", "csv"))
     cfg = ApproachConfig(approach="section-wise", backend=ORACLE)
     with pytest.raises(PipelineError):
-        run_approach2(flat, flat, cfg)
+        run_approach(flat, flat, cfg)
 
 
 def test_approach2_adding_a_section_leaves_others_untouched():
     train_c, eval_c = synth_corpus(4), synth_corpus(2, start=4)
-    cc_only = run_approach2(
+    cc_only = run_approach(
         train_c, eval_c,
         ApproachConfig(approach="section-wise", backend=EXTRACTIVE, sections=(Section.CC,)),
     )
-    cc_pe = run_approach2(
+    cc_pe = run_approach(
         train_c, eval_c,
         ApproachConfig(approach="section-wise", backend=EXTRACTIVE,
                        sections=(Section.CC, Section.PE)),
@@ -362,7 +353,7 @@ def test_approach2_extractive_full_recall_when_dialogue_embeds_sections():
     # to keep every dialogue sentence, extraction cannot lose a reference token
     train_c, eval_c = synth_corpus(4), synth_corpus(3, start=4)
     keep_all = BackendSpec(kind="extractive", extract_k=50)
-    preds = run_approach2(
+    preds = run_approach(
         train_c, eval_c, ApproachConfig(approach="section-wise", backend=keep_all)
     )
     for e in eval_c:
@@ -382,8 +373,8 @@ def test_approach3_identity_stage2_equals_approach2():
     train_c, eval_c = synth_corpus(5), synth_corpus(3, start=5)
     cfg3 = ApproachConfig(approach="multi-layer", backend=ORACLE, stage2=IDENTITY, seed=2)
     cfg2 = ApproachConfig(approach="section-wise", backend=ORACLE, seed=2)
-    p3 = run_approach3(train_c, eval_c, cfg3)
-    p2 = run_approach2(train_c, eval_c, cfg2)
+    p3 = run_approach(train_c, eval_c, cfg3)
+    p2 = run_approach(train_c, eval_c, cfg2)
     assert p3.approach == "multi-layer"
     assert p3.entries == p2.entries
     assert p3.extra["stage1_config_hash"] == p2.config_hash
@@ -394,15 +385,9 @@ def test_approach3_identity_stage2_equals_approach2():
 def test_approach3_oracle_stage2_scores_perfectly():
     train_c, eval_c = synth_corpus(5), synth_corpus(3, start=5)
     cfg = ApproachConfig(approach="multi-layer", backend=EXTRACTIVE, stage2=ORACLE)
-    run = evaluate(run_approach3(train_c, eval_c, cfg), eval_c)
+    run = evaluate(run_approach(train_c, eval_c, cfg), eval_c)
     assert run.scores.rouge1.f1 == 1.0
     assert run.division_average == 1.0
-
-
-def test_approach3_rejects_wrong_approach_tag():
-    cfg = ApproachConfig(approach="single", backend=ORACLE)
-    with pytest.raises(ValueError):
-        run_approach3(synth_corpus(2), synth_corpus(2, start=2), cfg)
 
 
 def test_run_approach_dispatches_by_name():
@@ -415,19 +400,6 @@ def test_run_approach_dispatches_by_name():
     )
     assert (single.approach, wise.approach, multi.approach) == (
         "single", "section-wise", "multi-layer",
-    )
-
-
-@pytest.mark.parametrize("approach,kwargs", [
-    ("single", {"backend": EXTRACTIVE}),
-    ("section-wise", {"backend": ORACLE}),
-    ("multi-layer", {"backend": ORACLE, "stage2": IDENTITY}),
-])
-def test_parallel_jobs_do_not_change_output(approach, kwargs):
-    train_c, eval_c = synth_corpus(4), synth_corpus(3, start=4)
-    cfg = ApproachConfig(approach=approach, **kwargs)
-    assert run_approach(train_c, eval_c, cfg, jobs=1) == run_approach(
-        train_c, eval_c, cfg, jobs=4
     )
 
 

@@ -199,12 +199,6 @@ def test_segment_empty_text():
     assert note == ChartNote(sections=(), preamble="")
 
 
-def test_segment_custom_alias_table():
-    table = {"STORY": Section.HPI}
-    note = segment_note("Story:\n\nlong tale\n", aliases=table)
-    assert note.sections[0].id is Section.HPI
-
-
 def test_segment_coverage_every_line_lands_somewhere():
     text = synth_note(4)
     note = segment_note(text)
@@ -232,11 +226,6 @@ def test_assemble_canonical_headers():
     assert assemble_note(note) == "CHIEF COMPLAINT\n\nknee pain\n\nPLAN\n\nrest\n"
 
 
-def test_assemble_verbatim_headers():
-    note = ChartNote(sections=(NoteSection(Section.CC, "knee pain", header="cc:"),))
-    assert assemble_note(note, style="verbatim_headers") == "cc:\n\nknee pain\n"
-
-
 def test_assemble_includes_preamble_first():
     note = ChartNote(
         sections=(NoteSection(Section.CC, "pain"),), preamble="seen in clinic"
@@ -244,7 +233,7 @@ def test_assemble_includes_preamble_first():
     assert assemble_note(note) == "seen in clinic\n\nCHIEF COMPLAINT\n\npain\n"
 
 
-def test_assemble_reorder_sorts_known_sections_unknown_last():
+def test_assemble_keeps_source_order():
     note = ChartNote(
         sections=(
             NoteSection(UnknownSection("COURSE"), "stable"),
@@ -252,16 +241,8 @@ def test_assemble_reorder_sorts_known_sections_unknown_last():
             NoteSection(Section.CC, "pain"),
         )
     )
-    out = assemble_note(note, reorder=True)
-    assert out.index("CHIEF COMPLAINT") < out.index("PLAN") < out.index("COURSE")
-    # without reorder, source order is preserved
-    out2 = assemble_note(note)
-    assert out2.index("COURSE") < out2.index("PLAN") < out2.index("CHIEF COMPLAINT")
-
-
-def test_assemble_rejects_unknown_style():
-    with pytest.raises(ValueError):
-        assemble_note(ChartNote(), style="fancy")
+    out = assemble_note(note)
+    assert out.index("COURSE") < out.index("PLAN") < out.index("CHIEF COMPLAINT")
 
 
 def test_canonical_header_for_unknown_uses_raw():
