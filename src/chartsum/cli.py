@@ -31,7 +31,6 @@ from .pipeline import (
     ApproachConfig,
     BackendSpec,
     TinyLsgSummarizer,
-    config_hash,
     evaluate,
     report,
     round4,
@@ -42,13 +41,14 @@ from .pipeline import (
 from .rouge import corpus_rouge
 from .sections import Section, UnknownSection, canonical_header, segment_note
 from .tinylsg import (
+    Checkpoint,
     LsgConfig,
     ModelConfig,
     TrainConfig,
     build_vocab,
     grad_check,
     init_model,
-    load_model,
+    load_checkpoint,
     lsg_mask,
     mask_density,
     save_model,
@@ -62,6 +62,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+_DEFAULT_MAX_SUMMARY_TOKENS = 128
+
+# The predict flags a version-2 checkpoint supplies: flag, argparse dest, recorded field.
+_CHECKPOINT_FLAGS = (
+    ("--block", "block", "block_size"),
+    ("--stride", "stride", "sparsity_stride"),
+    ("--global", "num_global", "num_global"),
+    ("--radius", "radius", "local_radius"),
+    ("--max-input", "max_input", "max_input_tokens"),
+    ("--max-summary-tokens", "max_summary_tokens", "max_summary_tokens"),
+)
 
 
 def _positive_int(text: str) -> int:
@@ -114,8 +127,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=5e-5, help="initial learning rate")
     p.add_argument("--epochs", type=int, default=20, help="training epochs")
     p.add_argument("--batch-size", type=int, default=8, help="examples per update")
-    p.add_argument("--max-summary-tokens", type=_positive_int, default=128,
-                   help="decode length cap")
+    p.add_argument("--max-summary-tokens", type=_positive_int,
+                   default=_DEFAULT_MAX_SUMMARY_TOKENS, help="decode length cap")
 
 
 def _add_mask_flags(p: argparse.ArgumentParser, stride_default: int = 4) -> None:
@@ -210,23 +223,48 @@ def _cmd_train(args) -> int:
         initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
     )
     trained, history = train(model, pairs, tc, lsg, log=lambda line: print(line, file=sys.stderr))
-    save_model(trained, args.checkpoint)
+    save_model(trained, args.checkpoint, lsg, args.max_summary_tokens)
     print(f"final loss {history[-1]:.6f}; checkpoint written to {args.checkpoint}",
           file=sys.stderr)
     return 0
 
 
+def _predict_settings(args, checkpoint: Checkpoint) -> tuple[LsgConfig, int]:
+    """The LSG config and decode cap `predict` applies.
+
+    A version-2 checkpoint records both, and a flag given with a different
+    value is an error. Version-1 files record neither: the flags apply, with
+    the defaults of `train`.
+    """
+    if checkpoint.lsg is None:
+        settings = {**asdict(LsgConfig()), "max_summary_tokens": _DEFAULT_MAX_SUMMARY_TOKENS}
+    else:
+        settings = {**asdict(checkpoint.lsg), "max_summary_tokens": checkpoint.max_summary_tokens}
+    for flag, dest, field in _CHECKPOINT_FLAGS:
+        given = getattr(args, dest)
+        if given is None:
+            continue
+        if checkpoint.lsg is not None and given != settings[field]:
+            raise ValueError(
+                f"{flag} {given} conflicts with {args.checkpoint}, "
+                f"which was trained with {field} {settings[field]}"
+            )
+        settings[field] = given
+    max_summary_tokens = settings.pop("max_summary_tokens")
+    return LsgConfig(**settings), max_summary_tokens
+
+
 def _cmd_predict(args) -> int:
-    model = load_model(args.checkpoint)
-    lsg = _lsg_from_args(args)
-    summarizer = TinyLsgSummarizer(model, lsg, args.max_summary_tokens)
+    checkpoint = load_checkpoint(args.checkpoint)
+    lsg, max_summary_tokens = _predict_settings(args, checkpoint)
+    summarizer = TinyLsgSummarizer(checkpoint.model, lsg, max_summary_tokens)
     corpus = _load(args.eval, args.corpus_format, args.columns)
     entries = {e.id: summarizer.summarize(e.dialogue) for e in corpus}
     digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     predict_config = {
         "checkpoint_sha256": digest,
         "lsg": asdict(lsg),
-        "max_summary_tokens": args.max_summary_tokens,
+        "max_summary_tokens": max_summary_tokens,
     }
     predictions = PredictionSet(
         approach="single",
@@ -432,15 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", formatter_class=fmt,
-                       help="apply a trained checkpoint to a corpus")
+                       help="apply a trained checkpoint to a corpus",
+                       description="The mask flags and --max-summary-tokens default to the "
+                                   "values a version-2 checkpoint records, and must match "
+                                   "them when given; with a version-1 checkpoint they "
+                                   "default as for train.")
     p.add_argument("--checkpoint", required=True, help="trained model file")
     p.add_argument("--eval", required=True, help="corpus to summarize")
     p.add_argument("--out", default=None, help="prediction file (default: stdout)")
-    p.add_argument("--max-summary-tokens", type=_positive_int, default=128,
-                   help="decode length cap")
+    p.add_argument("--max-summary-tokens", type=_positive_int, help="decode length cap")
     _add_corpus_flags(p)
     _add_mask_flags(p)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, **{dest: None for _, dest, _ in _CHECKPOINT_FLAGS})
 
     p = sub.add_parser("score", formatter_class=fmt,
                        help="ROUGE-score candidates against references")

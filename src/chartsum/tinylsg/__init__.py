@@ -21,7 +21,6 @@ from .vocab import (
     build_vocab,
 )
 from .model import (
-    DimensionMismatch,
     ModelConfig,
     SequenceTooLong,
     TinyModel,
@@ -35,7 +34,7 @@ from .train import (
     grad_check,
     train,
 )
-from .checkpoint import MalformedCheckpoint, load_model, save_model
+from .checkpoint import Checkpoint, MalformedCheckpoint, load_checkpoint, load_model, save_model
 
 __all__ = [
     "LsgConfig",
@@ -54,7 +53,6 @@ __all__ = [
     "EmptyCorpus",
     "Vocab",
     "build_vocab",
-    "DimensionMismatch",
     "ModelConfig",
     "SequenceTooLong",
     "TinyModel",
@@ -65,7 +63,9 @@ __all__ = [
     "generate",
     "grad_check",
     "train",
+    "Checkpoint",
     "MalformedCheckpoint",
+    "load_checkpoint",
     "load_model",
     "save_model",
 ]

@@ -1,29 +1,46 @@
-"""Versioned JSON checkpoints with bit-exact float64 parameter round trips."""
+"""Versioned JSON checkpoints with bit-exact float64 parameter round trips.
+
+Version 2 also records the encoder attention pattern (`lsg`) and the decode
+cap the model was trained with; version-1 files, which lack both, still load.
+"""
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ChartsumError
+from .masks import LsgConfig
 from .model import ModelConfig, TinyModel, _param_shapes
 from .vocab import Vocab
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class MalformedCheckpoint(ChartsumError):
     pass
 
 
-def save_model(model: TinyModel, path: str | Path) -> None:
+@dataclass(frozen=True)
+class Checkpoint:
+    """A loaded checkpoint; `lsg` and `max_summary_tokens` are None for version-1 files."""
+
+    model: TinyModel
+    lsg: LsgConfig | None
+    max_summary_tokens: int | None
+
+
+def save_model(model: TinyModel, path: str | Path, lsg: LsgConfig, max_summary_tokens: int) -> None:
+    """Write `model` with the attention pattern and decode cap that inference must reuse."""
     payload = {
         "format_version": FORMAT_VERSION,
         "model_config": asdict(model.config),
+        "lsg": asdict(lsg),
+        "max_summary_tokens": max_summary_tokens,
         "vocab": list(model.vocab.id_to_token),
         "params": {
             name: {
@@ -36,7 +53,36 @@ def save_model(model: TinyModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _inference_settings(path: Path, payload: dict) -> tuple[LsgConfig, int]:
+    """The `lsg` block and decode cap of a version-2 payload, fully checked."""
+    for key in ("lsg", "max_summary_tokens"):
+        if key not in payload:
+            raise MalformedCheckpoint(f"{path}: missing key {key!r}")
+    lsg = payload["lsg"]
+    names = {f.name for f in fields(LsgConfig)}
+    if not isinstance(lsg, dict) or lsg.keys() != names or not all(map(_is_int, lsg.values())):
+        raise MalformedCheckpoint(
+            f"{path}: lsg must be an object of the integers {', '.join(sorted(names))}"
+        )
+    cap = payload["max_summary_tokens"]
+    if not _is_int(cap) or cap < 1:
+        raise MalformedCheckpoint(f"{path}: max_summary_tokens must be an integer >= 1, got {cap!r}")
+    try:
+        return LsgConfig(**lsg), cap
+    except ValueError as exc:
+        raise MalformedCheckpoint(f"{path}: lsg: {exc}") from exc
+
+
 def load_model(path: str | Path) -> TinyModel:
+    """The model of a checkpoint of any supported version."""
+    return load_checkpoint(path).model
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -45,11 +91,15 @@ def load_model(path: str | Path) -> TinyModel:
     if not isinstance(payload, dict):
         raise MalformedCheckpoint(f"{path}: expected a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version not in (1, FORMAT_VERSION):
         raise MalformedCheckpoint(f"{path}: unsupported format version {version!r}")
     for key in ("model_config", "vocab", "params"):
         if key not in payload:
             raise MalformedCheckpoint(f"{path}: missing key {key!r}")
+    if version == FORMAT_VERSION:
+        lsg, max_summary_tokens = _inference_settings(path, payload)
+    else:
+        lsg, max_summary_tokens = None, None
     tokens = payload["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
         raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")
@@ -74,4 +124,5 @@ def load_model(path: str | Path) -> TinyModel:
             raise MalformedCheckpoint(
                 f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
             )
-    return TinyModel(config=config, vocab=vocab, params=params)
+    model = TinyModel(config=config, vocab=vocab, params=params)
+    return Checkpoint(model=model, lsg=lsg, max_summary_tokens=max_summary_tokens)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,3 +83,85 @@ def mask_density(mask: np.ndarray) -> float:
 def mask_to_bias(mask: np.ndarray) -> np.ndarray:
     """Additive attention bias: 0 where allowed, -inf where disallowed."""
     return np.where(np.asarray(mask, dtype=bool), 0.0, -np.inf)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=128)
+def causal_bias(seq_len: int) -> np.ndarray:
+    """Read-only additive bias of `causal_mask(seq_len)`, shared by every caller."""
+    return _read_only(mask_to_bias(causal_mask(seq_len)))
+
+
+@dataclass(frozen=True, eq=False)
+class LsgLayout:
+    """Index layout of block-sparse LSG attention over `n` tokens; arrays are read-only.
+
+    Queries are cut into `n_blocks` blocks of `block_size`. Query block b reads
+    `window` local keys, those of blocks b - radius .. b + radius (key slot w
+    is position (b - radius) * block_size + w), then the shared `extra` keys:
+    the global prefix and every stride-th key. `bias` (n_blocks, 1, window +
+    len(extra)) is 0 or -inf per block and key slot; it masks local slots
+    outside 0..n-1 and every extra key inside the block's own window, so no key
+    is counted twice. The first `num_global` query rows attend to all n keys.
+
+    `blocked` is the size rule: the blocked kernel runs only when it computes
+    at most half of the n * n dense scores. Otherwise attention is dense with
+    `dense_bias`, the bias of `lsg_mask` (None when `blocked`).
+    """
+
+    n: int
+    block_size: int
+    radius: int
+    num_global: int
+    extra: np.ndarray
+    bias: np.ndarray
+    dense_bias: np.ndarray | None
+
+    @property
+    def n_blocks(self) -> int:
+        return -(-self.n // self.block_size)
+
+    @property
+    def window(self) -> int:
+        return (2 * self.radius + 1) * self.block_size
+
+    @property
+    def computed_scores(self) -> int:
+        """Scores the blocked kernel computes: padded block rows plus dense global rows."""
+        rows = self.n_blocks * self.block_size
+        return rows * (self.window + len(self.extra)) + self.num_global * self.n
+
+    @property
+    def blocked(self) -> bool:
+        return 2 * self.computed_scores <= self.n * self.n
+
+
+@functools.lru_cache(maxsize=128)
+def lsg_layout(seq_len: int, cfg: LsgConfig) -> LsgLayout:
+    """Blocked layout of `lsg_mask(seq_len, cfg)`: allows exactly the same (query, key) pairs."""
+    _check_seq_len(seq_len)
+    block, radius = cfg.block_size, cfg.local_radius
+    num_global = min(cfg.num_global, seq_len)
+    n_blocks = -(-seq_len // block)
+    strided = range(cfg.num_global, seq_len, cfg.sparsity_stride) if cfg.sparsity_stride else ()
+    extra = np.array([*range(num_global), *strided], dtype=np.intp)
+    blocks = np.arange(n_blocks)[:, None]
+    local_keys = (blocks - radius) * block + np.arange((2 * radius + 1) * block)
+    local_ok = (local_keys >= 0) & (local_keys < seq_len)
+    extra_ok = np.abs(extra // block - blocks) > radius
+    layout = LsgLayout(
+        n=seq_len,
+        block_size=block,
+        radius=radius,
+        num_global=num_global,
+        extra=_read_only(extra),
+        bias=_read_only(mask_to_bias(np.hstack([local_ok, extra_ok]))[:, None, :]),
+        dense_bias=None,
+    )
+    if layout.blocked:
+        return layout
+    return replace(layout, dense_bias=_read_only(mask_to_bias(lsg_mask(seq_len, cfg))))

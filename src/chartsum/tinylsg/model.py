@@ -1,7 +1,9 @@
 """Encoder-decoder transformer in float64 numpy with hand-derived backward passes.
 
-The encoder self-attention is masked by the local/sparse/global pattern; the
-decoder is causally masked; cross-attention is unmasked. Everything runs in
+The encoder self-attention follows the local/sparse/global pattern: on long
+inputs a block-sparse kernel computes only the scores the pattern allows, on
+short ones dense attention takes the pattern as a mask (see `masks.lsg_layout`).
+The decoder is causally masked; cross-attention is unmasked. Everything runs in
 double precision so analytic gradients can be checked against central finite
 differences.
 """
@@ -15,16 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ChartsumError
-from .masks import LsgConfig, causal_mask, lsg_mask, mask_to_bias
+from .masks import LsgConfig, LsgLayout, causal_bias, lsg_layout
 from .vocab import BOS_ID, EOS_ID, GLOBAL_ID, UNK_ID, Vocab
 
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-
-
-class DimensionMismatch(ChartsumError):
-    pass
 
 
 class SequenceTooLong(ChartsumError):
@@ -125,9 +123,11 @@ def positional_encoding(n: int, d: int, start: int = 0) -> np.ndarray:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: `scores` is overwritten and returned."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -171,6 +171,11 @@ def _mha_backward(params, prefix: str, cache, d_out, grads):
     d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
     d_qh = d_scores @ kh * scale
     d_kh = d_scores.transpose(0, 2, 1) @ qh * scale
+    return _projections_backward(params, prefix, x_q, x_kv, d_qh, d_kh, d_vh, grads)
+
+
+def _projections_backward(params, prefix: str, x_q, x_kv, d_qh, d_kh, d_vh, grads):
+    """Weight gradients of the q/k/v projections; returns (d x_q, d x_kv)."""
     d_q, d_k, d_v = (_merge_heads(a) for a in (d_qh, d_kh, d_vh))
     grads[f"{prefix}.wq"] += x_q.T @ d_q
     grads[f"{prefix}.wk"] += x_kv.T @ d_k
@@ -178,6 +183,124 @@ def _mha_backward(params, prefix: str, cache, d_out, grads):
     d_x_q = d_q @ params[f"{prefix}.wq"].T
     d_x_kv = d_k @ params[f"{prefix}.wk"].T + d_v @ params[f"{prefix}.wv"].T
     return d_x_q, d_x_kv
+
+
+def _windows(padded: np.ndarray, layout: LsgLayout) -> np.ndarray:
+    """(h, n_blocks, window, d_head) read-only view of each query block's local rows.
+
+    `padded` holds the n positions after radius * block_size rows of padding,
+    so block b's window starts at row b * block_size.
+    """
+    s_head, s_row, s_col = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        (padded.shape[0], layout.n_blocks, layout.window, padded.shape[2]),
+        (s_head, layout.block_size * s_row, s_row, s_col),
+        writeable=False,
+    )
+
+
+def _by_block(rows: np.ndarray, layout: LsgLayout) -> np.ndarray:
+    """View (h, n_blocks * block_size, k) as (h, n_blocks, block_size, k)."""
+    return rows.reshape(rows.shape[0], layout.n_blocks, layout.block_size, rows.shape[-1])
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot product over the last axis, keeping it as size 1."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _lsg_attention_forward(params, prefix: str, x, layout: LsgLayout, n_heads: int):
+    """Block-sparse self-attention of x under `layout`.
+
+    Equal, up to rounding, to `_mha_forward(params, prefix, x, x, bias, n_heads)`
+    with the bias of `lsg_mask`. Each query block scores its window of local
+    keys and the shared extra keys; the global query rows attend densely.
+    """
+    n, g, w = layout.n, layout.num_global, layout.window
+    rows = layout.n_blocks * layout.block_size
+    pad = layout.radius * layout.block_size
+    qh = _split_heads(x @ params[f"{prefix}.wq"], n_heads)
+    h, _, dh = qh.shape
+    scale = 1.0 / math.sqrt(dh)
+    q_rows = np.zeros((h, rows, dh))
+    q_rows[:, :n] = qh
+    k_pad, v_pad = np.zeros((2, h, rows + 2 * pad, dh))
+    kh, vh = k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
+    kh[:] = _split_heads(x @ params[f"{prefix}.wk"], n_heads)
+    vh[:] = _split_heads(x @ params[f"{prefix}.wv"], n_heads)
+    k_extra, v_extra = kh[:, layout.extra], vh[:, layout.extra]
+
+    # One row per (head, query): the window's local scores, then the extra keys'.
+    scores = np.empty((h, rows, w + len(layout.extra)))
+    blocks = _by_block(scores, layout)
+    np.matmul(_by_block(q_rows, layout), _windows(k_pad, layout).transpose(0, 1, 3, 2),
+              out=blocks[..., :w])
+    np.matmul(q_rows, k_extra.transpose(0, 2, 1), out=scores[..., w:])
+    scores *= scale
+    blocks += layout.bias
+    probs = _softmax_rows(scores)
+    out = (_by_block(probs, layout)[..., :w] @ _windows(v_pad, layout)).reshape(h, rows, dh)
+    out += probs[..., w:] @ v_extra
+    out = out[:, :n]
+    global_probs = _softmax_rows(qh[:, :g] @ kh.transpose(0, 2, 1) * scale)
+    out[:, :g] = global_probs @ vh
+    merged = _merge_heads(out)
+    cache = (x, layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale)
+    return merged @ params[f"{prefix}.wo"], cache
+
+
+def _lsg_attention_backward(params, prefix: str, cache, d_out, grads):
+    """Backward of `_lsg_attention_forward`; returns (d x, d x) like `_mha_backward`.
+
+    The local key/value gradients are scattered back with one slice add per
+    window offset; the extra keys are distinct, so one indexed add each.
+    """
+    x, layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale = cache
+    n, g, w, block = layout.n, layout.num_global, layout.window, layout.block_size
+    pad = layout.radius * block
+    h, rows, dh = q_rows.shape
+    grads[f"{prefix}.wo"] += merged.T @ d_out
+    d_oh = _split_heads(d_out @ params[f"{prefix}.wo"].T, h)
+    d_rows = np.zeros((h, rows, dh))
+    d_rows[:, g:n] = d_oh[:, g:]
+    k_win, v_win = _windows(k_pad, layout), _windows(v_pad, layout)
+    p_local = _by_block(probs, layout)[..., :w]
+
+    d_scores = np.empty_like(probs)
+    d_blocks = _by_block(d_scores, layout)
+    np.matmul(_by_block(d_rows, layout), v_win.transpose(0, 1, 3, 2), out=d_blocks[..., :w])
+    np.matmul(d_rows, v_extra.transpose(0, 2, 1), out=d_scores[..., w:])
+    d_scores -= _row_dot(d_scores, probs)
+    d_scores *= probs
+    d_scores *= scale
+    d_local, d_extra = d_blocks[..., :w], d_scores[..., w:]
+
+    d_q = (d_local @ k_win).reshape(h, rows, dh)
+    d_q += d_extra @ k_extra
+    q_blocks, d_out_blocks = _by_block(q_rows, layout), _by_block(d_rows, layout)
+    d_k_pad, d_v_pad = np.zeros((2,) + k_pad.shape)
+    for offset in range(0, w, block):
+        cols = slice(offset, offset + block)
+        d_k = d_local[..., cols].transpose(0, 1, 3, 2) @ q_blocks
+        d_v = p_local[..., cols].transpose(0, 1, 3, 2) @ d_out_blocks
+        d_k_pad[:, offset : offset + rows] += d_k.reshape(d_rows.shape)
+        d_v_pad[:, offset : offset + rows] += d_v.reshape(d_rows.shape)
+    d_kh, d_vh = d_k_pad[:, pad : pad + n], d_v_pad[:, pad : pad + n]
+    d_kh[:, layout.extra] += d_extra.transpose(0, 2, 1) @ q_rows
+    d_vh[:, layout.extra] += probs[..., w:].transpose(0, 2, 1) @ d_rows
+    d_qh = d_q[:, :n]
+
+    qh, kh, vh = q_rows[:, :n], k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
+    d_global_out = d_oh[:, :g]
+    d_vh += global_probs.transpose(0, 2, 1) @ d_global_out
+    d_global = d_global_out @ vh.transpose(0, 2, 1)
+    d_global -= _row_dot(d_global, global_probs)
+    d_global *= global_probs
+    d_global *= scale
+    d_qh[:, :g] += d_global @ kh
+    d_kh += d_global.transpose(0, 2, 1) @ qh[:, :g]
+    return _projections_backward(params, prefix, x, x, d_qh, d_kh, d_vh, grads)
 
 
 def _ln_forward(params, prefix: str, x):
@@ -243,37 +366,45 @@ def _embed(params, ids: Sequence[int]):
 def _encode(params, src: Sequence[int], cfg: ModelConfig, lsg: LsgConfig):
     ids = encoder_input_ids(src, lsg)
     x, ids = _embed(params, ids)
-    bias = mask_to_bias(lsg_mask(len(ids), lsg))
+    layout = lsg_layout(len(ids), lsg)
     layers = []
     for i in range(cfg.n_layers_enc):
         p = f"enc.{i}"
         normed1, ln1 = _ln_forward(params, f"{p}.ln1", x)
-        attn_out, attn = _mha_forward(params, f"{p}.attn", normed1, normed1, bias, cfg.n_heads)
+        if layout.blocked:
+            attn_out, attn = _lsg_attention_forward(
+                params, f"{p}.attn", normed1, layout, cfg.n_heads
+            )
+        else:
+            attn_out, attn = _mha_forward(
+                params, f"{p}.attn", normed1, normed1, layout.dense_bias, cfg.n_heads
+            )
         x = x + attn_out
         normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
         ff_out, ff = _ff_forward(params, f"{p}.ff", normed2)
         x = x + ff_out
         layers.append((ln1, attn, ln2, ff))
     out, ln_final = _ln_forward(params, "enc.norm", x)
-    return out, (ids, layers, ln_final)
+    return out, (ids, layout.blocked, layers, ln_final)
 
 
 def _encode_backward(params, cache, d_out, grads):
-    ids, layers, ln_final = cache
+    ids, blocked, layers, ln_final = cache
+    attn_backward = _lsg_attention_backward if blocked else _mha_backward
     d_x = _ln_backward(params, "enc.norm", ln_final, d_out, grads)
     for i in range(len(layers) - 1, -1, -1):
         p = f"enc.{i}"
         ln1, attn, ln2, ff = layers[i]
         d_normed2 = _ff_backward(params, f"{p}.ff", ff, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln2", ln2, d_normed2, grads)
-        d_q, d_kv = _mha_backward(params, f"{p}.attn", attn, d_x, grads)
+        d_q, d_kv = attn_backward(params, f"{p}.attn", attn, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln1", ln1, d_q + d_kv, grads)
     np.add.at(grads["tok_emb"], ids, d_x)
 
 
 def _decode(params, enc_out, tgt_prefix: Sequence[int], cfg: ModelConfig):
     x, ids = _embed(params, tgt_prefix)
-    self_bias = mask_to_bias(causal_mask(len(ids)))
+    self_bias = causal_bias(len(ids))
     layers = []
     for i in range(cfg.n_layers_dec):
         p = f"dec.{i}"

@@ -251,6 +251,82 @@ def test_train_then_predict_round_trip(tmp_path, corpus_csv, eval_csv, capsys):
     assert payload["entries"] == preds.entries
 
 
+@pytest.fixture
+def trained_checkpoint(tmp_path, corpus_csv):
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt),
+                 "--seed", "0", *TINY_MODEL_FLAGS]) == 0
+    return ckpt
+
+
+def _predict(ckpt, eval_csv, out, *flags):
+    return main(["predict", "--checkpoint", str(ckpt), "--eval", eval_csv, "--out", str(out),
+                 *flags])
+
+
+def test_train_records_mask_and_cap_in_checkpoint(trained_checkpoint):
+    payload = json.loads(trained_checkpoint.read_text())
+    assert payload["format_version"] == 2
+    assert payload["lsg"] == {"block_size": 4, "sparsity_stride": 2, "num_global": 1,
+                              "max_input_tokens": 64, "local_radius": 1}
+    assert payload["max_summary_tokens"] == 8
+
+
+def test_predict_takes_mask_and_cap_from_checkpoint(tmp_path, trained_checkpoint, eval_csv):
+    implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+    assert _predict(trained_checkpoint, eval_csv, implicit) == 0
+    assert _predict(trained_checkpoint, eval_csv, explicit, "--block", "4", "--stride", "2",
+                    "--max-input", "64", "--max-summary-tokens", "8", "--global", "1",
+                    "--radius", "1") == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, field, recorded", [
+    ("--block", "8", "block_size", "4"),
+    ("--stride", "4", "sparsity_stride", "2"),
+    ("--global", "0", "num_global", "1"),
+    ("--radius", "2", "local_radius", "1"),
+    ("--max-input", "512", "max_input_tokens", "64"),
+    ("--max-summary-tokens", "128", "max_summary_tokens", "8"),
+])
+def test_predict_flag_conflicting_with_checkpoint_is_a_flag_error(
+        tmp_path, trained_checkpoint, eval_csv, capsys, flag, value, field, recorded):
+    out = tmp_path / "preds.json"
+    capsys.readouterr()
+    assert _predict(trained_checkpoint, eval_csv, out, flag, value) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {flag} {value} conflicts with {trained_checkpoint}, "
+                   f"which was trained with {field} {recorded}\n")
+    assert not out.exists()
+
+
+def test_predict_version_1_checkpoint_uses_flags(tmp_path, trained_checkpoint, eval_csv):
+    payload = json.loads(trained_checkpoint.read_text())
+    del payload["lsg"], payload["max_summary_tokens"]
+    payload["format_version"] = 1
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(payload))
+    v1_out, v2_out = tmp_path / "v1-preds.json", tmp_path / "v2-preds.json"
+    mask_flags = ["--block", "4", "--stride", "2", "--max-input", "64", "--max-summary-tokens", "8"]
+    assert _predict(old, eval_csv, v1_out, *mask_flags) == 0
+    assert _predict(trained_checkpoint, eval_csv, v2_out) == 0
+    assert load_predictions(v1_out).entries == load_predictions(v2_out).entries
+    # Without flags a version-1 file gets the train defaults, which differ here.
+    assert _predict(old, eval_csv, tmp_path / "defaults.json", "--max-summary-tokens", "2") == 0
+    defaults = load_predictions(tmp_path / "defaults.json").entries
+    assert all(len(text.split()) <= 2 for text in defaults.values())
+
+
+def test_predict_malformed_checkpoint_settings_is_a_runtime_error(
+        tmp_path, trained_checkpoint, eval_csv, capsys):
+    payload = json.loads(trained_checkpoint.read_text())
+    payload["lsg"]["block_size"] = "4"
+    trained_checkpoint.write_text(json.dumps(payload))
+    assert _predict(trained_checkpoint, eval_csv, tmp_path / "preds.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trained_checkpoint}: lsg must be") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # run / report
 # ---------------------------------------------------------------------------

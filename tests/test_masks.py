@@ -7,14 +7,25 @@ import pytest
 
 from chartsum.tinylsg.masks import (
     LsgConfig,
+    causal_bias,
     causal_mask,
     global_mask,
     local_mask,
+    lsg_layout,
     lsg_mask,
     mask_density,
     mask_to_bias,
     sparse_mask,
 )
+
+# The configurations of acceptance criterion 3: seq_len 1-32 x block x stride x global.
+CRITERION_3_GRID = [
+    (seq_len, block, stride, n_global)
+    for seq_len in range(1, 33)
+    for block in (2, 4, 8)
+    for stride in (0, 2, 4)
+    for n_global in (0, 1, 2)
+]
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +218,74 @@ def test_mask_to_bias():
     bias = mask_to_bias(mask)
     assert bias[0, 0] == 0.0 and bias[1, 1] == 0.0
     assert np.isneginf(bias[0, 1]) and np.isneginf(bias[1, 0])
+
+
+def test_causal_bias_is_cached_and_read_only():
+    bias = causal_bias(5)
+    assert causal_bias(5) is bias
+    assert np.array_equal(bias, mask_to_bias(causal_mask(5)))
+    with pytest.raises(ValueError):
+        bias[0, 1] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Blocked layout
+# ---------------------------------------------------------------------------
+
+def layout_mask(layout):
+    """Scatter the (query, key) pairs the blocked layout computes into an n x n grid.
+
+    Fails if a pair would be scored twice.
+    """
+    n, block = layout.n, layout.block_size
+    allowed = np.zeros((n, n), dtype=bool)
+    allowed[: layout.num_global] = True
+    open_slots = np.isfinite(layout.bias[:, 0, :])
+    for q in range(layout.num_global, n):
+        b = q // block
+        for slot in np.flatnonzero(open_slots[b]):
+            if slot < layout.window:
+                key = (b - layout.radius) * block + slot
+            else:
+                key = layout.extra[slot - layout.window]
+            assert not allowed[q, key], (q, key)
+            allowed[q, key] = True
+    return allowed
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_lsg_layout_reproduces_lsg_mask(radius):
+    for seq_len, block, stride, n_global in CRITERION_3_GRID:
+        cfg = LsgConfig(block_size=block, sparsity_stride=stride, num_global=n_global,
+                        max_input_tokens=64, local_radius=radius)
+        layout = lsg_layout(seq_len, cfg)
+        assert layout.bias.shape == (layout.n_blocks, 1, layout.window + len(layout.extra))
+        assert np.array_equal(layout_mask(layout), lsg_mask(seq_len, cfg)), cfg
+
+
+def test_lsg_layout_is_cached_and_read_only():
+    small, large = lsg_layout(40, LsgConfig()), lsg_layout(400, LsgConfig())
+    assert lsg_layout(40, LsgConfig()) is small
+    assert not small.blocked and large.blocked and large.dense_bias is None
+    assert np.array_equal(small.dense_bias, mask_to_bias(lsg_mask(40, LsgConfig())))
+    for array in (small.dense_bias, large.bias, large.extra):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+
+
+def test_lsg_layout_size_rule_at_default_config():
+    """Blocked only when it computes at most half of the n * n dense scores.
+
+    Block padding makes the count jump at each multiple of the block size, so
+    the rule switches back and forth between 205 and 227 tokens; 61-91 tokens
+    (short dialogues) stay dense, 401-513 (long ones) are all blocked.
+    """
+    cfg = LsgConfig()
+    blocked = [n for n in range(1, cfg.max_input_tokens + 2) if lsg_layout(n, cfg).blocked]
+    assert blocked == [*range(205, 209), *range(216, 225), *range(227, 514)]
+    for n in (204, 205, 208, 209, 226, 227):
+        layout = lsg_layout(n, cfg)
+        assert layout.blocked == (2 * layout.computed_scores <= n * n)
+    at_512 = lsg_layout(512, cfg)
+    # 32 blocks of 16 queries x (48 local + 1 global + 128 strided keys) + 1 global row.
+    assert at_512.computed_scores == 32 * 16 * (48 + 129) + 512

@@ -15,10 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from chartsum.tinylsg.checkpoint import MalformedCheckpoint, load_model, save_model
-from chartsum.tinylsg.masks import LsgConfig, lsg_mask, mask_to_bias
+from chartsum.errors import ChartsumError
+from chartsum.tinylsg.checkpoint import (
+    FORMAT_VERSION,
+    MalformedCheckpoint,
+    load_checkpoint,
+    load_model,
+    save_model,
+)
+from chartsum.tinylsg.masks import LsgConfig, lsg_layout, lsg_mask, mask_to_bias
 from chartsum.tinylsg.model import (
-    DimensionMismatch,
     ModelConfig,
     SequenceTooLong,
     TinyModel,
@@ -27,11 +33,17 @@ from chartsum.tinylsg.model import (
     _encode,
     _gelu,
     _gelu_grad,
+    _lsg_attention_backward,
+    _lsg_attention_forward,
+    _mha_backward,
+    _mha_forward,
     _split_heads,
     encoder_input_ids,
     init_model,
     positional_encoding,
+    zero_grads,
 )
+from chartsum.tinylsg.train import grad_check
 from chartsum.tinylsg.vocab import (
     BOS_ID,
     EOS_ID,
@@ -43,6 +55,12 @@ from chartsum.tinylsg.vocab import (
     Vocab,
     build_vocab,
 )
+from test_masks import CRITERION_3_GRID
+
+
+class DimensionMismatch(ChartsumError):
+    """Raised by the reference `attention` and `forward` below on malformed inputs."""
+
 
 FULL_LSG = LsgConfig(block_size=64, sparsity_stride=0, num_global=0, max_input_tokens=64)
 
@@ -457,13 +475,73 @@ def test_masked_and_full_forward_agree_on_short_inputs():
 
 
 # ---------------------------------------------------------------------------
+# Block-sparse encoder attention against dense masked attention
+# ---------------------------------------------------------------------------
+
+def blocked_vs_dense(n, cfg, d, n_heads, seed):
+    """Max |difference| between the blocked kernel and dense attention with the lsg_mask bias.
+
+    Compares the output, the gradient with respect to the input and every
+    weight gradient. Weights have std 1/sqrt(d), so activations stay O(1).
+    """
+    rng = np.random.default_rng(seed)
+    params = {f"a.{w}": rng.normal(scale=d**-0.5, size=(d, d)) for w in ("wq", "wk", "wv", "wo")}
+    x, d_out = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    bias = mask_to_bias(lsg_mask(n, cfg))
+    want, dense_cache = _mha_forward(params, "a", x, x, bias, n_heads)
+    got, cache = _lsg_attention_forward(params, "a", x, lsg_layout(n, cfg), n_heads)
+    want_grads, got_grads = zero_grads(params), zero_grads(params)
+    want_dx = sum(_mha_backward(params, "a", dense_cache, d_out, want_grads))
+    got_dx = sum(_lsg_attention_backward(params, "a", cache, d_out, got_grads))
+    diffs = [got - want, got_dx - want_dx] + [got_grads[k] - want_grads[k] for k in params]
+    return max(float(np.max(np.abs(diff))) for diff in diffs)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_blocked_attention_matches_dense_on_criterion_3_grid(radius):
+    worst = 0.0
+    for seq_len, block, stride, n_global in CRITERION_3_GRID:
+        cfg = LsgConfig(block_size=block, sparsity_stride=stride, num_global=n_global,
+                        max_input_tokens=64, local_radius=radius)
+        worst = max(worst, blocked_vs_dense(seq_len, cfg, d=8, n_heads=2, seed=seq_len))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [257, 401, 513])
+def test_blocked_attention_matches_dense_on_long_inputs(n):
+    assert blocked_vs_dense(n, LsgConfig(), d=64, n_heads=2, seed=n) <= 1e-12
+
+
+def test_encoder_path_follows_the_size_rule():
+    model = small_model()
+    lsg = LsgConfig()
+    for n_src in (203, 204, 225, 226):
+        _, (_, blocked, _, _) = _encode(model.params, [5] * n_src, model.config, lsg)
+        assert blocked == lsg_layout(lsg.num_global + n_src, lsg).blocked
+        assert blocked == (n_src in (204, 226))
+
+
+def test_grad_check_through_blocked_encoder():
+    src_text = " ".join(f"word{i % 17}" for i in range(34))
+    tgt_text = "word1 word2 word3 word5"
+    vocab = build_vocab([src_text, tgt_text])
+    cfg = ModelConfig(d_model=8, n_heads=2, n_layers_enc=1, n_layers_dec=1, d_ff=16)
+    model = init_model(cfg, vocab, seed=0, init_scale=0.5)
+    lsg = LsgConfig(block_size=2, sparsity_stride=8, num_global=1, max_input_tokens=64)
+    src = vocab.encode(src_text)
+    assert lsg_layout(lsg.num_global + len(src), lsg).blocked
+    err = grad_check(model, (src, vocab.encode(tgt_text)), n_params_sampled=400, seed=0, lsg=lsg)
+    assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = small_model(seed=5)
     p = tmp_path / "model.json"
-    save_model(model, p)
+    save_model(model, p, FULL_LSG, 8)
     loaded = load_model(p)
     assert loaded.config == model.config
     assert loaded.vocab == model.vocab
@@ -481,8 +559,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_save_is_deterministic(tmp_path):
     model = small_model(seed=5)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(model, p1)
-    save_model(model, p2)
+    save_model(model, p1, FULL_LSG, 8)
+    save_model(model, p2, FULL_LSG, 8)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -491,13 +569,13 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     [
         lambda d: "not json at all",
         lambda d: "[]",
-        lambda d: d.replace('"format_version": 1', '"format_version": 99'),
+        lambda d: d.replace(f'"format_version": {FORMAT_VERSION}', '"format_version": 99'),
     ],
 )
 def test_checkpoint_malformed_payloads(tmp_path, mutate):
     model = small_model()
     p = tmp_path / "model.json"
-    save_model(model, p)
+    save_model(model, p, FULL_LSG, 8)
     p.write_text(mutate(p.read_text()))
     with pytest.raises(MalformedCheckpoint):
         load_model(p)
@@ -508,7 +586,7 @@ def test_checkpoint_missing_key_and_bad_shape(tmp_path):
 
     model = small_model()
     p = tmp_path / "model.json"
-    save_model(model, p)
+    save_model(model, p, FULL_LSG, 8)
     payload = _json.loads(p.read_text())
 
     broken = dict(payload)
@@ -525,7 +603,7 @@ def test_checkpoint_missing_key_and_bad_shape(tmp_path):
 
 def _mutated_checkpoint(tmp_path, mutate):
     p = tmp_path / "model.json"
-    save_model(small_model(), p)
+    save_model(small_model(), p, FULL_LSG, 8)
     payload = json.loads(p.read_text())
     mutate(payload)
     p.write_text(json.dumps(payload))
@@ -575,3 +653,49 @@ def test_checkpoint_vocab_must_hold_strings(tmp_path):
     with pytest.raises(MalformedCheckpoint) as info:
         load_model(p)
     assert str(info.value) == f"{p}: vocab must be a list of strings"
+
+
+def test_checkpoint_records_attention_pattern_and_decode_cap(tmp_path):
+    lsg = LsgConfig(block_size=4, sparsity_stride=2, num_global=2, max_input_tokens=32,
+                    local_radius=2)
+    p = tmp_path / "model.json"
+    save_model(small_model(), p, lsg, 9)
+    checkpoint = load_checkpoint(p)
+    assert json.loads(p.read_text())["format_version"] == FORMAT_VERSION == 2
+    assert checkpoint.lsg == lsg and checkpoint.max_summary_tokens == 9
+
+
+def test_checkpoint_version_1_loads_without_settings(tmp_path):
+    def downgrade(c):
+        del c["lsg"], c["max_summary_tokens"]
+        c["format_version"] = 1
+
+    checkpoint = load_checkpoint(_mutated_checkpoint(tmp_path, downgrade))
+    assert checkpoint.lsg is None and checkpoint.max_summary_tokens is None
+    model = small_model()
+    for name, value in model.params.items():
+        assert np.array_equal(checkpoint.model.params[name], value)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda c: c.pop("lsg"),
+    lambda c: c.pop("max_summary_tokens"),
+    lambda c: c.update(lsg=[64, 0, 0, 64, 1]),
+    lambda c: c["lsg"].pop("local_radius"),
+    lambda c: c["lsg"].update(window=3),
+    lambda c: c["lsg"].update(block_size="64"),
+    lambda c: c["lsg"].update(num_global=True),
+    lambda c: c["lsg"].update(block_size=0),
+    lambda c: c["lsg"].update(max_input_tokens=8),
+    lambda c: c.update(max_summary_tokens=0),
+    lambda c: c.update(max_summary_tokens=8.0),
+    lambda c: c.update(format_version=True),
+], ids=["no-lsg", "no-cap", "lsg-list", "lsg-missing-field", "lsg-unknown-field",
+        "lsg-string", "lsg-bool", "lsg-invalid", "lsg-input-below-block", "cap-zero",
+        "cap-float", "version-bool"])
+def test_checkpoint_malformed_settings(tmp_path, mutate):
+    p = _mutated_checkpoint(tmp_path, mutate)
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_checkpoint(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: ") and "\n" not in message
