@@ -64,6 +64,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends a flag's default to its help once, and only when there is one to state.
+
+    Required flags, flags defaulting to None and help text that already names
+    its default get nothing appended.
+    """
+
+    def _get_help_string(self, action):
+        text = action.help or ""
+        if action.required or action.default is None or "(default" in text:
+            return text
+        return super()._get_help_string(action)
+
+
 _DEFAULT_MAX_SUMMARY_TOKENS = 128
 
 # The predict flags a version-2 checkpoint supplies: flag, argparse dest, recorded field.
@@ -449,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, run, and score chart-note summarization pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("split-sections", formatter_class=fmt,
                        help="segment a chart note into labeled sections")
@@ -531,16 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", formatter_class=fmt,
                        help="compare analytic gradients against finite differences")
-    p.add_argument("--d-model", type=int, default=8)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--enc-layers", type=int, default=1)
-    p.add_argument("--dec-layers", type=int, default=1)
-    p.add_argument("--d-ff", type=int, default=16)
+    p.add_argument("--d-model", type=int, default=8, help="embedding width")
+    p.add_argument("--heads", type=int, default=1, help="attention heads")
+    p.add_argument("--enc-layers", type=int, default=1, help="encoder layers")
+    p.add_argument("--dec-layers", type=int, default=1, help="decoder layers")
+    p.add_argument("--d-ff", type=int, default=16, help="feed-forward width")
     p.add_argument("--init-scale", type=float, default=0.5,
                    help="weight init stddev (larger keeps gradients well-conditioned)")
     p.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--samples", type=int, default=200, help="parameters to sample")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--threshold", type=float, default=1e-4, help="failure threshold")
     _add_mask_flags(p)
     p.set_defaults(func=_cmd_grad_check)

@@ -135,12 +135,15 @@ def load_corpus(
     """Load encounters in file order. `columns` remaps canonical names to actual ones."""
     path = Path(path)
     cols = _resolve_columns(columns)
-    if format == "csv":
-        encounters = _load_csv(path, cols)
-    elif format == "jsonl":
-        encounters = _load_jsonl(path, cols)
-    else:
+    if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown corpus format {format!r}")
+    try:
+        encounters = _load_csv(path, cols) if format == "csv" else _load_jsonl(path, cols)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        # For example a field over csv.field_size_limit() (128 KiB by default).
+        raise MalformedFile(f"{path}: {exc}") from exc
     return Corpus(encounters=tuple(encounters), provenance=Provenance(str(path), format))
 
 

@@ -131,7 +131,10 @@ def canonical_key(raw: str) -> str:
 def load_alias_table(path: str | Path) -> dict[str, Section]:
     """Parse an "alias -> SECTION" file into a canonical-key lookup table."""
     table: dict[str, Section] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AliasTableError(f"{path}: not UTF-8 text ({exc})") from exc
     for line_num, line in enumerate(text.splitlines(), start=1):
         entry = line.strip()
         if not entry or entry.startswith("#"):

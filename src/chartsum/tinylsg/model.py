@@ -303,10 +303,15 @@ def _lsg_attention_backward(params, prefix: str, cache, d_out, grads):
     return _projections_backward(params, prefix, x, x, d_qh, d_kh, d_vh, grads)
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """`x.mean(axis=-1, keepdims=True)`, bit for bit, without np.mean's Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _ln_forward(params, prefix: str, x):
-    mean = x.mean(axis=-1, keepdims=True)
+    mean = _row_mean(x)
     centered = x - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = _row_mean(centered**2)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     x_hat = centered * inv_std
     return params[f"{prefix}.g"] * x_hat + params[f"{prefix}.b"], (x_hat, inv_std)
@@ -317,11 +322,7 @@ def _ln_backward(params, prefix: str, cache, d_out, grads):
     grads[f"{prefix}.g"] += (d_out * x_hat).sum(axis=0)
     grads[f"{prefix}.b"] += d_out.sum(axis=0)
     d_hat = d_out * params[f"{prefix}.g"]
-    return inv_std * (
-        d_hat
-        - d_hat.mean(axis=-1, keepdims=True)
-        - x_hat * (d_hat * x_hat).mean(axis=-1, keepdims=True)
-    )
+    return inv_std * (d_hat - _row_mean(d_hat) - x_hat * _row_mean(d_hat * x_hat))
 
 
 def _gelu(x):

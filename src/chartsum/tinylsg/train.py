@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ChartsumError
 from .masks import LsgConfig
-from .model import DecodeState, TinyModel, _decode_step, _encode, loss_and_grads, zero_grads
+from .model import DecodeState, TinyModel, _decode_step, _encode, loss_and_grads
 from .vocab import BOS_ID, EOS_ID
 
 _ADAM_BETA1 = 0.9
@@ -58,6 +58,15 @@ def _encode_pairs(model: TinyModel, pairs, lsg: LsgConfig) -> list[tuple[list[in
     return encoded
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive slices of `flat`, named and shaped as the arrays of `like`."""
+    views, offset = {}, 0
+    for name, value in like.items():
+        views[name] = flat[offset : offset + value.size].reshape(value.shape)
+        offset += value.size
+    return views
+
+
 def train(
     model: TinyModel,
     pairs: Sequence[tuple[str, str]],
@@ -73,10 +82,15 @@ def train(
     if not pairs:
         raise EmptyTrainingSet("no (source, target) pairs to train on")
     examples = _encode_pairs(model, pairs, lsg)
-    params = {name: value.copy() for name, value in model.params.items()}
+    # Parameters, gradients and both Adam moments are one flat float64 buffer
+    # each; the parameter and gradient dicts hold reshaped views into theirs.
+    # A step then costs one fill and a fixed number of whole-buffer ufuncs,
+    # whatever the number of parameter arrays.
+    flat = np.concatenate([value.ravel() for value in model.params.values()], dtype=np.float64)
+    flat_grads, m_state, v_state, scratch = (np.zeros_like(flat) for _ in range(4))
+    params = _views(flat, model.params)
+    grads = _views(flat_grads, model.params)
     working = TinyModel(config=model.config, vocab=model.vocab, params=params)
-    m_state = zero_grads(params)
-    v_state = zero_grads(params)
     order = list(range(len(examples)))
     rng = random.Random(tc.seed)
     n_batches = math.ceil(len(examples) / tc.batch_size)
@@ -89,7 +103,7 @@ def train(
         epoch_tokens = 0
         for start in range(0, len(order), tc.batch_size):
             batch = order[start : start + tc.batch_size]
-            grads = zero_grads(params)
+            flat_grads.fill(0.0)
             batch_loss = 0.0
             batch_tokens = 0
             for idx in batch:
@@ -101,14 +115,31 @@ def train(
                 raise NonFiniteLoss(epoch, batch_loss)
             lr = tc.initial_lr * (1.0 - step / total_steps)
             step += 1
-            inv_tokens = 1.0 / batch_tokens
             bias1 = 1.0 - _ADAM_BETA1**step
             bias2 = 1.0 - _ADAM_BETA2**step
-            for name, value in params.items():
-                g = grads[name] * inv_tokens
-                m_state[name] = _ADAM_BETA1 * m_state[name] + (1.0 - _ADAM_BETA1) * g
-                v_state[name] = _ADAM_BETA2 * v_state[name] + (1.0 - _ADAM_BETA2) * g**2
-                value -= lr * (m_state[name] / bias1) / (np.sqrt(v_state[name] / bias2) + _ADAM_EPS)
+            # In place, with the per-element arithmetic of
+            #   g = grads·(1/tokens)
+            #   m = β1·m + (1-β1)·g
+            #   v = β2·v + (1-β2)·g²
+            #   p -= lr·(m/bias1) / (√(v/bias2) + ε)
+            # The gradient buffer holds g, then serves as a second scratch;
+            # the next batch zeroes it.
+            g = flat_grads
+            g *= 1.0 / batch_tokens
+            m_state *= _ADAM_BETA1
+            np.multiply(g, 1.0 - _ADAM_BETA1, out=scratch)
+            m_state += scratch
+            v_state *= _ADAM_BETA2
+            np.multiply(g, g, out=g)
+            g *= 1.0 - _ADAM_BETA2
+            v_state += g
+            np.divide(v_state, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += _ADAM_EPS
+            np.divide(m_state, bias1, out=g)
+            g *= lr
+            g /= scratch
+            flat -= g
             epoch_loss += batch_loss
             epoch_tokens += batch_tokens
         history.append(epoch_loss / epoch_tokens)

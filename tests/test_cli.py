@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from chartsum.cli import main
+from chartsum.cli import build_parser, main
 from chartsum.corpus import load_predictions, save_corpus
 from chartsum.pipeline import run_report_from_dict
 from synthdata import synth_corpus
@@ -123,6 +123,253 @@ def test_run_help_lists_defaults(capsys):
     assert "default: tiny-lsg" in out
     assert "default: table" in out
     assert "default: 3" in out  # extract-k
+
+
+# `--help` of every subcommand at 80 columns: each default is stated once.
+HELP_TEXT = {
+    "split-sections": """\
+usage: chartsum split-sections [-h] [--in INFILE] [--out OUT]
+                               [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --in INFILE           note file (default: stdin)
+  --out OUT             output path (default: stdout)
+  --format {text,json}  output rendering (default: text)
+""",
+    "train": """\
+usage: chartsum train [-h] --train TRAIN --checkpoint CHECKPOINT --seed SEED
+                      [--corpus-format {csv,jsonl}] [--columns COLUMNS]
+                      [--d-model D_MODEL] [--heads HEADS]
+                      [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
+                      [--d-ff D_FF] [--init-scale INIT_SCALE]
+                      [--min-freq MIN_FREQ] [--lr LR] [--epochs EPOCHS]
+                      [--batch-size BATCH_SIZE]
+                      [--max-summary-tokens MAX_SUMMARY_TOKENS]
+                      [--block BLOCK] [--stride STRIDE] [--global NUM_GLOBAL]
+                      [--radius RADIUS] [--max-input MAX_INPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --train TRAIN         training corpus file
+  --checkpoint CHECKPOINT
+                        where to write the trained model
+  --seed SEED           random seed (required)
+  --corpus-format {csv,jsonl}
+                        corpus file format (default: by extension)
+  --columns COLUMNS     remap corpus columns, e.g.
+                        id=encounter_id,dialogue=src,note=tgt
+  --d-model D_MODEL     embedding width (default: 64)
+  --heads HEADS         attention heads (default: 2)
+  --enc-layers ENC_LAYERS
+                        encoder layers (default: 2)
+  --dec-layers DEC_LAYERS
+                        decoder layers (default: 2)
+  --d-ff D_FF           feed-forward width (default: 128)
+  --init-scale INIT_SCALE
+                        weight init stddev (default: 0.02)
+  --min-freq MIN_FREQ   vocabulary frequency cutoff (default: 1)
+  --lr LR               initial learning rate (default: 5e-05)
+  --epochs EPOCHS       training epochs (default: 20)
+  --batch-size BATCH_SIZE
+                        examples per update (default: 8)
+  --max-summary-tokens MAX_SUMMARY_TOKENS
+                        decode length cap (default: 128)
+  --block BLOCK         local attention block size (default: 16)
+  --stride STRIDE       sparse key stride (0 disables) (default: 4)
+  --global NUM_GLOBAL   number of global tokens (default: 1)
+  --radius RADIUS       adjacent-block reach (default: 1)
+  --max-input MAX_INPUT
+                        source token cap (default: 512)
+""",
+    "predict": """\
+usage: chartsum predict [-h] --checkpoint CHECKPOINT --eval EVAL [--out OUT]
+                        [--max-summary-tokens MAX_SUMMARY_TOKENS]
+                        [--corpus-format {csv,jsonl}] [--columns COLUMNS]
+                        [--block BLOCK] [--stride STRIDE]
+                        [--global NUM_GLOBAL] [--radius RADIUS]
+                        [--max-input MAX_INPUT]
+
+The mask flags and --max-summary-tokens default to the values a version-2
+checkpoint records, and must match them when given; with a version-1
+checkpoint they default as for train.
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+                        trained model file
+  --eval EVAL           corpus to summarize
+  --out OUT             prediction file (default: stdout)
+  --max-summary-tokens MAX_SUMMARY_TOKENS
+                        decode length cap
+  --corpus-format {csv,jsonl}
+                        corpus file format (default: by extension)
+  --columns COLUMNS     remap corpus columns, e.g.
+                        id=encounter_id,dialogue=src,note=tgt
+  --block BLOCK         local attention block size
+  --stride STRIDE       sparse key stride (0 disables)
+  --global NUM_GLOBAL   number of global tokens
+  --radius RADIUS       adjacent-block reach
+  --max-input MAX_INPUT
+                        source token cap
+""",
+    "score": """\
+usage: chartsum score [-h] --candidates CANDIDATES --references REFERENCES
+                      [--format {text,csv,json}] [--out OUT]
+                      [--corpus-format {csv,jsonl}] [--columns COLUMNS]
+
+options:
+  -h, --help            show this help message and exit
+  --candidates CANDIDATES
+                        prediction .json or corpus file with candidate notes
+  --references REFERENCES
+                        prediction .json or corpus file with reference notes
+  --format {text,csv,json}
+                        output rendering (default: text)
+  --out OUT             output path (default: stdout)
+  --corpus-format {csv,jsonl}
+                        corpus file format (default: by extension)
+  --columns COLUMNS     remap corpus columns, e.g.
+                        id=encounter_id,dialogue=src,note=tgt
+""",
+    "run": """\
+usage: chartsum run [-h] --approach {single,section-wise,multi-layer} --train
+                    TRAIN --eval EVAL
+                    [--backend {identity,oracle,extractive,tiny-lsg}]
+                    [--stage2-backend {identity,oracle,extractive,tiny-lsg}]
+                    --seed SEED [--sections SECTIONS] [--extract-k EXTRACT_K]
+                    [--out-dir OUT_DIR] [--format {table,csv,json}]
+                    [--corpus-format {csv,jsonl}] [--columns COLUMNS]
+                    [--d-model D_MODEL] [--heads HEADS]
+                    [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
+                    [--d-ff D_FF] [--init-scale INIT_SCALE]
+                    [--min-freq MIN_FREQ] [--lr LR] [--epochs EPOCHS]
+                    [--batch-size BATCH_SIZE]
+                    [--max-summary-tokens MAX_SUMMARY_TOKENS] [--block BLOCK]
+                    [--stride STRIDE] [--global NUM_GLOBAL] [--radius RADIUS]
+                    [--max-input MAX_INPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --approach {single,section-wise,multi-layer}
+                        which architecture to run
+  --train TRAIN         training corpus file
+  --eval EVAL           evaluation corpus file
+  --backend {identity,oracle,extractive,tiny-lsg}
+                        summarizer filling each model slot (default: tiny-lsg)
+  --stage2-backend {identity,oracle,extractive,tiny-lsg}
+                        second-stage backend for multi-layer runs (default:
+                        tiny-lsg)
+  --seed SEED           random seed (required)
+  --sections SECTIONS   comma-separated section ids for section-wise runs
+                        (default: every section observed in training)
+  --extract-k EXTRACT_K
+                        sentences kept by the extractive backend (default: 3)
+  --out-dir OUT_DIR     directory for predictions.json, report.txt,
+                        report.json
+  --format {table,csv,json}
+                        report rendering (default: table)
+  --corpus-format {csv,jsonl}
+                        corpus file format (default: by extension)
+  --columns COLUMNS     remap corpus columns, e.g.
+                        id=encounter_id,dialogue=src,note=tgt
+  --d-model D_MODEL     embedding width (default: 64)
+  --heads HEADS         attention heads (default: 2)
+  --enc-layers ENC_LAYERS
+                        encoder layers (default: 2)
+  --dec-layers DEC_LAYERS
+                        decoder layers (default: 2)
+  --d-ff D_FF           feed-forward width (default: 128)
+  --init-scale INIT_SCALE
+                        weight init stddev (default: 0.02)
+  --min-freq MIN_FREQ   vocabulary frequency cutoff (default: 1)
+  --lr LR               initial learning rate (default: 5e-05)
+  --epochs EPOCHS       training epochs (default: 20)
+  --batch-size BATCH_SIZE
+                        examples per update (default: 8)
+  --max-summary-tokens MAX_SUMMARY_TOKENS
+                        decode length cap (default: 128)
+  --block BLOCK         local attention block size (default: 16)
+  --stride STRIDE       sparse key stride (0 disables) (default: 4)
+  --global NUM_GLOBAL   number of global tokens (default: 1)
+  --radius RADIUS       adjacent-block reach (default: 1)
+  --max-input MAX_INPUT
+                        source token cap (default: 512)
+""",
+    "report": """\
+usage: chartsum report [-h] --in INFILES [INFILES ...]
+                       [--format {table,csv,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --in INFILES [INFILES ...]
+                        report.json files from `run --out-dir`
+  --format {table,csv,json}
+                        report rendering (default: table)
+  --out OUT             output path (default: stdout)
+""",
+    "grad-check": """\
+usage: chartsum grad-check [-h] [--d-model D_MODEL] [--heads HEADS]
+                           [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
+                           [--d-ff D_FF] [--init-scale INIT_SCALE] [--eps EPS]
+                           [--samples SAMPLES] [--seed SEED]
+                           [--threshold THRESHOLD] [--block BLOCK]
+                           [--stride STRIDE] [--global NUM_GLOBAL]
+                           [--radius RADIUS] [--max-input MAX_INPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --d-model D_MODEL     embedding width (default: 8)
+  --heads HEADS         attention heads (default: 1)
+  --enc-layers ENC_LAYERS
+                        encoder layers (default: 1)
+  --dec-layers DEC_LAYERS
+                        decoder layers (default: 1)
+  --d-ff D_FF           feed-forward width (default: 16)
+  --init-scale INIT_SCALE
+                        weight init stddev (larger keeps gradients well-
+                        conditioned) (default: 0.5)
+  --eps EPS             finite-difference step (default: 1e-05)
+  --samples SAMPLES     parameters to sample (default: 200)
+  --seed SEED           random seed (default: 0)
+  --threshold THRESHOLD
+                        failure threshold (default: 0.0001)
+  --block BLOCK         local attention block size (default: 16)
+  --stride STRIDE       sparse key stride (0 disables) (default: 4)
+  --global NUM_GLOBAL   number of global tokens (default: 1)
+  --radius RADIUS       adjacent-block reach (default: 1)
+  --max-input MAX_INPUT
+                        source token cap (default: 512)
+""",
+    "mask-dump": """\
+usage: chartsum mask-dump [-h] --seq-len SEQ_LEN [--out OUT] [--block BLOCK]
+                          [--stride STRIDE] [--global NUM_GLOBAL]
+                          [--radius RADIUS] [--max-input MAX_INPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --seq-len SEQ_LEN     mask size to render
+  --out OUT             output path (default: stdout)
+  --block BLOCK         local attention block size (default: 16)
+  --stride STRIDE       sparse key stride (0 disables) (default: 0)
+  --global NUM_GLOBAL   number of global tokens (default: 1)
+  --radius RADIUS       adjacent-block reach (default: 1)
+  --max-input MAX_INPUT
+                        source token cap (default: 512)
+""",
+}
+
+
+def test_help_text_is_pinned_for_every_subcommand():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert set(subcommands) == set(HELP_TEXT)
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXT))
+def test_subcommand_help_states_each_default_once(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,21 @@ def test_load_unknown_format_rejected(tmp_path):
         load_corpus(p, format="parquet")
 
 
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_load_non_utf8_corpus_is_malformed(tmp_path, format):
+    p = tmp_path / f"c.{format}"
+    p.write_bytes(b'id,dialogue\ne1,caf\xe9\n' if format == "csv"
+                  else b'{"id": "e1", "dialogue": "caf\xe9"}\n')
+    with pytest.raises(MalformedFile, match="not UTF-8 text"):
+        load_corpus(p, format=format)
+
+
+def test_load_csv_field_over_the_size_limit_is_malformed(tmp_path):
+    p = write(tmp_path / "c.csv", "id,dialogue\ne1," + "a" * 200_000 + "\n")
+    with pytest.raises(MalformedFile, match="field larger than field limit"):
+        load_corpus(p)
+
+
 # ---------------------------------------------------------------------------
 # JSONL loading
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The full-attention comparison uses a reference encoder/decoder written here
 with plain per-position loops, sharing nothing with the library's vectorized
 implementation except the parameter dictionary. `attention` and `ref_gelu`
-are likewise references for the model's multi-head attention and GELU, and
+are likewise references for the model's multi-head attention and GELU,
+`ref_ln_forward`/`ref_ln_backward` the `np.mean` form of its layer norm, and
 `forward` runs the library's own encoder and decoder over a whole target prefix.
 """
 
@@ -33,6 +34,8 @@ from chartsum.tinylsg.model import (
     _encode,
     _gelu,
     _gelu_grad,
+    _ln_backward,
+    _ln_forward,
     _lsg_attention_backward,
     _lsg_attention_forward,
     _mha_backward,
@@ -389,6 +392,44 @@ def test_gelu_grad_matches_central_difference():
     numeric = (ref_gelu(x + h) - ref_gelu(x - h)) / (2.0 * h)
     analytic = _gelu_grad(x, _gelu(x)[1])
     assert np.max(np.abs(analytic - numeric)) <= 1e-9
+
+
+def ref_ln_forward(p, prefix, x):
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    x_hat = centered * inv_std
+    return p[f"{prefix}.g"] * x_hat + p[f"{prefix}.b"], (x_hat, inv_std)
+
+
+def ref_ln_backward(p, prefix, cache, d_out, grads):
+    x_hat, inv_std = cache
+    grads[f"{prefix}.g"] += (d_out * x_hat).sum(axis=0)
+    grads[f"{prefix}.b"] += d_out.sum(axis=0)
+    d_hat = d_out * p[f"{prefix}.g"]
+    return inv_std * (
+        d_hat
+        - d_hat.mean(axis=-1, keepdims=True)
+        - x_hat * (d_hat * x_hat).mean(axis=-1, keepdims=True)
+    )
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (7, 12), (5, 10), (77, 64)])
+def test_layer_norm_is_bitwise_the_np_mean_reference(shape):
+    rng = np.random.default_rng(shape[0])
+    p = {"ln.g": rng.normal(1.0, 0.3, shape[1]), "ln.b": rng.normal(0.0, 0.3, shape[1])}
+    x = rng.normal(0.5, 2.0, shape)
+    d_out = rng.normal(0.0, 1.0, shape)
+    got, got_cache = _ln_forward(p, "ln", x)
+    want, want_cache = ref_ln_forward(p, "ln", x)
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(a, b) for a, b in zip(got_cache, want_cache))
+    got_grads, want_grads = zero_grads(p), zero_grads(p)
+    d_x = _ln_backward(p, "ln", got_cache, d_out, got_grads)
+    assert np.array_equal(d_x, ref_ln_backward(p, "ln", want_cache, d_out, want_grads))
+    for name in p:
+        assert np.array_equal(got_grads[name], want_grads[name])
 
 
 def ref_ff(x, p, prefix):

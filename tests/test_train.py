@@ -1,17 +1,24 @@
-"""Training-loop, greedy-decoding, and gradient-check tests."""
+"""Training-loop, greedy-decoding, and gradient-check tests.
+
+`ref_train` is the reference for `train`: the same loop over one array per
+parameter, with fresh gradient arrays per batch and Adam written out per array.
+"""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from chartsum.tinylsg.checkpoint import load_checkpoint, save_model
 from chartsum.tinylsg.masks import LsgConfig
-from chartsum.tinylsg.model import ModelConfig, init_model
+from chartsum.tinylsg.model import ModelConfig, TinyModel, init_model, loss_and_grads, zero_grads
 from chartsum.tinylsg.train import (
     EmptyTrainingSet,
     TrainConfig,
+    _encode_pairs,
     grad_check,
     generate,
     summarize_ids,
@@ -86,6 +93,75 @@ def test_train_deterministic_across_runs():
     assert h1 == h2
     for name in t1.params:
         assert np.array_equal(t1.params[name], t2.params[name])
+
+
+def ref_train(model, pairs, tc, lsg):
+    examples = _encode_pairs(model, pairs, lsg)
+    params = {name: value.copy() for name, value in model.params.items()}
+    working = TinyModel(config=model.config, vocab=model.vocab, params=params)
+    m_state = zero_grads(params)
+    v_state = zero_grads(params)
+    order = list(range(len(examples)))
+    rng = random.Random(tc.seed)
+    total_steps = tc.epochs * math.ceil(len(examples) / tc.batch_size)
+    history = []
+    step = 0
+    for _ in range(tc.epochs):
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        epoch_tokens = 0
+        for start in range(0, len(order), tc.batch_size):
+            grads = zero_grads(params)
+            batch_loss = 0.0
+            batch_tokens = 0
+            for idx in order[start : start + tc.batch_size]:
+                src, tgt = examples[idx]
+                loss_sum, n_tokens, _ = loss_and_grads(working, src, tgt, lsg, grads)
+                batch_loss += loss_sum
+                batch_tokens += n_tokens
+            lr = tc.initial_lr * (1.0 - step / total_steps)
+            step += 1
+            inv_tokens = 1.0 / batch_tokens
+            bias1 = 1.0 - 0.9**step
+            bias2 = 1.0 - 0.999**step
+            for name, value in params.items():
+                g = grads[name] * inv_tokens
+                m_state[name] = 0.9 * m_state[name] + (1.0 - 0.9) * g
+                v_state[name] = 0.999 * v_state[name] + (1.0 - 0.999) * g**2
+                value -= lr * (m_state[name] / bias1) / (np.sqrt(v_state[name] / bias2) + 1e-8)
+            epoch_loss += batch_loss
+            epoch_tokens += batch_tokens
+        history.append(epoch_loss / epoch_tokens)
+    return working, history
+
+
+@pytest.mark.parametrize("lr", [0.0, 3e-3])
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_train_is_bitwise_the_per_array_reference(batch_size, epochs, lr):
+    # Three pairs: batch size 2 leaves a partial last batch.
+    tc = TrainConfig(initial_lr=lr, epochs=epochs, batch_size=batch_size, seed=7)
+    trained, history = train(make_model(), PAIRS, tc, LSG)
+    want, want_history = ref_train(make_model(), PAIRS, tc, LSG)
+    assert history == want_history
+    assert list(trained.params) == list(want.params)
+    for name, value in want.params.items():
+        assert np.array_equal(trained.params[name], value), name
+
+
+def test_trained_model_round_trips_through_a_checkpoint(tmp_path):
+    model = make_model()
+    trained, _ = train(model, PAIRS, TrainConfig(initial_lr=3e-3, epochs=2, batch_size=2), LSG)
+    for name, value in trained.params.items():
+        for original in model.params.values():
+            assert not np.shares_memory(value, original), name
+    path = tmp_path / "model.json"
+    save_model(trained, path, LSG, 16)
+    loaded = load_checkpoint(path).model
+    assert loaded.params.keys() == trained.params.keys()
+    for name, value in trained.params.items():
+        assert loaded.params[name].dtype == np.float64
+        assert np.array_equal(loaded.params[name], value), name
 
 
 def test_train_seed_changes_trajectory():
