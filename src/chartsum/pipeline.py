@@ -31,6 +31,7 @@ from .rouge import (
     corpus_rouge,
     rouge_n,
     tokenize,
+    tokenize_lines,
 )
 from .sections import (
     SECTION_ORDER,
@@ -112,15 +113,16 @@ def split_sentences(text: str) -> list[tuple[str, list[str]]]:
     """Newline-then-punctuation sentence split, each sentence paired with its tokens.
 
     Token-free fragments are dropped. Every cut falls on whitespace or a line
-    break, so the sentences' tokens together are exactly `tokenize(text)`.
+    break, so the sentences' tokens together are exactly `tokenize(text)`. No
+    part holds a line feed, so one `tokenize_lines` pass over the parts joined
+    by line feeds gives each part's `tokenize`.
     """
-    sentences = []
-    for line in text.splitlines():
-        for part in _SENTENCE_SPLIT.split(line):
-            tokens = tokenize(part)
-            if tokens:
-                sentences.append((part.strip(), tokens))
-    return sentences
+    parts = [part for line in text.splitlines() for part in _SENTENCE_SPLIT.split(line)]
+    return [
+        (part.strip(), tokens)
+        for part, tokens in zip(parts, tokenize_lines("\n".join(parts)))
+        if tokens
+    ]
 
 
 class ExtractiveSummarizer(Summarizer):

@@ -21,7 +21,15 @@ class EmptyEvaluation(ChartsumError):
     """Raised when corpus-level scoring receives no candidate/reference pairs."""
 
 
+# The definition of a token: a maximal run of Unicode letters and digits.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# On ASCII text a token is a run of [a-z0-9] after lowering, so mapping every
+# other ASCII character to a space (keeping line feeds for `tokenize_lines`)
+# and splitting on whitespace yields exactly the regex's tokens.
+_ASCII_SEPARATORS = str.maketrans(
+    {chr(c): " " for c in range(128) if not chr(c).isalnum() and chr(c) != "\n"}
+)
 
 
 def lcs_backend() -> str:
@@ -32,9 +40,25 @@ def lcs_backend() -> str:
 def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split on any run of non-alphanumeric characters.
 
-    Digits are kept; there is no stemming and no stopword removal.
+    Digits are kept; there is no stemming and no stopword removal. ASCII text
+    takes a translate-and-split path that yields the same tokens as the regex.
     """
-    return _TOKEN_RE.findall(text.lower())
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(lowered)
+
+
+def tokenize_lines(text: str) -> list[list[str]]:
+    """`[tokenize(line) for line in text.split("\\n")]` in one pass over the text.
+
+    Lowering the whole text equals lowering each line: a line feed is neither
+    cased nor case-ignorable, so it bounds the context of a Greek final sigma.
+    """
+    lowered = text.lower()
+    if lowered.isascii():
+        return [line.split() for line in lowered.translate(_ASCII_SEPARATORS).split("\n")]
+    return [_TOKEN_RE.findall(line) for line in lowered.split("\n")]
 
 
 @dataclass(frozen=True)
@@ -72,7 +96,7 @@ class AggregateScores:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:

@@ -124,5 +124,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise MalformedCheckpoint(
                 f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
             )
+        if not np.isfinite(params[name]).all():
+            raise MalformedCheckpoint(f"{path}: parameter {name!r} holds a non-finite value")
     model = TinyModel(config=config, vocab=vocab, params=params)
     return Checkpoint(model=model, lsg=lsg, max_summary_tokens=max_summary_tokens)

@@ -28,9 +28,11 @@ class Vocab:
     def __post_init__(self):
         if self.id_to_token[: len(RESERVED_TOKENS)] != RESERVED_TOKENS:
             raise ValueError("vocabulary must start with the reserved tokens")
-        object.__setattr__(
-            self, "_token_to_id", {tok: i for i, tok in enumerate(self.id_to_token)}
-        )
+        token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        if len(token_to_id) != len(self.id_to_token):
+            repeated = sorted(tok for tok, n in Counter(self.id_to_token).items() if n > 1)
+            raise ValueError(f"vocabulary repeats the tokens {repeated}")
+        object.__setattr__(self, "_token_to_id", token_to_id)
 
     @property
     def size(self) -> int:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import io
 import json
+import struct
 
 import pytest
 
@@ -572,6 +574,23 @@ def test_predict_malformed_checkpoint_settings_is_a_runtime_error(
     assert _predict(trained_checkpoint, eval_csv, tmp_path / "preds.json") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trained_checkpoint}: lsg must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [("out.w", "nan"), ("tok_emb", "inf")])
+def test_predict_non_finite_checkpoint_parameter_is_a_runtime_error(
+        tmp_path, trained_checkpoint, eval_csv, capsys, name, value):
+    payload = json.loads(trained_checkpoint.read_text())
+    record = payload["params"][name]
+    data = bytearray(base64.b64decode(record["data"]))
+    data[-8:] = struct.pack("d", float(value))
+    record["data"] = base64.b64encode(bytes(data)).decode("ascii")
+    trained_checkpoint.write_text(json.dumps(payload))
+    out = tmp_path / "preds.json"
+    capsys.readouterr()
+    assert _predict(trained_checkpoint, eval_csv, out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {trained_checkpoint}: parameter {name!r} holds a non-finite value\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ are likewise references for the model's multi-head attention and GELU,
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
@@ -120,6 +121,12 @@ def test_vocab_empty_corpus():
 def test_vocab_requires_reserved_prefix():
     with pytest.raises(ValueError):
         Vocab(id_to_token=("a", "b"))
+
+
+def test_vocab_rejects_repeated_token():
+    # Accepted, "b" would always encode to its later id, never to 6.
+    with pytest.raises(ValueError, match=r"repeats the tokens \['b'\]"):
+        Vocab(id_to_token=RESERVED_TOKENS + ("a", "b", "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +701,34 @@ def test_checkpoint_vocab_must_hold_strings(tmp_path):
     with pytest.raises(MalformedCheckpoint) as info:
         load_model(p)
     assert str(info.value) == f"{p}: vocab must be a list of strings"
+
+
+def test_checkpoint_vocab_must_not_repeat_tokens(tmp_path):
+    def repeat(c):
+        c["vocab"][6] = c["vocab"][5]
+
+    p = _mutated_checkpoint(tmp_path, repeat)
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_model(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: vocabulary repeats the tokens") and "\n" not in message
+
+
+def _set_first_value(c, name, value):
+    record = c["params"][name]
+    data = bytearray(base64.b64decode(record["data"]))
+    data[:8] = np.float64(value).tobytes()
+    record["data"] = base64.b64encode(bytes(data)).decode("ascii")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("out.w", math.nan), ("tok_emb", math.inf), ("enc.0.ff.w1", -math.inf),
+])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, name, value):
+    p = _mutated_checkpoint(tmp_path, lambda c: _set_first_value(c, name, value))
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_model(p)
+    assert str(info.value) == f"{p}: parameter {name!r} holds a non-finite value"
 
 
 def test_checkpoint_records_attention_pattern_and_decode_cap(tmp_path):

@@ -112,6 +112,17 @@ def test_extractive_empty_and_validation():
 _REF_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
+def ref_split_sentences(text):
+    """Sentences tokenized one part at a time."""
+    sentences = []
+    for line in text.splitlines():
+        for part in _REF_SENTENCE_SPLIT.split(line):
+            tokens = tokenize(part)
+            if tokens:
+                sentences.append((part.strip(), tokens))
+    return sentences
+
+
 def ref_extractive(text, k):
     """Two-pass extractive summary: one tokenize pass over the whole text for the
     frequencies, another per sentence for the scores."""
@@ -147,6 +158,21 @@ _EXTRACT_PIECES = st.sampled_from([
 def test_extractive_matches_two_pass_reference(pieces, k):
     text = "".join(pieces)
     assert ExtractiveSummarizer(k=k).summarize(text) == ref_extractive(text, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pieces=st.lists(_EXTRACT_PIECES, max_size=60))
+def test_split_sentences_matches_per_part_reference(pieces):
+    text = "".join(pieces)
+    assert split_sentences(text) == ref_split_sentences(text)
+
+
+def test_split_sentences_final_sigma_at_part_ends():
+    # Lowering the joined parts must see a line feed after each part, as the
+    # per-part loop sees the end of the string.
+    text = "ΑΣ. ΟΔΟΣ!\u2028ΣΑ ς_Σ"
+    assert split_sentences(text) == ref_split_sentences(text)
+    assert [tokens for _, tokens in split_sentences(text)] == [["ας"], ["οδος"], ["σα", "ς", "σ"]]
 
 
 def test_extractive_matches_reference_on_tied_scores_and_line_breaks():

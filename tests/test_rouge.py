@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartsum.rouge import (
+    _TOKEN_RE,
+    _ngram_counts,
     AggregateScores,
     DocumentScores,
     EmptyEvaluation,
@@ -21,6 +24,7 @@ from chartsum.rouge import (
     rouge_n,
     score_pair,
     tokenize,
+    tokenize_lines,
 )
 
 
@@ -107,6 +111,51 @@ def test_tokenize_empty():
 
 def test_tokenize_keeps_stopwords_and_plurals():
     assert tokenize("the cats sat") == ["the", "cats", "sat"]
+
+
+def ref_tokenize(text):
+    """The definition of a token: the regex over the lowered text."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True)
+
+# Every ASCII character, so each entry of the translate table is exercised.
+ascii_text = st.text(st.characters(max_codepoint=127), max_size=80)
+# Characters where Unicode and ASCII rules part: İ lowers to two characters,
+# Σ lowers by context (ς at a word end), the Kelvin sign lowers to ASCII "k",
+# "_" is a word character but no token character, ² and full-width digits are
+# digits outside ASCII, and \x1c, \x85 and the no-break space are whitespace
+# or line breaks to Python but not all of them to str.split("\n").
+mixed_text = st.text(
+    st.sampled_from([
+        "a", "B", "7", " ", ".", "\n", "İ", "Σ", "ς", "\u212a", "_", "²",
+        "\uff10", "\uff19", "\x1c", "\x85", "\xa0",
+    ]),
+    max_size=80,
+)
+
+
+@ORACLE
+@given(text=st.one_of(ascii_text, mixed_text))
+def test_tokenize_matches_regex(text):
+    assert tokenize(text) == ref_tokenize(text)
+
+
+@ORACLE
+@given(text=st.one_of(ascii_text, mixed_text))
+def test_tokenize_lines_matches_tokenize_per_line(text):
+    assert tokenize_lines(text) == [tokenize(line) for line in text.split("\n")]
+
+
+def test_tokenize_fast_path_edge_cases():
+    assert tokenize("a_b\tc\x1cd\x7fe-f") == ["a", "b", "c", "d", "e", "f"]
+    # The Kelvin sign lowers to ASCII "k"; the full-width digit is a token.
+    assert tokenize("\u212aB \uff11x") == ["kb", "\uff11x"]
+    assert tokenize("ΑΣ Σ") == ["ας", "σ"]
+    assert tokenize_lines("a b\n\nC_d\n") == [["a", "b"], [], ["c", "d"], []]
+    assert tokenize_lines("ΑΣ\nΑΣ") == [["ας"], ["ας"]]
+    assert tokenize_lines("") == [[]]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +319,18 @@ def test_rouge_l_matches_brute_force_randomized():
         if not cand or not ref:
             p = r = 0.0
         assert got.precision == p and got.recall == r
+
+
+def ref_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+@ORACLE
+@given(tokens=st.lists(st.sampled_from(["pa", "re", "mo"]), max_size=12), n=st.integers(1, 4))
+def test_ngram_counts_match_slice_reference(tokens, n):
+    got = _ngram_counts(tokens, n)
+    assert got == ref_ngram_counts(tokens, n)
+    assert sum(got.values()) == max(len(tokens) - n + 1, 0)
 
 
 # ---------------------------------------------------------------------------
