@@ -194,7 +194,10 @@ def _cmd_split_sections(args) -> int:
     if args.infile is None:
         text = sys.stdin.read()
     else:
-        text = Path(args.infile).read_text(encoding="utf-8")
+        try:
+            text = Path(args.infile).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{args.infile}: not UTF-8 text ({exc})") from exc
     note = segment_note(text)
     if args.format == "json":
         sections = []

@@ -56,6 +56,8 @@ from .tinylsg import (
 from .tinylsg.train import summarize_ids
 
 BACKEND_KINDS = ("identity", "oracle", "extractive", "tiny-lsg")
+# Backends whose output ignores the section slot: one instance serves every slot.
+_SECTION_BLIND = ("identity", "extractive")
 DIVISIONS = (Division.SUBJECTIVE, Division.EXAM, Division.RESULTS, Division.ASSESSMENT_AND_PLAN)
 
 # Per-slot training seeds: section models use seed + canonical section index,
@@ -129,15 +131,25 @@ class ExtractiveSummarizer(Summarizer):
     """Picks the k sentences whose words are most frequent across the whole text.
 
     Sentence score = mean corpus frequency of its tokens; ties go to the
-    earlier sentence; output keeps source order.
+    earlier sentence; output keeps source order. The most recent (text, summary)
+    pair is kept, so a section-wise run, which hands one shared instance the
+    same dialogue once per section slot, extracts each dialogue once.
     """
 
     def __init__(self, k: int = 3):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
+        self._last: tuple[str, str] | None = None
 
     def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
+        if self._last is not None and self._last[0] == text:
+            return self._last[1]
+        summary = self._extract(text)
+        self._last = (text, summary)
+        return summary
+
+    def _extract(self, text: str) -> str:
         sentences = split_sentences(text)
         if not sentences:
             return ""
@@ -276,11 +288,18 @@ def _configured_sections(cfg: ApproachConfig, segmented: Mapping[str, ChartNote]
 def _train_section_models(
     train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig
 ) -> dict[Section, Summarizer]:
+    """One summarizer per configured section; a section-blind backend fills every slot
+    with one shared instance."""
     labeled = _labeled_pairs(train_corpus)
     segmented = {eid: segment_note(note) for eid, _, note in labeled}
     eval_segmented = {
         e.id: segment_note(e.note) for e in eval_corpus if e.note is not None
     }
+    shared = (
+        _build_summarizer(cfg.backend, (), {}, cfg.seed)
+        if cfg.backend.kind in _SECTION_BLIND
+        else None
+    )
     models: dict[Section, Summarizer] = {}
     for section in _configured_sections(cfg, segmented):
         pairs = []
@@ -290,6 +309,9 @@ def _train_section_models(
                 pairs.append((dialogue, body))
         if not pairs:
             raise SectionNeverObserved(section)
+        if shared is not None:
+            models[section] = shared
+            continue
         references = {
             eid: note.bodies()[section]
             for eid, note in {**segmented, **eval_segmented}.items()

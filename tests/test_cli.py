@@ -414,6 +414,18 @@ def test_split_sections_text_format(tmp_path, capsys):
     assert "== UNKNOWN (SOCIAL HISTORY)\nnever smoked" in out
 
 
+def test_split_sections_non_utf8_note_is_a_runtime_error(tmp_path, capsys):
+    src = tmp_path / "note.txt"
+    src.write_bytes(b"CHIEF COMPLAINT\n\n\xff\xfe knee pain\n")
+    assert main(["split-sections", "--in", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {src}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 17: "
+        "invalid start byte)"
+    ]
+
+
 def test_split_sections_json_format_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(NOTE))
     assert main(["split-sections", "--format", "json"]) == 0

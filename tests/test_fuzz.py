@@ -1,7 +1,7 @@
 """Mutation fuzzing of every file the package reads.
 
 Each test starts from a valid file: a corpus in CSV and in JSONL, a
-checkpoint, a prediction file, a report file and the alias table. Hypothesis
+checkpoint, a prediction file, a report file, a chart note and the alias table. Hypothesis
 edits it at the byte level (flip, delete, insert) or, for JSON, replaces or
 deletes one value of the parsed document, and feeds the result to the command
 that reads such a file. The command must succeed, or fail with exit code 2
@@ -114,9 +114,11 @@ def valid(tmp_path_factory):
         "csv": root / "corpus.csv",
         "jsonl": root / "corpus.jsonl",
         "checkpoint": root / "model.json",
+        "note": root / "note.txt",
         "out": root / "out",
     }
     save_corpus(corpus, paths["csv"])
+    paths["note"].write_text(corpus.encounters[0].note, encoding="utf-8")
     save_corpus(corpus, paths["jsonl"], format="jsonl")
     vocab = build_vocab([text for e in corpus for text in (e.dialogue, e.note)])
     cfg = ModelConfig(d_model=8, n_heads=2, n_layers_enc=1, n_layers_dec=1, d_ff=16)
@@ -197,6 +199,14 @@ def test_fuzz_report(valid, data):
     mutated = data.draw(mutations(original, json_mutations(json.loads(original))))
     path = _fuzz_file(valid["out"], "fuzz-report.json", mutated)
     assert_fails_cleanly(["report", "--in", path])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_note(valid, data):
+    mutated = data.draw(mutations(valid["note"].read_bytes()))
+    path = _fuzz_file(valid["out"], "fuzz-note.txt", mutated)
+    assert_fails_cleanly(["split-sections", "--in", path])
 
 
 @FUZZ

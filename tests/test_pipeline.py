@@ -34,7 +34,16 @@ from chartsum.pipeline import (
     split_sentences,
 )
 from chartsum.rouge import rouge_n, tokenize
-from chartsum.sections import Division, Section, division_of, segment_note
+from chartsum.sections import (
+    SECTION_ORDER,
+    ChartNote,
+    Division,
+    NoteSection,
+    Section,
+    assemble_note,
+    division_of,
+    segment_note,
+)
 from chartsum.tinylsg import LsgConfig, ModelConfig, TrainConfig
 from synthdata import synth_corpus
 
@@ -179,6 +188,35 @@ def test_extractive_matches_reference_on_tied_scores_and_line_breaks():
     text = "pain knee.\r\nknee pain!\x0cpain_knee 12\x85... __ \u2028knee? pain"
     for k in range(1, 6):
         assert ExtractiveSummarizer(k=k).summarize(text) == ref_extractive(text, k)
+
+
+# Texts a shared instance may be handed: empty, token-free, fixed sentences and
+# arbitrary piece sequences.
+_MEMO_TEXTS = (
+    st.sampled_from(["", "...", " -- \n", EXTRACT_TEXT, "pain knee. knee pain!", "knee pain"])
+    | st.lists(_EXTRACT_PIECES, max_size=30).map("".join)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 5))
+def test_shared_extractive_matches_a_fresh_instance_per_call(data, k):
+    shared = ExtractiveSummarizer(k=k)
+    seen = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(("new", "again", "earlier", "equal copy")) if seen
+                         else st.just("new"))
+        if step == "new":
+            text = data.draw(_MEMO_TEXTS)
+        elif step == "again":
+            text = seen[-1]
+        else:
+            text = data.draw(st.sampled_from(seen))
+            if step == "equal copy":
+                # an equal str that is (for two or more characters) another object
+                text = "".join(list(text))
+        seen.append(text)
+        assert shared.summarize(text) == ExtractiveSummarizer(k=k).summarize(text)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +369,11 @@ def test_approach2_explicit_sections_limit_output():
     assert [s.id for s in note.sections] == [Section.CC, Section.PE]
 
 
-def test_approach2_unseen_configured_section_raises():
+@pytest.mark.parametrize("backend", [ORACLE, EXTRACTIVE, IDENTITY], ids=lambda b: b.kind)
+def test_approach2_unseen_configured_section_raises(backend):
+    # Section-blind backends share one instance, but every slot is still checked.
     train_c, eval_c = synth_corpus(3), synth_corpus(2, start=3)
-    cfg = ApproachConfig(approach="section-wise", backend=ORACLE, sections=(Section.ROS,))
+    cfg = ApproachConfig(approach="section-wise", backend=backend, sections=(Section.ROS,))
     with pytest.raises(SectionNeverObserved):
         run_approach(train_c, eval_c, cfg)
 
@@ -389,6 +429,123 @@ def test_approach2_extractive_full_recall_when_dialogue_embeds_sections():
         for div, ref_text in ref_texts.items():
             score = rouge_n(tokenize(cand_texts[div]), tokenize(ref_text), 1)
             assert score.recall == 1.0
+
+
+def fresh_summarizer(backend):
+    if backend.kind == "extractive":
+        return ExtractiveSummarizer(backend.extract_k)
+    assert backend.kind == "identity"
+    return IdentitySummarizer()
+
+
+def observed_sections(corpus):
+    found = {
+        sec.id
+        for e in corpus
+        for sec in segment_note(e.note).sections
+        if isinstance(sec.id, Section)
+    }
+    return sorted(found, key=SECTION_ORDER.index)
+
+
+def ref_section_wise(train_corpus, corpus, backend):
+    """Section-wise entries with a fresh section-blind summarizer for every slot and
+    dialogue, so no summary is ever reused."""
+    entries = {}
+    for e in corpus:
+        produced = []
+        for section in observed_sections(train_corpus):
+            text = fresh_summarizer(backend).summarize(e.dialogue)
+            if text:
+                produced.append(NoteSection(id=section, body=text))
+        entries[e.id] = assemble_note(ChartNote(sections=tuple(produced)))
+    return entries
+
+
+def ref_multi_layer(train_corpus, eval_corpus, backend, stage2):
+    """Entries and stage-1 empty counts of a multi-layer run built from the reference."""
+    stage1_train = ref_section_wise(train_corpus, train_corpus, backend)
+    stage1_eval = ref_section_wise(train_corpus, eval_corpus, backend)
+    entries = {eid: fresh_summarizer(stage2).summarize(text) for eid, text in stage1_eval.items()}
+    empty = {
+        "stage1_empty_train": str(sum(not text for text in stage1_train.values())),
+        "stage1_empty_eval": str(sum(not text for text in stage1_eval.values())),
+    }
+    return entries, empty
+
+
+def repeat_corpus():
+    """Eval encounters whose dialogues repeat back to back and interleaved, plus an
+    empty and a token-free dialogue."""
+    dialogues = [e.dialogue for e in synth_corpus(2, start=20)]
+    texts = [dialogues[0], dialogues[0], dialogues[1], dialogues[0], "", "...", "", dialogues[1]]
+    encounters = tuple(Encounter(id=f"r{i}", dialogue=text) for i, text in enumerate(texts))
+    return Corpus(encounters=encounters, provenance=Provenance("mem", "csv"))
+
+
+SECTION_BLIND = [BackendSpec(kind="extractive", extract_k=k) for k in range(1, 6)] + [IDENTITY]
+
+
+def _backend_id(backend):
+    return f"extractive-k{backend.extract_k}" if backend.kind == "extractive" else backend.kind
+
+
+@pytest.mark.parametrize("backend", SECTION_BLIND, ids=_backend_id)
+def test_approach2_section_blind_backend_matches_per_slot_reference(backend):
+    train_c = synth_corpus(4)
+    for eval_c in (synth_corpus(3, start=4), repeat_corpus()):
+        preds = run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=backend))
+        assert preds.entries == ref_section_wise(train_c, eval_c, backend)
+
+
+@pytest.mark.parametrize("stage2", [IDENTITY, BackendSpec(kind="extractive", extract_k=2)],
+                         ids=_backend_id)
+@pytest.mark.parametrize("backend", SECTION_BLIND, ids=_backend_id)
+def test_approach3_section_blind_stage1_matches_per_slot_reference(backend, stage2):
+    train_c = synth_corpus(4)
+    for eval_c in (synth_corpus(3, start=4), repeat_corpus()):
+        cfg = ApproachConfig(approach="multi-layer", backend=backend, stage2=stage2)
+        preds = run_approach(train_c, eval_c, cfg)
+        entries, empty = ref_multi_layer(train_c, eval_c, backend, stage2)
+        assert preds.entries == entries
+        assert {key: preds.extra[key] for key in empty} == empty
+
+
+@pytest.fixture
+def extraction_calls(monkeypatch):
+    """Texts passed to `split_sentences` and to `ExtractiveSummarizer.summarize`."""
+    calls = {"split_sentences": [], "summarize": []}
+    summarize = ExtractiveSummarizer.summarize
+
+    def counting_split(text):
+        calls["split_sentences"].append(text)
+        return split_sentences(text)
+
+    def counting_summarize(self, text, **kwargs):
+        calls["summarize"].append(text)
+        return summarize(self, text, **kwargs)
+
+    monkeypatch.setattr("chartsum.pipeline.split_sentences", counting_split)
+    monkeypatch.setattr(ExtractiveSummarizer, "summarize", counting_summarize)
+    return calls
+
+
+def test_approach2_extractive_extracts_each_dialogue_once(extraction_calls):
+    train_c, eval_c = synth_corpus(4), synth_corpus(3, start=4)
+    run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=EXTRACTIVE))
+    slots = len(observed_sections(train_c))
+    assert slots == 5
+    assert len(extraction_calls["summarize"]) == len(eval_c) * slots
+    assert extraction_calls["split_sentences"] == [e.dialogue for e in eval_c]
+
+
+def test_approach3_extractive_stage1_extracts_each_dialogue_once(extraction_calls):
+    train_c, eval_c = synth_corpus(4), synth_corpus(3, start=4)
+    cfg = ApproachConfig(approach="multi-layer", backend=EXTRACTIVE, stage2=IDENTITY)
+    run_approach(train_c, eval_c, cfg)
+    slots = len(observed_sections(train_c))
+    assert len(extraction_calls["summarize"]) == (len(train_c) + len(eval_c)) * slots
+    assert extraction_calls["split_sentences"] == [e.dialogue for e in (*train_c, *eval_c)]
 
 
 # ---------------------------------------------------------------------------
