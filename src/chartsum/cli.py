@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from io import StringIO
@@ -96,6 +98,38 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+# glibc's mallopt parameters, and the value both take: glibc's own 64-bit cap
+# for its dynamic mmap threshold, far above any tiny-lsg temporary.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_THRESHOLD = 32 * 1024 * 1024
+
+
+@functools.cache
+def _keep_freed_memory() -> tuple[int, ...]:
+    """Keep freed heap memory in the process instead of returning it to the kernel.
+
+    By default glibc trims the heap and unmaps large blocks as soon as they are
+    freed, so each large numpy temporary of a tiny-lsg step faults its pages in
+    again. Raising the trim and mmap thresholds to `_MALLOC_THRESHOLD` keeps
+    those pages for reuse. Returns what each `mallopt` call returned (1 on
+    success); a no-op returning () when the C library is not glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return ()
+    except (AttributeError, ValueError, OSError):  # no confstr, or not a glibc name
+        return ()
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return tuple(
+        mallopt(param, _MALLOC_THRESHOLD) for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD)
+    )
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -190,15 +224,20 @@ def _backend_from_args(args, kind: str) -> BackendSpec:
     )
 
 
-def _cmd_split_sections(args) -> int:
-    if args.infile is None:
-        text = sys.stdin.read()
+def _read_note(path: str | None) -> str:
+    """The note at `path`, or on stdin when None, decoded strictly as UTF-8."""
+    if path is None:
+        name, data = "<stdin>", sys.stdin.buffer.read()
     else:
-        try:
-            text = Path(args.infile).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedFile(f"{args.infile}: not UTF-8 text ({exc})") from exc
-    note = segment_note(text)
+        name, data = path, Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{name}: not UTF-8 text ({exc})") from exc
+
+
+def _cmd_split_sections(args) -> int:
+    note = segment_note(_read_note(args.infile))
     if args.format == "json":
         sections = []
         for sec in note.sections:
@@ -453,7 +492,14 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_mask_dump(args) -> int:
-    mask = lsg_mask(args.seq_len, _lsg_from_args(args))
+    lsg = _lsg_from_args(args)
+    longest = lsg.max_input_tokens + lsg.num_global
+    if args.seq_len > longest:
+        raise ValueError(
+            f"--seq-len {args.seq_len} exceeds --max-input + --global ({longest}), "
+            "the longest input the encoder sees"
+        )
+    mask = lsg_mask(args.seq_len, lsg)
     grid = "\n".join("".join("#" if allowed else "." for allowed in row) for row in mask)
     print(f"allowed fraction {mask_density(mask):.4f}", file=sys.stderr)
     _write_output(grid + "\n", args.out)
@@ -564,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask-dump", formatter_class=fmt,
                        help="print an attention mask as a #/. grid")
-    p.add_argument("--seq-len", type=int, required=True, help="mask size to render")
+    p.add_argument("--seq-len", type=int, required=True,
+                   help="mask size to render, at most --max-input + --global")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     # visualization shows the local+global pattern unless sparse links are asked for
     _add_mask_flags(p, stride_default=0)
@@ -574,6 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

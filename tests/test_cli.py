@@ -5,7 +5,12 @@ from __future__ import annotations
 import base64
 import io
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -350,7 +355,7 @@ usage: chartsum mask-dump [-h] --seq-len SEQ_LEN [--out OUT] [--block BLOCK]
 
 options:
   -h, --help            show this help message and exit
-  --seq-len SEQ_LEN     mask size to render
+  --seq-len SEQ_LEN     mask size to render, at most --max-input + --global
   --out OUT             output path (default: stdout)
   --block BLOCK         local attention block size (default: 16)
   --stride STRIDE       sparse key stride (0 disables) (default: 0)
@@ -375,6 +380,49 @@ def test_subcommand_help_states_each_default_once(command, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# allocator policy
+# ---------------------------------------------------------------------------
+
+# Runs in a fresh interpreter: after one cheap `cli.main` call, counts the minor
+# page faults of tiny-lsg training steps at a long input (512 source tokens,
+# 125 target tokens, default model and mask).
+_FAULT_PROBE = """
+import json, resource
+from chartsum import cli
+from chartsum.tinylsg import LsgConfig, ModelConfig, build_vocab, init_model
+from chartsum.tinylsg.model import loss_and_grads
+
+assert cli.main(["mask-dump", "--seq-len", "4", "--out", "grid.txt"]) == 0
+words = [f"w{i}" for i in range(512)]
+vocab = build_vocab([" ".join(words)])
+model = init_model(ModelConfig(), vocab, seed=0)
+src, tgt = vocab.encode(" ".join(words)), vocab.encode(" ".join(words[:125]))
+for _ in range(2):
+    loss_and_grads(model, src, tgt, LsgConfig())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    loss_and_grads(model, src, tgt, LsgConfig())
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"mallopt": cli._keep_freed_memory(), "faults_per_call": faults / 3}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_cli_main_keeps_freed_memory_for_reuse(tmp_path):
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["mallopt"] == [1, 1]
+    # glibc's default policy returns freed temporaries to the kernel and faults
+    # them in again: thousands of faults per call.
+    assert result["faults_per_call"] < 100, result
+
+
+# ---------------------------------------------------------------------------
 # mask-dump
 # ---------------------------------------------------------------------------
 
@@ -395,6 +443,19 @@ def test_mask_dump_writes_file(tmp_path):
     out = tmp_path / "grid.txt"
     assert main(["mask-dump", "--seq-len", "4", "--block", "4", "--out", str(out)]) == 0
     assert out.read_text().strip().splitlines() == ["####"] * 4
+
+
+def test_mask_dump_seq_len_is_capped_at_the_longest_encoder_input(capsys):
+    flags = ["--max-input", "16", "--block", "4", "--global", "1"]
+    assert main(["mask-dump", "--seq-len", "17", *flags]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17
+    assert main(["mask-dump", "--seq-len", "18", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --seq-len 18 exceeds --max-input + --global (17), "
+        "the longest input the encoder sees"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +487,24 @@ def test_split_sections_non_utf8_note_is_a_runtime_error(tmp_path, capsys):
     ]
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin in UTF-8 mode, which decodes with surrogateescape."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def test_split_sections_non_utf8_stdin_is_a_runtime_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(b"CHIEF COMPLAINT\n\xff\xfe knee\n"))
+    assert main(["split-sections"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: <stdin>: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 16: "
+        "invalid start byte)"
+    ]
+
+
 def test_split_sections_json_format_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(NOTE))
+    monkeypatch.setattr("sys.stdin", _stdin(NOTE.encode()))
     assert main(["split-sections", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["preamble"] == "seen today"

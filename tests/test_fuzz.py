@@ -1,7 +1,8 @@
 """Mutation fuzzing of every file the package reads.
 
 Each test starts from a valid file: a corpus in CSV and in JSONL, a
-checkpoint, a prediction file, a report file, a chart note and the alias table. Hypothesis
+checkpoint, a prediction file, a report file, a chart note (read from a file and
+from stdin) and the alias table. Hypothesis
 edits it at the byte level (flip, delete, insert) or, for JSON, replaces or
 deletes one value of the parsed document, and feeds the result to the command
 that reads such a file. The command must succeed, or fail with exit code 2
@@ -20,6 +21,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -139,13 +141,14 @@ def _run(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def assert_fails_cleanly(argv) -> None:
-    """main(argv) returns 0, or 2 with exactly one `error:` line on stderr."""
+def assert_fails_cleanly(argv) -> int:
+    """main(argv) returns 0, or 2 with exactly one `error:` line on stderr; returns the code."""
     code, err = _run(argv)
     if code != 0:
         assert code == 2, (code, err)
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return code
 
 
 def _fuzz_file(tmp_dir, name: str, data: bytes):
@@ -206,7 +209,11 @@ def test_fuzz_report(valid, data):
 def test_fuzz_note(valid, data):
     mutated = data.draw(mutations(valid["note"].read_bytes()))
     path = _fuzz_file(valid["out"], "fuzz-note.txt", mutated)
-    assert_fails_cleanly(["split-sections", "--in", path])
+    from_file = assert_fails_cleanly(["split-sections", "--in", path])
+    # the same bytes on stdin, as sys.stdin in UTF-8 mode would carry them
+    stdin = io.TextIOWrapper(io.BytesIO(mutated), encoding="utf-8", errors="surrogateescape")
+    with mock.patch("sys.stdin", stdin):
+        assert assert_fails_cleanly(["split-sections"]) == from_file
 
 
 @FUZZ
