@@ -25,6 +25,7 @@ from .corpus import (
     PredictionSet,
     load_corpus,
     load_predictions,
+    predictions_text,
     save_predictions,
 )
 from .errors import ChartsumError
@@ -43,7 +44,6 @@ from .pipeline import (
 from .rouge import corpus_rouge
 from .sections import Section, UnknownSection, canonical_header, segment_note
 from .tinylsg import (
-    Checkpoint,
     LsgConfig,
     ModelConfig,
     TrainConfig,
@@ -78,19 +78,6 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         if action.required or action.default is None or "(default" in text:
             return text
         return super()._get_help_string(action)
-
-
-_DEFAULT_MAX_SUMMARY_TOKENS = 128
-
-# The predict flags a version-2 checkpoint supplies: flag, argparse dest, recorded field.
-_CHECKPOINT_FLAGS = (
-    ("--block", "block", "block_size"),
-    ("--stride", "stride", "sparsity_stride"),
-    ("--global", "num_global", "num_global"),
-    ("--radius", "radius", "local_radius"),
-    ("--max-input", "max_input", "max_input_tokens"),
-    ("--max-summary-tokens", "max_summary_tokens", "max_summary_tokens"),
-)
 
 
 def _positive_int(text: str) -> int:
@@ -175,8 +162,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=5e-5, help="initial learning rate")
     p.add_argument("--epochs", type=int, default=20, help="training epochs")
     p.add_argument("--batch-size", type=int, default=8, help="examples per update")
-    p.add_argument("--max-summary-tokens", type=_positive_int,
-                   default=_DEFAULT_MAX_SUMMARY_TOKENS, help="decode length cap")
+    p.add_argument("--max-summary-tokens", type=_positive_int, default=128,
+                   help="decode length cap")
 
 
 def _add_mask_flags(p: argparse.ArgumentParser, stride_default: int = 4) -> None:
@@ -285,42 +272,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _predict_settings(args, checkpoint: Checkpoint) -> tuple[LsgConfig, int]:
-    """The LSG config and decode cap `predict` applies.
-
-    A version-2 checkpoint records both, and a flag given with a different
-    value is an error. Version-1 files record neither: the flags apply, with
-    the defaults of `train`.
-    """
-    if checkpoint.lsg is None:
-        settings = {**asdict(LsgConfig()), "max_summary_tokens": _DEFAULT_MAX_SUMMARY_TOKENS}
-    else:
-        settings = {**asdict(checkpoint.lsg), "max_summary_tokens": checkpoint.max_summary_tokens}
-    for flag, dest, field in _CHECKPOINT_FLAGS:
-        given = getattr(args, dest)
-        if given is None:
-            continue
-        if checkpoint.lsg is not None and given != settings[field]:
-            raise ValueError(
-                f"{flag} {given} conflicts with {args.checkpoint}, "
-                f"which was trained with {field} {settings[field]}"
-            )
-        settings[field] = given
-    max_summary_tokens = settings.pop("max_summary_tokens")
-    return LsgConfig(**settings), max_summary_tokens
-
-
 def _cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    lsg, max_summary_tokens = _predict_settings(args, checkpoint)
-    summarizer = TinyLsgSummarizer(checkpoint.model, lsg, max_summary_tokens)
+    summarizer = TinyLsgSummarizer(
+        checkpoint.model, checkpoint.lsg, checkpoint.max_summary_tokens
+    )
     corpus = _load(args.eval, args.corpus_format, args.columns)
     entries = {e.id: summarizer.summarize(e.dialogue) for e in corpus}
     digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     predict_config = {
         "checkpoint_sha256": digest,
-        "lsg": asdict(lsg),
-        "max_summary_tokens": max_summary_tokens,
+        "lsg": asdict(checkpoint.lsg),
+        "max_summary_tokens": checkpoint.max_summary_tokens,
     }
     predictions = PredictionSet(
         approach="single",
@@ -330,15 +293,7 @@ def _cmd_predict(args) -> int:
         ).hexdigest(),
         seed=0,
     )
-    if args.out is None:
-        buffer = StringIO()
-        json.dump(
-            {"approach": predictions.approach, "entries": predictions.entries},
-            buffer, sort_keys=True, ensure_ascii=False, indent=2,
-        )
-        sys.stdout.write(buffer.getvalue() + "\n")
-    else:
-        save_predictions(predictions, args.out)
+    _write_output(predictions_text(predictions), args.out)
     return 0
 
 
@@ -491,7 +446,16 @@ def _cmd_grad_check(args) -> int:
     return 0
 
 
+# The largest grid mask-dump renders. The masks are built dense, through an
+# int64 seq-len x seq-len temporary (134 MB at 4096); the grid is 16.8 MB of text.
+_MASK_DUMP_MAX_SEQ_LEN = 4096
+
+
 def _cmd_mask_dump(args) -> int:
+    if args.seq_len > _MASK_DUMP_MAX_SEQ_LEN:
+        raise ValueError(
+            f"--seq-len {args.seq_len} exceeds the render limit {_MASK_DUMP_MAX_SEQ_LEN}"
+        )
     lsg = _lsg_from_args(args)
     longest = lsg.max_input_tokens + lsg.num_global
     if args.seq_len > longest:
@@ -534,17 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", formatter_class=fmt,
                        help="apply a trained checkpoint to a corpus",
-                       description="The mask flags and --max-summary-tokens default to the "
-                                   "values a version-2 checkpoint records, and must match "
-                                   "them when given; with a version-1 checkpoint they "
-                                   "default as for train.")
+                       description="The attention mask, source cap and decode cap are "
+                                   "the ones the checkpoint records.")
     p.add_argument("--checkpoint", required=True, help="trained model file")
     p.add_argument("--eval", required=True, help="corpus to summarize")
     p.add_argument("--out", default=None, help="prediction file (default: stdout)")
-    p.add_argument("--max-summary-tokens", type=_positive_int, help="decode length cap")
     _add_corpus_flags(p)
-    _add_mask_flags(p)
-    p.set_defaults(func=_cmd_predict, **{dest: None for _, dest, _ in _CHECKPOINT_FLAGS})
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("score", formatter_class=fmt,
                        help="ROUGE-score candidates against references")
@@ -611,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask-dump", formatter_class=fmt,
                        help="print an attention mask as a #/. grid")
     p.add_argument("--seq-len", type=int, required=True,
-                   help="mask size to render, at most --max-input + --global")
+                   help=f"mask size to render, at most {_MASK_DUMP_MAX_SEQ_LEN} and "
+                        "--max-input + --global")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     # visualization shows the local+global pattern unless sparse links are asked for
     _add_mask_flags(p, stride_default=0)

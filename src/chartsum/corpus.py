@@ -259,7 +259,8 @@ class PredictionSet:
             raise ValueError(f"unknown approach tag {self.approach!r}")
 
 
-def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
+def predictions_text(predictions: PredictionSet) -> str:
+    """The JSON text of a prediction file, as `load_predictions` reads it."""
     payload = {
         "approach": predictions.approach,
         "seed": predictions.seed,
@@ -268,8 +269,11 @@ def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
         "entries": predictions.entries,
         "extra": predictions.extra,
     }
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
+    Path(path).write_text(predictions_text(predictions), encoding="utf-8")
 
 
 def load_predictions(path: str | Path) -> PredictionSet:

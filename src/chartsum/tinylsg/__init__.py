@@ -34,7 +34,7 @@ from .train import (
     grad_check,
     train,
 )
-from .checkpoint import Checkpoint, MalformedCheckpoint, load_checkpoint, load_model, save_model
+from .checkpoint import Checkpoint, MalformedCheckpoint, load_checkpoint, save_model
 
 __all__ = [
     "LsgConfig",
@@ -66,6 +66,5 @@ __all__ = [
     "Checkpoint",
     "MalformedCheckpoint",
     "load_checkpoint",
-    "load_model",
     "save_model",
 ]

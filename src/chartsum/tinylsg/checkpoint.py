@@ -1,7 +1,7 @@
 """Versioned JSON checkpoints with bit-exact float64 parameter round trips.
 
-Version 2 also records the encoder attention pattern (`lsg`) and the decode
-cap the model was trained with; version-1 files, which lack both, still load.
+Besides the model, a checkpoint records the encoder attention pattern (`lsg`)
+and the decode cap it was trained with: everything inference needs.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ class MalformedCheckpoint(ChartsumError):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A loaded checkpoint; `lsg` and `max_summary_tokens` are None for version-1 files."""
+    """A loaded checkpoint: the model and the settings inference must reuse."""
 
     model: TinyModel
-    lsg: LsgConfig | None
-    max_summary_tokens: int | None
+    lsg: LsgConfig
+    max_summary_tokens: int
 
 
 def save_model(model: TinyModel, path: str | Path, lsg: LsgConfig, max_summary_tokens: int) -> None:
@@ -58,10 +58,7 @@ def _is_int(value) -> bool:
 
 
 def _inference_settings(path: Path, payload: dict) -> tuple[LsgConfig, int]:
-    """The `lsg` block and decode cap of a version-2 payload, fully checked."""
-    for key in ("lsg", "max_summary_tokens"):
-        if key not in payload:
-            raise MalformedCheckpoint(f"{path}: missing key {key!r}")
+    """The `lsg` block and decode cap of a payload, fully checked."""
     lsg = payload["lsg"]
     names = {f.name for f in fields(LsgConfig)}
     if not isinstance(lsg, dict) or lsg.keys() != names or not all(map(_is_int, lsg.values())):
@@ -77,11 +74,6 @@ def _inference_settings(path: Path, payload: dict) -> tuple[LsgConfig, int]:
         raise MalformedCheckpoint(f"{path}: lsg: {exc}") from exc
 
 
-def load_model(path: str | Path) -> TinyModel:
-    """The model of a checkpoint of any supported version."""
-    return load_checkpoint(path).model
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
@@ -91,15 +83,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(payload, dict):
         raise MalformedCheckpoint(f"{path}: expected a JSON object")
     version = payload.get("format_version")
-    if not _is_int(version) or version not in (1, FORMAT_VERSION):
-        raise MalformedCheckpoint(f"{path}: unsupported format version {version!r}")
-    for key in ("model_config", "vocab", "params"):
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise MalformedCheckpoint(
+            f"{path}: unsupported format version {version!r}; "
+            f"retrain with `chartsum train` to write version {FORMAT_VERSION}"
+        )
+    for key in ("model_config", "lsg", "max_summary_tokens", "vocab", "params"):
         if key not in payload:
             raise MalformedCheckpoint(f"{path}: missing key {key!r}")
-    if version == FORMAT_VERSION:
-        lsg, max_summary_tokens = _inference_settings(path, payload)
-    else:
-        lsg, max_summary_tokens = None, None
+    lsg, max_summary_tokens = _inference_settings(path, payload)
     tokens = payload["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
         raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")

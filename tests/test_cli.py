@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from chartsum.cli import build_parser, main
-from chartsum.corpus import load_predictions, save_corpus
-from chartsum.pipeline import run_report_from_dict
+from chartsum.corpus import load_corpus, load_predictions, save_corpus
+from chartsum.pipeline import TinyLsgSummarizer, run_report_from_dict
+from chartsum.tinylsg import LsgConfig, load_checkpoint
 from synthdata import synth_corpus
 
 
@@ -104,7 +105,6 @@ def test_unknown_section_name_is_a_validation_error(corpus_csv, eval_csv, capsys
 @pytest.mark.parametrize("command", [
     ["run", "--approach", "single", "--backend", "tiny-lsg", "--seed", "0",
      "--train", "missing-train.csv", "--eval", "missing-eval.csv"],
-    ["predict", "--checkpoint", "missing-model.json", "--eval", "missing-eval.csv"],
 ])
 def test_nonpositive_max_summary_tokens_fails_at_parse_time(command, value, capsys):
     # The inputs do not exist: reaching them would be a runtime error (exit 2).
@@ -191,15 +191,10 @@ options:
 """,
     "predict": """\
 usage: chartsum predict [-h] --checkpoint CHECKPOINT --eval EVAL [--out OUT]
-                        [--max-summary-tokens MAX_SUMMARY_TOKENS]
                         [--corpus-format {csv,jsonl}] [--columns COLUMNS]
-                        [--block BLOCK] [--stride STRIDE]
-                        [--global NUM_GLOBAL] [--radius RADIUS]
-                        [--max-input MAX_INPUT]
 
-The mask flags and --max-summary-tokens default to the values a version-2
-checkpoint records, and must match them when given; with a version-1
-checkpoint they default as for train.
+The attention mask, source cap and decode cap are the ones the checkpoint
+records.
 
 options:
   -h, --help            show this help message and exit
@@ -207,18 +202,10 @@ options:
                         trained model file
   --eval EVAL           corpus to summarize
   --out OUT             prediction file (default: stdout)
-  --max-summary-tokens MAX_SUMMARY_TOKENS
-                        decode length cap
   --corpus-format {csv,jsonl}
                         corpus file format (default: by extension)
   --columns COLUMNS     remap corpus columns, e.g.
                         id=encounter_id,dialogue=src,note=tgt
-  --block BLOCK         local attention block size
-  --stride STRIDE       sparse key stride (0 disables)
-  --global NUM_GLOBAL   number of global tokens
-  --radius RADIUS       adjacent-block reach
-  --max-input MAX_INPUT
-                        source token cap
 """,
     "score": """\
 usage: chartsum score [-h] --candidates CANDIDATES --references REFERENCES
@@ -355,7 +342,8 @@ usage: chartsum mask-dump [-h] --seq-len SEQ_LEN [--out OUT] [--block BLOCK]
 
 options:
   -h, --help            show this help message and exit
-  --seq-len SEQ_LEN     mask size to render, at most --max-input + --global
+  --seq-len SEQ_LEN     mask size to render, at most 4096 and --max-input +
+                        --global
   --out OUT             output path (default: stdout)
   --block BLOCK         local attention block size (default: 16)
   --stride STRIDE       sparse key stride (0 disables) (default: 0)
@@ -443,6 +431,17 @@ def test_mask_dump_writes_file(tmp_path):
     out = tmp_path / "grid.txt"
     assert main(["mask-dump", "--seq-len", "4", "--block", "4", "--out", str(out)]) == 0
     assert out.read_text().strip().splitlines() == ["####"] * 4
+
+
+def test_mask_dump_seq_len_is_capped_at_the_render_limit(tmp_path, capsys):
+    # The limit holds whatever --max-input allows; nothing is allocated here.
+    out = tmp_path / "grid.txt"
+    assert main(["mask-dump", "--seq-len", "4097", "--max-input", "8192",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --seq-len 4097 exceeds the render limit 4096"]
+    assert not out.exists()
 
 
 def test_mask_dump_seq_len_is_capped_at_the_longest_encoder_input(capsys):
@@ -572,21 +571,19 @@ def test_train_then_predict_round_trip(tmp_path, corpus_csv, eval_csv, capsys):
 
     preds_path = tmp_path / "preds.json"
     code = main(["predict", "--checkpoint", str(ckpt), "--eval", eval_csv,
-                 "--out", str(preds_path),
-                 "--block", "4", "--stride", "2", "--max-input", "64",
-                 "--max-summary-tokens", "8"])
+                 "--out", str(preds_path)])
     assert code == 0
     preds = load_predictions(preds_path)
     assert preds.approach == "single"
     assert sorted(preds.entries) == [f"synth-00{i}" for i in (6, 7, 8)]
 
-    # without --out the entries go to stdout as JSON
-    code = main(["predict", "--checkpoint", str(ckpt), "--eval", eval_csv,
-                 "--block", "4", "--stride", "2", "--max-input", "64",
-                 "--max-summary-tokens", "8"])
+    # without --out the same prediction file goes to stdout, and score reads it
+    code = main(["predict", "--checkpoint", str(ckpt), "--eval", eval_csv])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["entries"] == preds.entries
+    stdout_path = tmp_path / "stdout.json"
+    stdout_path.write_bytes(capsys.readouterr().out.encode("utf-8"))
+    assert stdout_path.read_bytes() == preds_path.read_bytes()
+    assert main(["score", "--candidates", str(stdout_path), "--references", eval_csv]) == 0
 
 
 @pytest.fixture
@@ -611,48 +608,46 @@ def test_train_records_mask_and_cap_in_checkpoint(trained_checkpoint):
 
 
 def test_predict_takes_mask_and_cap_from_checkpoint(tmp_path, trained_checkpoint, eval_csv):
-    implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
-    assert _predict(trained_checkpoint, eval_csv, implicit) == 0
-    assert _predict(trained_checkpoint, eval_csv, explicit, "--block", "4", "--stride", "2",
-                    "--max-input", "64", "--max-summary-tokens", "8", "--global", "1",
-                    "--radius", "1") == 0
-    assert implicit.read_bytes() == explicit.read_bytes()
+    out = tmp_path / "preds.json"
+    assert _predict(trained_checkpoint, eval_csv, out) == 0
+    # What TINY_MODEL_FLAGS trained with; all but --global and --radius differ from the defaults.
+    lsg = LsgConfig(block_size=4, sparsity_stride=2, max_input_tokens=64)
+    summarizer = TinyLsgSummarizer(load_checkpoint(trained_checkpoint).model, lsg, 8)
+    expected = {e.id: summarizer.summarize(e.dialogue) for e in load_corpus(eval_csv)}
+    assert load_predictions(out).entries == expected
 
 
-@pytest.mark.parametrize("flag, value, field, recorded", [
-    ("--block", "8", "block_size", "4"),
-    ("--stride", "4", "sparsity_stride", "2"),
-    ("--global", "0", "num_global", "1"),
-    ("--radius", "2", "local_radius", "1"),
-    ("--max-input", "512", "max_input_tokens", "64"),
-    ("--max-summary-tokens", "128", "max_summary_tokens", "8"),
+# Each given with the value the checkpoint records.
+@pytest.mark.parametrize("flag, value", [
+    ("--block", "4"), ("--stride", "2"), ("--global", "1"), ("--radius", "1"),
+    ("--max-input", "64"), ("--max-summary-tokens", "8"),
 ])
-def test_predict_flag_conflicting_with_checkpoint_is_a_flag_error(
-        tmp_path, trained_checkpoint, eval_csv, capsys, flag, value, field, recorded):
+def test_predict_takes_no_checkpoint_setting_flags(
+        tmp_path, trained_checkpoint, eval_csv, capsys, flag, value):
     out = tmp_path / "preds.json"
     capsys.readouterr()
     assert _predict(trained_checkpoint, eval_csv, out, flag, value) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: {flag} {value} conflicts with {trained_checkpoint}, "
-                   f"which was trained with {field} {recorded}\n")
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: chartsum [-h] command ...",
+        f"chartsum: error: unrecognized arguments: {flag} {value}",
+    ]
     assert not out.exists()
 
 
-def test_predict_version_1_checkpoint_uses_flags(tmp_path, trained_checkpoint, eval_csv):
+def test_predict_version_1_checkpoint_is_a_runtime_error(
+        tmp_path, trained_checkpoint, eval_csv, capsys):
     payload = json.loads(trained_checkpoint.read_text())
     del payload["lsg"], payload["max_summary_tokens"]
     payload["format_version"] = 1
-    old = tmp_path / "v1.json"
-    old.write_text(json.dumps(payload))
-    v1_out, v2_out = tmp_path / "v1-preds.json", tmp_path / "v2-preds.json"
-    mask_flags = ["--block", "4", "--stride", "2", "--max-input", "64", "--max-summary-tokens", "8"]
-    assert _predict(old, eval_csv, v1_out, *mask_flags) == 0
-    assert _predict(trained_checkpoint, eval_csv, v2_out) == 0
-    assert load_predictions(v1_out).entries == load_predictions(v2_out).entries
-    # Without flags a version-1 file gets the train defaults, which differ here.
-    assert _predict(old, eval_csv, tmp_path / "defaults.json", "--max-summary-tokens", "2") == 0
-    defaults = load_predictions(tmp_path / "defaults.json").entries
-    assert all(len(text.split()) <= 2 for text in defaults.values())
+    trained_checkpoint.write_text(json.dumps(payload))
+    out = tmp_path / "preds.json"
+    capsys.readouterr()
+    assert _predict(trained_checkpoint, eval_csv, out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {trained_checkpoint}: unsupported format version 1; "
+        "retrain with `chartsum train` to write version 2\n"
+    )
+    assert not out.exists()
 
 
 def test_predict_malformed_checkpoint_settings_is_a_runtime_error(
