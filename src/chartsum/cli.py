@@ -40,6 +40,7 @@ from .pipeline import (
     run_approach,
     run_report_from_dict,
     run_report_to_dict,
+    train_tiny_lsg,
 )
 from .rouge import corpus_rouge
 from .sections import Section, UnknownSection, canonical_header, segment_note
@@ -51,10 +52,7 @@ from .tinylsg import (
     grad_check,
     init_model,
     load_checkpoint,
-    lsg_mask,
-    mask_density,
     save_model,
-    train,
 )
 
 
@@ -166,9 +164,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="decode length cap")
 
 
-def _add_mask_flags(p: argparse.ArgumentParser, stride_default: int = 4) -> None:
+def _add_mask_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block", type=int, default=16, help="local attention block size")
-    p.add_argument("--stride", type=int, default=stride_default,
+    p.add_argument("--stride", type=int, default=4,
                    help="sparse key stride (0 disables)")
     p.add_argument("--global", dest="num_global", type=int, default=1,
                    help="number of global tokens")
@@ -196,10 +194,9 @@ def _model_from_args(args) -> ModelConfig:
     )
 
 
-def _backend_from_args(args, kind: str) -> BackendSpec:
+def _backend_from_args(args, **fields) -> BackendSpec:
+    """The model, mask and training flags as a BackendSpec; `fields` sets the rest."""
     return BackendSpec(
-        kind=kind,
-        extract_k=args.extract_k,
         model=_model_from_args(args),
         lsg=_lsg_from_args(args),
         train=TrainConfig(
@@ -208,6 +205,7 @@ def _backend_from_args(args, kind: str) -> BackendSpec:
         max_summary_tokens=args.max_summary_tokens,
         min_freq=args.min_freq,
         init_scale=args.init_scale,
+        **fields,
     )
 
 
@@ -258,15 +256,11 @@ def _cmd_train(args) -> int:
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
     if not pairs:
         raise ChartsumError(f"{args.train}: no encounters with reference notes")
-    lsg = _lsg_from_args(args)
-    vocab = build_vocab([text for pair in pairs for text in pair], min_freq=args.min_freq)
-    model = init_model(_model_from_args(args), vocab, seed=args.seed, init_scale=args.init_scale)
-    print(f"vocabulary {vocab.size} tokens, {model.num_params} parameters", file=sys.stderr)
-    tc = TrainConfig(
-        initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
+    backend = _backend_from_args(args)
+    trained, history = train_tiny_lsg(
+        backend, pairs, args.seed, log=lambda line: print(line, file=sys.stderr)
     )
-    trained, history = train(model, pairs, tc, lsg, log=lambda line: print(line, file=sys.stderr))
-    save_model(trained, args.checkpoint, lsg, args.max_summary_tokens)
+    save_model(trained, args.checkpoint, backend.lsg, backend.max_summary_tokens)
     print(f"final loss {history[-1]:.6f}; checkpoint written to {args.checkpoint}",
           file=sys.stderr)
     return 0
@@ -297,8 +291,19 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _load_candidates(path: str, fmt: str | None, columns: str | None) -> dict[str, str]:
+def _is_prediction_file(path: str) -> bool:
+    """A `.json` name, or text that parses as a JSON object holding `entries`."""
     if path.endswith(".json"):
+        return True
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except ValueError:  # not JSON, or not Unicode text: a corpus, or a broken one
+        return False
+    return isinstance(payload, dict) and "entries" in payload
+
+
+def _load_candidates(path: str, fmt: str | None, columns: str | None) -> dict[str, str]:
+    if _is_prediction_file(path):
         return dict(load_predictions(path).entries)
     corpus = _load(path, fmt, columns)
     texts = {}
@@ -380,10 +385,10 @@ def _cmd_run(args) -> int:
     eval_corpus = _load(args.eval, args.corpus_format, args.columns)
     stage2 = None
     if args.approach == "multi-layer":
-        stage2 = _backend_from_args(args, args.stage2_backend)
+        stage2 = _backend_from_args(args, kind=args.stage2_backend, extract_k=args.extract_k)
     cfg = ApproachConfig(
         approach=args.approach,
-        backend=_backend_from_args(args, args.backend),
+        backend=_backend_from_args(args, kind=args.backend, extract_k=args.extract_k),
         sections=_parse_sections(args.sections),
         stage2=stage2,
         seed=args.seed,
@@ -443,30 +448,6 @@ def _cmd_grad_check(args) -> int:
         print(f"error: gradient error {err:.3e} exceeds threshold {args.threshold:.3e}",
               file=sys.stderr)
         return 2
-    return 0
-
-
-# The largest grid mask-dump renders. The masks are built dense, through an
-# int64 seq-len x seq-len temporary (134 MB at 4096); the grid is 16.8 MB of text.
-_MASK_DUMP_MAX_SEQ_LEN = 4096
-
-
-def _cmd_mask_dump(args) -> int:
-    if args.seq_len > _MASK_DUMP_MAX_SEQ_LEN:
-        raise ValueError(
-            f"--seq-len {args.seq_len} exceeds the render limit {_MASK_DUMP_MAX_SEQ_LEN}"
-        )
-    lsg = _lsg_from_args(args)
-    longest = lsg.max_input_tokens + lsg.num_global
-    if args.seq_len > longest:
-        raise ValueError(
-            f"--seq-len {args.seq_len} exceeds --max-input + --global ({longest}), "
-            "the longest input the encoder sees"
-        )
-    mask = lsg_mask(args.seq_len, lsg)
-    grid = "\n".join("".join("#" if allowed else "." for allowed in row) for row in mask)
-    print(f"allowed fraction {mask_density(mask):.4f}", file=sys.stderr)
-    _write_output(grid + "\n", args.out)
     return 0
 
 
@@ -567,16 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1e-4, help="failure threshold")
     _add_mask_flags(p)
     p.set_defaults(func=_cmd_grad_check)
-
-    p = sub.add_parser("mask-dump", formatter_class=fmt,
-                       help="print an attention mask as a #/. grid")
-    p.add_argument("--seq-len", type=int, required=True,
-                   help=f"mask size to render, at most {_MASK_DUMP_MAX_SEQ_LEN} and "
-                        "--max-input + --global")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    # visualization shows the local+global pattern unless sparse links are asked for
-    _add_mask_flags(p, stride_default=0)
-    p.set_defaults(func=_cmd_mask_dump)
 
     return parser
 

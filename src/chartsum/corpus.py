@@ -83,15 +83,8 @@ class Encounter:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    path: str
-    format: str
-
-
-@dataclass(frozen=True)
 class Corpus:
     encounters: tuple[Encounter, ...]
-    provenance: Provenance
 
     def __len__(self) -> int:
         return len(self.encounters)
@@ -144,7 +137,7 @@ def load_corpus(
     except csv.Error as exc:
         # For example a field over csv.field_size_limit() (128 KiB by default).
         raise MalformedFile(f"{path}: {exc}") from exc
-    return Corpus(encounters=tuple(encounters), provenance=Provenance(str(path), format))
+    return Corpus(encounters=tuple(encounters))
 
 
 def _load_csv(path: Path, cols: dict[str, str]) -> list[Encounter]:
@@ -234,8 +227,8 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     train_idx = sorted(indices[:n_train])
     val_idx = sorted(indices[n_train:])
     return (
-        Corpus(tuple(corpus.encounters[i] for i in train_idx), corpus.provenance),
-        Corpus(tuple(corpus.encounters[i] for i in val_idx), corpus.provenance),
+        Corpus(tuple(corpus.encounters[i] for i in train_idx)),
+        Corpus(tuple(corpus.encounters[i] for i in val_idx)),
     )
 
 

@@ -20,7 +20,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from io import StringIO
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import APPROACH_TAGS, Corpus, MalformedFile, PredictionSet, _NUMBER, _typed
 from .errors import ChartsumError
@@ -237,6 +237,24 @@ def _reference_lookup(*corpora: Corpus) -> dict[str, str]:
     return refs
 
 
+def train_tiny_lsg(
+    backend: BackendSpec,
+    pairs: Sequence[tuple[str, str]],
+    seed: int,
+    log: Callable[[str], None] | None = None,
+) -> tuple[TinyModel, list[float]]:
+    """Build a vocabulary over `pairs`, then initialise and train a model with `seed`.
+
+    Returns the trained model and its per-epoch mean losses. `log`, when given,
+    receives a `vocabulary N tokens, P parameters` line, then one line per epoch.
+    """
+    vocab = build_vocab([text for pair in pairs for text in pair], min_freq=backend.min_freq)
+    model = init_model(backend.model, vocab, seed=seed, init_scale=backend.init_scale)
+    if log is not None:
+        log(f"vocabulary {vocab.size} tokens, {model.num_params} parameters")
+    return train(model, pairs, replace(backend.train, seed=seed), backend.lsg, log=log)
+
+
 def _build_summarizer(
     backend: BackendSpec,
     pairs: Sequence[tuple[str, str]],
@@ -249,11 +267,7 @@ def _build_summarizer(
         return OracleSummarizer(references)
     if backend.kind == "extractive":
         return ExtractiveSummarizer(backend.extract_k)
-    vocab = build_vocab(
-        [text for pair in pairs for text in pair], min_freq=backend.min_freq
-    )
-    model = init_model(backend.model, vocab, seed=seed, init_scale=backend.init_scale)
-    trained, _ = train(model, pairs, replace(backend.train, seed=seed), backend.lsg)
+    trained, _ = train_tiny_lsg(backend, pairs, seed)
     return TinyLsgSummarizer(trained, backend.lsg, backend.max_summary_tokens)
 
 

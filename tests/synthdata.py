@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from chartsum.corpus import Corpus, Encounter, Provenance
+from chartsum.corpus import Corpus, Encounter
 
 _COMPLAINTS = ["knee pain", "elbow soreness", "wrist stiffness", "ankle swelling", "hip ache"]
 _DURATIONS = ["two", "three", "four", "five", "six", "seven", "eight", "nine"]
@@ -74,7 +74,7 @@ def synth_corpus(n: int, start: int = 0, label: str = "synth") -> Corpus:
         Encounter(id=f"{label}-{i:03d}", dialogue=synth_dialogue(i), note=synth_note(i))
         for i in range(start, start + n)
     )
-    return Corpus(encounters=encounters, provenance=Provenance(label, "csv"))
+    return Corpus(encounters=encounters)
 
 
 # Words safe for random note bodies: no combination canonicalizes to a header alias.

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import platform
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -335,29 +337,37 @@ options:
   --max-input MAX_INPUT
                         source token cap (default: 512)
 """,
-    "mask-dump": """\
-usage: chartsum mask-dump [-h] --seq-len SEQ_LEN [--out OUT] [--block BLOCK]
-                          [--stride STRIDE] [--global NUM_GLOBAL]
-                          [--radius RADIUS] [--max-input MAX_INPUT]
-
-options:
-  -h, --help            show this help message and exit
-  --seq-len SEQ_LEN     mask size to render, at most 4096 and --max-input +
-                        --global
-  --out OUT             output path (default: stdout)
-  --block BLOCK         local attention block size (default: 16)
-  --stride STRIDE       sparse key stride (0 disables) (default: 0)
-  --global NUM_GLOBAL   number of global tokens (default: 1)
-  --radius RADIUS       adjacent-block reach (default: 1)
-  --max-input MAX_INPUT
-                        source token cap (default: 512)
-""",
 }
 
 
+def _subcommands() -> set[str]:
+    return set(build_parser()._subparsers._group_actions[0].choices)
+
+
 def test_help_text_is_pinned_for_every_subcommand():
-    subcommands = build_parser()._subparsers._group_actions[0].choices
-    assert set(subcommands) == set(HELP_TEXT)
+    assert _subcommands() == set(HELP_TEXT)
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The `chartsum` command lines of the README's CLI code block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "chartsum", line
+            redirect = [i for i, word in enumerate(words) if word in ("<", ">", "|")]
+            commands.append(words[1 : redirect[0] if redirect else None])
+    return commands
+
+
+def test_readme_cli_examples_parse_and_name_every_subcommand():
+    parser = build_parser()
+    commands = _readme_cli_commands()
+    for argv in commands:
+        parser.parse_args(argv)  # a stale flag or subcommand exits here
+    assert {argv[0] for argv in commands} == _subcommands()
 
 
 @pytest.mark.parametrize("command", sorted(HELP_TEXT))
@@ -376,11 +386,13 @@ def test_subcommand_help_states_each_default_once(command, capsys, monkeypatch):
 # 125 target tokens, default model and mask).
 _FAULT_PROBE = """
 import json, resource
+from pathlib import Path
 from chartsum import cli
 from chartsum.tinylsg import LsgConfig, ModelConfig, build_vocab, init_model
 from chartsum.tinylsg.model import loss_and_grads
 
-assert cli.main(["mask-dump", "--seq-len", "4", "--out", "grid.txt"]) == 0
+Path("note.txt").write_text("CHIEF COMPLAINT: knee pain\\n")
+assert cli.main(["split-sections", "--in", "note.txt", "--out", "sections.txt"]) == 0
 words = [f"w{i}" for i in range(512)]
 vocab = build_vocab([" ".join(words)])
 model = init_model(ModelConfig(), vocab, seed=0)
@@ -408,53 +420,6 @@ def test_cli_main_keeps_freed_memory_for_reuse(tmp_path):
     # glibc's default policy returns freed temporaries to the kernel and faults
     # them in again: thousands of faults per call.
     assert result["faults_per_call"] < 100, result
-
-
-# ---------------------------------------------------------------------------
-# mask-dump
-# ---------------------------------------------------------------------------
-
-def test_mask_dump_matches_worked_example(capsys):
-    # stride defaults to 0 for this command, so the bare invocation
-    # reproduces the hand-enumerated local+global grid
-    code = main(["mask-dump", "--seq-len", "12", "--block", "4", "--global", "1"])
-    assert code == 0
-    captured = capsys.readouterr()
-    rows = captured.out.strip().splitlines()
-    assert len(rows) == 12
-    assert rows[9] == "#...########"
-    assert rows[0] == "#" * 12
-    assert "allowed fraction" in captured.err
-
-
-def test_mask_dump_writes_file(tmp_path):
-    out = tmp_path / "grid.txt"
-    assert main(["mask-dump", "--seq-len", "4", "--block", "4", "--out", str(out)]) == 0
-    assert out.read_text().strip().splitlines() == ["####"] * 4
-
-
-def test_mask_dump_seq_len_is_capped_at_the_render_limit(tmp_path, capsys):
-    # The limit holds whatever --max-input allows; nothing is allocated here.
-    out = tmp_path / "grid.txt"
-    assert main(["mask-dump", "--seq-len", "4097", "--max-input", "8192",
-                 "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: --seq-len 4097 exceeds the render limit 4096"]
-    assert not out.exists()
-
-
-def test_mask_dump_seq_len_is_capped_at_the_longest_encoder_input(capsys):
-    flags = ["--max-input", "16", "--block", "4", "--global", "1"]
-    assert main(["mask-dump", "--seq-len", "17", *flags]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 17
-    assert main(["mask-dump", "--seq-len", "18", *flags]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: --seq-len 18 exceeds --max-input + --global (17), "
-        "the longest input the encoder sees"
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +511,16 @@ def test_score_json_structure(corpus_csv, capsys):
     assert len(payload["per_document"]) == 6
 
 
+def test_score_tells_a_prediction_file_by_its_content(tmp_path, eval_csv, capsys):
+    preds = tmp_path / "preds.out"
+    entries = {e.id: e.note for e in load_corpus(eval_csv)}
+    preds.write_text(json.dumps({"approach": "single", "config_hash": "", "seed": 0,
+                                 "entries": entries}))
+    assert main(["score", "--candidates", str(preds), "--references", eval_csv,
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "AGGREGATE,1.0000,1.0000,1.0000"
+
+
 def test_score_with_column_remap(tmp_path, capsys):
     path = tmp_path / "weird.csv"
     path.write_text("k,d,n\ne1,hello there,note text here\n")
@@ -584,6 +559,19 @@ def test_train_then_predict_round_trip(tmp_path, corpus_csv, eval_csv, capsys):
     stdout_path.write_bytes(capsys.readouterr().out.encode("utf-8"))
     assert stdout_path.read_bytes() == preds_path.read_bytes()
     assert main(["score", "--candidates", str(stdout_path), "--references", eval_csv]) == 0
+
+
+def test_train_then_predict_matches_run_single(tmp_path, corpus_csv, eval_csv, capsys):
+    ckpt, preds = tmp_path / "model.json", tmp_path / "preds.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt),
+                 "--seed", "3", *TINY_MODEL_FLAGS]) == 0
+    assert re.match(r"vocabulary \d+ tokens, \d+ parameters\n", capsys.readouterr().err)
+    assert main(["predict", "--checkpoint", str(ckpt), "--eval", eval_csv,
+                 "--out", str(preds)]) == 0
+    assert main(["run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,
+                 "--seed", "3", "--out-dir", str(tmp_path / "run"), *TINY_MODEL_FLAGS]) == 0
+    run_preds = load_predictions(tmp_path / "run" / "predictions.json")
+    assert load_predictions(preds).entries == run_preds.entries
 
 
 @pytest.fixture

@@ -43,7 +43,6 @@ def test_load_csv_basic(tmp_path):
     assert corpus.encounters[0].note == "CC\n\nfine\n"
     assert corpus.encounters[1].note is None
     assert [e.id for e in corpus.labeled()] == ["e1"]
-    assert corpus.provenance.format == "csv"
 
 
 def test_load_csv_note_column_optional(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartsum.corpus import Corpus, Encounter, PredictionSet, Provenance
+from chartsum.corpus import Corpus, Encounter, PredictionSet
 from chartsum.pipeline import (
     DIVISIONS,
     ApproachConfig,
@@ -308,7 +308,6 @@ def test_approach1_tiny_lsg_memorizes_references_when_eval_is_train():
             Encounter(id=f"m-{i}", dialogue=src, note=tgt)
             for i, (src, tgt) in enumerate(MEMO_PAIRS)
         ),
-        provenance=Provenance("memo", "csv"),
     )
     backend = BackendSpec(
         kind="tiny-lsg",
@@ -383,7 +382,7 @@ def test_approach2_no_sections_at_all_raises():
         Encounter(id=f"p{i}", dialogue="talk talk", note="plain text, no headers")
         for i in range(2)
     )
-    flat = Corpus(encounters=enc, provenance=Provenance("mem", "csv"))
+    flat = Corpus(encounters=enc)
     cfg = ApproachConfig(approach="section-wise", backend=ORACLE)
     with pytest.raises(PipelineError):
         run_approach(flat, flat, cfg)
@@ -480,7 +479,7 @@ def repeat_corpus():
     dialogues = [e.dialogue for e in synth_corpus(2, start=20)]
     texts = [dialogues[0], dialogues[0], dialogues[1], dialogues[0], "", "...", "", dialogues[1]]
     encounters = tuple(Encounter(id=f"r{i}", dialogue=text) for i, text in enumerate(texts))
-    return Corpus(encounters=encounters, provenance=Provenance("mem", "csv"))
+    return Corpus(encounters=encounters)
 
 
 SECTION_BLIND = [BackendSpec(kind="extractive", extract_k=k) for k in range(1, 6)] + [IDENTITY]
@@ -638,7 +637,6 @@ def test_evaluate_two_document_divisions_match_hand_means():
             Encounter(id="d1", dialogue="talk", note=shared + ref_plan),
             Encounter(id="d2", dialogue="talk", note=shared + "rest and ice"),
         ),
-        provenance=Provenance("hand", "csv"),
     )
     preds = PredictionSet(
         approach="single",
@@ -672,10 +670,7 @@ def test_evaluate_missing_reference_raises():
     preds = PredictionSet(approach="single", entries={"ghost-999": "text"})
     with pytest.raises(MissingReference):
         evaluate(preds, eval_c)
-    unlabeled = Corpus(
-        encounters=(Encounter(id="u1", dialogue="hi"),),
-        provenance=Provenance("mem", "csv"),
-    )
+    unlabeled = Corpus(encounters=(Encounter(id="u1", dialogue="hi"),))
     with pytest.raises(MissingReference):
         evaluate(PredictionSet(approach="single", entries={"u1": "text"}), unlabeled)
 
