@@ -1,8 +1,8 @@
 """Single `chartsum` executable: section splitting, training, prediction, scoring, reports.
 
-Exit codes: 0 success, 1 bad flag or flag value, 2 runtime error (a missing file,
-any malformed input file, a failed gradient check). Diagnostics go to stderr;
-data goes to stdout or the requested output path.
+Exit codes: 0 success, 1 bad flag or flag value, 2 runtime error (a missing file
+or any malformed input file). Diagnostics go to stderr; data goes to stdout or
+the requested output path.
 """
 
 from __future__ import annotations
@@ -39,21 +39,12 @@ from .pipeline import (
     round4,
     run_approach,
     run_report_from_dict,
-    run_report_to_dict,
+    scores_to_dict,
     train_tiny_lsg,
 )
 from .rouge import corpus_rouge
 from .sections import Section, UnknownSection, canonical_header, segment_note
-from .tinylsg import (
-    LsgConfig,
-    ModelConfig,
-    TrainConfig,
-    build_vocab,
-    grad_check,
-    init_model,
-    load_checkpoint,
-    save_model,
-)
+from .tinylsg import LsgConfig, ModelConfig, TrainConfig, load_checkpoint, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,31 +165,23 @@ def _add_mask_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-input", type=int, default=512, help="source token cap")
 
 
-def _lsg_from_args(args) -> LsgConfig:
-    return LsgConfig(
-        block_size=args.block,
-        sparsity_stride=args.stride,
-        num_global=args.num_global,
-        max_input_tokens=args.max_input,
-        local_radius=args.radius,
-    )
-
-
-def _model_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        d_model=args.d_model,
-        n_heads=args.heads,
-        n_layers_enc=args.enc_layers,
-        n_layers_dec=args.dec_layers,
-        d_ff=args.d_ff,
-    )
-
-
 def _backend_from_args(args, **fields) -> BackendSpec:
     """The model, mask and training flags as a BackendSpec; `fields` sets the rest."""
     return BackendSpec(
-        model=_model_from_args(args),
-        lsg=_lsg_from_args(args),
+        model=ModelConfig(
+            d_model=args.d_model,
+            n_heads=args.heads,
+            n_layers_enc=args.enc_layers,
+            n_layers_dec=args.dec_layers,
+            d_ff=args.d_ff,
+        ),
+        lsg=LsgConfig(
+            block_size=args.block,
+            sparsity_stride=args.stride,
+            num_global=args.num_global,
+            max_input_tokens=args.max_input,
+            local_radius=args.radius,
+        ),
         train=TrainConfig(
             initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
         ),
@@ -325,21 +308,7 @@ def _cmd_score(args) -> int:
     scores = corpus_rouge(pairs)
     metrics = ("rouge1", "rouge2", "rougeL")
     if args.format == "json":
-        payload = {
-            "aggregate": {
-                m: {
-                    "precision": getattr(scores, m).precision,
-                    "recall": getattr(scores, m).recall,
-                    "f1": getattr(scores, m).f1,
-                }
-                for m in metrics
-            },
-            "per_document": {
-                eid: {m: getattr(doc, m).f1 for m in metrics}
-                for eid, doc in scores.per_document.items()
-            },
-        }
-        rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        rendered = json.dumps(scores_to_dict(scores), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         buffer = StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -401,10 +370,7 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         save_predictions(predictions, out_dir / "predictions.json")
         (out_dir / "report.txt").write_text(report([run]), encoding="utf-8")
-        (out_dir / "report.json").write_text(
-            json.dumps([run_report_to_dict(run)], sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        (out_dir / "report.json").write_text(report([run], format="json"), encoding="utf-8")
     sys.stdout.write(rendered)
     return 0
 
@@ -424,30 +390,6 @@ def _cmd_report(args) -> int:
             except MalformedFile as exc:
                 raise MalformedFile(f"{path}: run {index}: {exc}") from None
     _write_output(report(runs, format=args.format), args.out)
-    return 0
-
-
-_GRAD_CHECK_SRC = "patient reports sharp pain in the left knee after a fall"
-_GRAD_CHECK_TGT = "left knee pain after fall"
-
-
-def _cmd_grad_check(args) -> int:
-    vocab = build_vocab([_GRAD_CHECK_SRC, _GRAD_CHECK_TGT], min_freq=1)
-    model = init_model(_model_from_args(args), vocab, seed=args.seed, init_scale=args.init_scale)
-    lsg = _lsg_from_args(args)
-    err = grad_check(
-        model,
-        (vocab.encode(_GRAD_CHECK_SRC), vocab.encode(_GRAD_CHECK_TGT)),
-        epsilon=args.eps,
-        n_params_sampled=args.samples,
-        seed=args.seed,
-        lsg=lsg,
-    )
-    sys.stdout.write(f"max_gradient_error {err:.3e}\n")
-    if err >= args.threshold:
-        print(f"error: gradient error {err:.3e} exceeds threshold {args.threshold:.3e}",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -527,27 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", formatter_class=fmt,
                        help="render comparison tables from saved run reports")
     p.add_argument("--in", dest="infiles", nargs="+", required=True,
-                   help="report.json files from `run --out-dir`")
+                   help="run reports: report.json or `--format json` output")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",
                    help="report rendering")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("grad-check", formatter_class=fmt,
-                       help="compare analytic gradients against finite differences")
-    p.add_argument("--d-model", type=int, default=8, help="embedding width")
-    p.add_argument("--heads", type=int, default=1, help="attention heads")
-    p.add_argument("--enc-layers", type=int, default=1, help="encoder layers")
-    p.add_argument("--dec-layers", type=int, default=1, help="decoder layers")
-    p.add_argument("--d-ff", type=int, default=16, help="feed-forward width")
-    p.add_argument("--init-scale", type=float, default=0.5,
-                   help="weight init stddev (larger keeps gradients well-conditioned)")
-    p.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--samples", type=int, default=200, help="parameters to sample")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--threshold", type=float, default=1e-4, help="failure threshold")
-    _add_mask_flags(p)
-    p.set_defaults(func=_cmd_grad_check)
 
     return parser
 

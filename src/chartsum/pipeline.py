@@ -506,7 +506,10 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def report(runs: Sequence[RunReport], format: str = "table") -> str:
-    """Two comparison tables (full-note metrics; division breakdown), one row per run."""
+    """Two comparison tables (full-note metrics; division breakdown), one row per run.
+
+    "json" gives the loss-free `run_report_to_dict` list, the form `report.json` holds.
+    """
     if not runs:
         raise ValueError("need at least one run to report")
     rows = _report_rows(runs)
@@ -537,43 +540,36 @@ def report(runs: Sequence[RunReport], format: str = "table") -> str:
             writer.writerow([r[c] for c in columns])
         return buffer.getvalue()
     if format == "json":
-        payload = [
-            {
-                **{k: (v if k == "approach" else float(v)) for k, v in r.items()},
-                "config_hash": run.config_hash,
-                "seed": run.seed,
-                "n_documents": run.n_documents,
-                "skipped_divisions": run.skipped_divisions,
-                "unknown_sections": run.unknown_sections,
-                "division_metric": run.division_metric,
-            }
-            for r, run in zip(rows, runs)
-        ]
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps([run_report_to_dict(r) for r in runs], sort_keys=True, indent=2) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _score_to_dict(score) -> dict[str, float]:
-    return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
+_SCORE_FIELDS = ("precision", "recall", "f1")
+_METRICS = ("rouge1", "rouge2", "rougeL")
+
+
+def _metrics_to_dict(scores: AggregateScores | DocumentScores) -> dict[str, dict[str, float]]:
+    return {
+        metric: {name: getattr(getattr(scores, metric), name) for name in _SCORE_FIELDS}
+        for metric in _METRICS
+    }
+
+
+def scores_to_dict(scores: AggregateScores) -> dict:
+    """Loss-free JSON form of corpus ROUGE: each metric, then each document's."""
+    return {
+        **_metrics_to_dict(scores),
+        "per_document": {
+            doc_id: _metrics_to_dict(doc) for doc_id, doc in scores.per_document.items()
+        },
+    }
 
 
 def run_report_to_dict(run: RunReport) -> dict:
     """Loss-free JSON form of a RunReport (floats unrounded)."""
     return {
         "approach": run.approach,
-        "scores": {
-            "rouge1": _score_to_dict(run.scores.rouge1),
-            "rouge2": _score_to_dict(run.scores.rouge2),
-            "rougeL": _score_to_dict(run.scores.rougeL),
-            "per_document": {
-                doc_id: {
-                    "rouge1": _score_to_dict(doc.rouge1),
-                    "rouge2": _score_to_dict(doc.rouge2),
-                    "rougeL": _score_to_dict(doc.rougeL),
-                }
-                for doc_id, doc in run.scores.per_document.items()
-            },
-        },
+        "scores": scores_to_dict(run.scores),
         "division_f1": {div.value: run.division_f1[div] for div in DIVISIONS},
         "division_average": run.division_average,
         "division_metric": run.division_metric,
@@ -583,10 +579,6 @@ def run_report_to_dict(run: RunReport) -> dict:
         "skipped_divisions": run.skipped_divisions,
         "unknown_sections": run.unknown_sections,
     }
-
-
-_SCORE_FIELDS = ("precision", "recall", "f1")
-_METRICS = ("rouge1", "rouge2", "rougeL")
 
 
 def run_report_from_dict(payload: Mapping) -> RunReport:

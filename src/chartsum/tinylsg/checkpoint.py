@@ -57,21 +57,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _inference_settings(path: Path, payload: dict) -> tuple[LsgConfig, int]:
-    """The `lsg` block and decode cap of a payload, fully checked."""
-    lsg = payload["lsg"]
-    names = {f.name for f in fields(LsgConfig)}
-    if not isinstance(lsg, dict) or lsg.keys() != names or not all(map(_is_int, lsg.values())):
+def _integer_config(path: Path, payload: dict, key: str, cls):
+    """`cls` built from `payload[key]`, an object holding exactly cls's fields as integers."""
+    block = payload[key]
+    names = {f.name for f in fields(cls)}
+    if not isinstance(block, dict) or block.keys() != names or not all(map(_is_int, block.values())):
         raise MalformedCheckpoint(
-            f"{path}: lsg must be an object of the integers {', '.join(sorted(names))}"
+            f"{path}: {key} must be an object of the integers {', '.join(sorted(names))}"
         )
-    cap = payload["max_summary_tokens"]
-    if not _is_int(cap) or cap < 1:
-        raise MalformedCheckpoint(f"{path}: max_summary_tokens must be an integer >= 1, got {cap!r}")
     try:
-        return LsgConfig(**lsg), cap
+        return cls(**block)
     except ValueError as exc:
-        raise MalformedCheckpoint(f"{path}: lsg: {exc}") from exc
+        raise MalformedCheckpoint(f"{path}: {key}: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -91,12 +88,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for key in ("model_config", "lsg", "max_summary_tokens", "vocab", "params"):
         if key not in payload:
             raise MalformedCheckpoint(f"{path}: missing key {key!r}")
-    lsg, max_summary_tokens = _inference_settings(path, payload)
+    config = _integer_config(path, payload, "model_config", ModelConfig)
+    lsg = _integer_config(path, payload, "lsg", LsgConfig)
+    max_summary_tokens = payload["max_summary_tokens"]
+    if not _is_int(max_summary_tokens) or max_summary_tokens < 1:
+        raise MalformedCheckpoint(
+            f"{path}: max_summary_tokens must be an integer >= 1, got {max_summary_tokens!r}"
+        )
     tokens = payload["vocab"]
     if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
         raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")
     try:
-        config = ModelConfig(**payload["model_config"])
         vocab = Vocab(id_to_token=tuple(tokens))
         params = {}
         for name, record in payload["params"].items():

@@ -299,43 +299,10 @@ usage: chartsum report [-h] --in INFILES [INFILES ...]
 options:
   -h, --help            show this help message and exit
   --in INFILES [INFILES ...]
-                        report.json files from `run --out-dir`
+                        run reports: report.json or `--format json` output
   --format {table,csv,json}
                         report rendering (default: table)
   --out OUT             output path (default: stdout)
-""",
-    "grad-check": """\
-usage: chartsum grad-check [-h] [--d-model D_MODEL] [--heads HEADS]
-                           [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
-                           [--d-ff D_FF] [--init-scale INIT_SCALE] [--eps EPS]
-                           [--samples SAMPLES] [--seed SEED]
-                           [--threshold THRESHOLD] [--block BLOCK]
-                           [--stride STRIDE] [--global NUM_GLOBAL]
-                           [--radius RADIUS] [--max-input MAX_INPUT]
-
-options:
-  -h, --help            show this help message and exit
-  --d-model D_MODEL     embedding width (default: 8)
-  --heads HEADS         attention heads (default: 1)
-  --enc-layers ENC_LAYERS
-                        encoder layers (default: 1)
-  --dec-layers DEC_LAYERS
-                        decoder layers (default: 1)
-  --d-ff D_FF           feed-forward width (default: 16)
-  --init-scale INIT_SCALE
-                        weight init stddev (larger keeps gradients well-
-                        conditioned) (default: 0.5)
-  --eps EPS             finite-difference step (default: 1e-05)
-  --samples SAMPLES     parameters to sample (default: 200)
-  --seed SEED           random seed (default: 0)
-  --threshold THRESHOLD
-                        failure threshold (default: 0.0001)
-  --block BLOCK         local attention block size (default: 16)
-  --stride STRIDE       sparse key stride (0 disables) (default: 4)
-  --global NUM_GLOBAL   number of global tokens (default: 1)
-  --radius RADIUS       adjacent-block reach (default: 1)
-  --max-input MAX_INPUT
-                        source token cap (default: 512)
 """,
 }
 
@@ -345,13 +312,19 @@ def _subcommands() -> set[str]:
 
 
 def test_help_text_is_pinned_for_every_subcommand():
-    assert _subcommands() == set(HELP_TEXT)
+    assert _subcommands() == set(HELP_TEXT) == {
+        "split-sections", "train", "predict", "score", "run", "report",
+    }
+
+
+def _readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## CLI\n", 1)[1]
 
 
 def _readme_cli_commands() -> list[list[str]]:
     """The `chartsum` command lines of the README's CLI code block, as argv lists."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("\n```", 1)[0]
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
         words = shlex.split(line, comments=True)
@@ -368,6 +341,7 @@ def test_readme_cli_examples_parse_and_name_every_subcommand():
     for argv in commands:
         parser.parse_args(argv)  # a stale flag or subcommand exits here
     assert {argv[0] for argv in commands} == _subcommands()
+    assert "One executable, `chartsum`, with six subcommands." in _readme_cli_section()
 
 
 @pytest.mark.parametrize("command", sorted(HELP_TEXT))
@@ -507,8 +481,12 @@ def test_score_json_structure(corpus_csv, capsys):
         "--format", "json",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["aggregate"]["rouge1"]["f1"] == 1.0
+    assert set(payload) == {"rouge1", "rouge2", "rougeL", "per_document"}
+    assert payload["rouge1"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
     assert len(payload["per_document"]) == 6
+    for doc in payload["per_document"].values():
+        assert doc == {m: {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+                       for m in ("rouge1", "rouge2", "rougeL")}
 
 
 def test_score_tells_a_prediction_file_by_its_content(tmp_path, eval_csv, capsys):
@@ -718,6 +696,44 @@ def test_report_rerenders_saved_runs(tmp_path, corpus_csv, eval_csv, capsys):
     assert rows[2].startswith("section-wise,")
 
 
+def _run_extractive(corpus_csv, eval_csv, out_dir, *flags) -> int:
+    return main([
+        "run", "--approach", "section-wise", "--train", corpus_csv, "--eval", eval_csv,
+        "--backend", "extractive", "--seed", "0", "--out-dir", str(out_dir), *flags,
+    ])
+
+
+def test_run_json_stdout_is_the_report_json_it_writes(tmp_path, corpus_csv, eval_csv, capsys):
+    assert _run_extractive(corpus_csv, eval_csv, tmp_path / "run", "--format", "json") == 0
+    assert capsys.readouterr().out == (tmp_path / "run" / "report.json").read_text()
+
+
+def test_report_reads_its_own_json_output(tmp_path, corpus_csv, eval_csv, capsys):
+    assert _run_extractive(corpus_csv, eval_csv, tmp_path / "run") == 0
+    r1, r2 = tmp_path / "run" / "report.json", tmp_path / "r2.json"
+    assert main(["report", "--in", str(r1), "--format", "json", "--out", str(r2)]) == 0
+    assert r2.read_text() == r1.read_text()
+    capsys.readouterr()
+    tables = []
+    for path in (r1, r2):
+        assert main(["report", "--in", str(path)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] and "section-wise" in tables[0]
+
+
+def test_score_json_is_the_scores_of_report_json(tmp_path, corpus_csv, eval_csv, capsys):
+    out_dir = tmp_path / "run"
+    assert _run_extractive(corpus_csv, eval_csv, out_dir) == 0
+    capsys.readouterr()
+    assert main([
+        "score", "--candidates", str(out_dir / "predictions.json"), "--references", eval_csv,
+        "--format", "json",
+    ]) == 0
+    scores = json.loads(capsys.readouterr().out)
+    assert scores == json.loads((out_dir / "report.json").read_text())[0]["scores"]
+    assert 0.0 < scores["rouge1"]["f1"] < 1.0
+
+
 def _assert_one_line_error(err, *fragments):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -824,19 +840,3 @@ def test_run_csv_format_to_stdout(corpus_csv, eval_csv, capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[0].startswith("approach,rouge1")
     assert rows[1].startswith("single,")
-
-
-# ---------------------------------------------------------------------------
-# grad-check
-# ---------------------------------------------------------------------------
-
-def test_grad_check_passes_at_default_threshold(capsys):
-    assert main(["grad-check", "--samples", "40"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("max_gradient_error ")
-
-
-def test_grad_check_fails_when_threshold_is_absurd(capsys):
-    assert main(["grad-check", "--samples", "10", "--threshold", "1e-18"]) == 2
-    captured = capsys.readouterr()
-    assert "exceeds threshold" in captured.err

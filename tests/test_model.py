@@ -759,9 +759,13 @@ def _downgrade_to_version_1(c):
     lambda c: c.update(max_summary_tokens=8.0),
     lambda c: c.update(format_version=True),
     _downgrade_to_version_1,
+    lambda c: c["model_config"].update(d_model=float(c["model_config"]["d_model"])),
+    lambda c: c["model_config"].update(n_heads=True),
+    lambda c: c["model_config"].update(d_ff=float(c["model_config"]["d_ff"])),
 ], ids=["no-lsg", "no-cap", "lsg-list", "lsg-missing-field", "lsg-unknown-field",
         "lsg-string", "lsg-bool", "lsg-invalid", "lsg-input-below-block", "cap-zero",
-        "cap-float", "version-bool", "version-1"])
+        "cap-float", "version-bool", "version-1", "model-float", "model-bool",
+        "model-float-d-ff"])
 def test_checkpoint_malformed_settings(tmp_path, mutate):
     p = _mutated_checkpoint(tmp_path, mutate)
     with pytest.raises(MalformedCheckpoint) as info:

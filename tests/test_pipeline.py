@@ -31,6 +31,7 @@ from chartsum.pipeline import (
     run_approach,
     run_report_from_dict,
     run_report_to_dict,
+    scores_to_dict,
     split_sentences,
 )
 from chartsum.rouge import rouge_n, tokenize
@@ -750,12 +751,12 @@ def test_report_csv_round_trips_through_csv_reader():
 
 def test_report_json_parses_with_metadata():
     runs = sample_runs()
-    payload = json.loads(report(runs, format="json"))
-    assert len(payload) == len(runs)
+    text = report(runs, format="json")
+    assert text == json.dumps([run_report_to_dict(r) for r in runs], sort_keys=True, indent=2) + "\n"
+    payload = json.loads(text)
+    assert [run_report_from_dict(item) for item in payload] == runs
     for item, run in zip(payload, runs):
-        assert item["approach"] == run.approach
-        assert item["rouge1"] == float(round4(run.scores.rouge1.f1))
-        assert item["Average"] == float(round4(run.division_average))
+        assert item["scores"] == scores_to_dict(run.scores)
         assert item["config_hash"] == run.config_hash
         assert item["n_documents"] == run.n_documents
         assert item["division_metric"] == "rouge1_f1"
