@@ -33,6 +33,7 @@ from .pipeline import (
     BACKEND_KINDS,
     ApproachConfig,
     BackendSpec,
+    MissingReference,
     TinyLsgSummarizer,
     evaluate,
     report,
@@ -127,42 +128,48 @@ def _parse_columns(spec: str | None) -> dict[str, str] | None:
     return columns
 
 
-def _load(path: str, fmt: str | None, columns: str | None) -> Corpus:
-    if fmt is None:
-        fmt = "jsonl" if path.endswith((".jsonl", ".ndjson")) else "csv"
+def _load(path: str, columns: str | None) -> Corpus:
+    """The corpus at `path`: JSONL for a `.jsonl` or `.ndjson` name, CSV otherwise."""
+    fmt = "jsonl" if path.endswith((".jsonl", ".ndjson")) else "csv"
     return load_corpus(path, fmt, _parse_columns(columns))
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus-format", choices=["csv", "jsonl"], default=None,
-                   help="corpus file format (default: by extension)")
     p.add_argument("--columns", default=None,
                    help="remap corpus columns, e.g. id=encounter_id,dialogue=src,note=tgt")
 
 
+# Every flag default that a config field has is read from that field.
+_DEFAULT = BackendSpec()
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-model", type=int, default=64, help="embedding width")
-    p.add_argument("--heads", type=int, default=2, help="attention heads")
-    p.add_argument("--enc-layers", type=int, default=2, help="encoder layers")
-    p.add_argument("--dec-layers", type=int, default=2, help="decoder layers")
-    p.add_argument("--d-ff", type=int, default=128, help="feed-forward width")
-    p.add_argument("--init-scale", type=float, default=0.02, help="weight init stddev")
-    p.add_argument("--min-freq", type=int, default=1, help="vocabulary frequency cutoff")
-    p.add_argument("--lr", type=float, default=5e-5, help="initial learning rate")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=8, help="examples per update")
-    p.add_argument("--max-summary-tokens", type=_positive_int, default=128,
-                   help="decode length cap")
+    model, train = _DEFAULT.model, _DEFAULT.train
+    p.add_argument("--d-model", type=int, default=model.d_model, help="embedding width")
+    p.add_argument("--heads", type=int, default=model.n_heads, help="attention heads")
+    p.add_argument("--enc-layers", type=int, default=model.n_layers_enc, help="encoder layers")
+    p.add_argument("--dec-layers", type=int, default=model.n_layers_dec, help="decoder layers")
+    p.add_argument("--d-ff", type=int, default=model.d_ff, help="feed-forward width")
+    p.add_argument("--lr", type=float, default=train.initial_lr, help="initial learning rate")
+    p.add_argument("--epochs", type=int, default=train.epochs, help="training epochs")
+    p.add_argument("--batch-size", type=int, default=train.batch_size,
+                   help="examples per update")
+    p.add_argument("--max-summary-tokens", type=_positive_int,
+                   default=_DEFAULT.max_summary_tokens, help="decode length cap")
 
 
 def _add_mask_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--block", type=int, default=16, help="local attention block size")
-    p.add_argument("--stride", type=int, default=4,
+    lsg = _DEFAULT.lsg
+    p.add_argument("--block", type=int, default=lsg.block_size,
+                   help="local attention block size")
+    p.add_argument("--stride", type=int, default=lsg.sparsity_stride,
                    help="sparse key stride (0 disables)")
-    p.add_argument("--global", dest="num_global", type=int, default=1,
+    p.add_argument("--global", dest="num_global", type=int, default=lsg.num_global,
                    help="number of global tokens")
-    p.add_argument("--radius", type=int, default=1, help="adjacent-block reach")
-    p.add_argument("--max-input", type=int, default=512, help="source token cap")
+    p.add_argument("--radius", type=int, default=lsg.local_radius,
+                   help="adjacent-block reach")
+    p.add_argument("--max-input", type=int, default=lsg.max_input_tokens,
+                   help="source token cap")
 
 
 def _backend_from_args(args, **fields) -> BackendSpec:
@@ -182,12 +189,8 @@ def _backend_from_args(args, **fields) -> BackendSpec:
             max_input_tokens=args.max_input,
             local_radius=args.radius,
         ),
-        train=TrainConfig(
-            initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
-        ),
+        train=TrainConfig(initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size),
         max_summary_tokens=args.max_summary_tokens,
-        min_freq=args.min_freq,
-        init_scale=args.init_scale,
         **fields,
     )
 
@@ -235,7 +238,7 @@ def _cmd_split_sections(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    corpus = _load(args.train, args.corpus_format, args.columns)
+    corpus = _load(args.train, args.columns)
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
     if not pairs:
         raise ChartsumError(f"{args.train}: no encounters with reference notes")
@@ -254,7 +257,7 @@ def _cmd_predict(args) -> int:
     summarizer = TinyLsgSummarizer(
         checkpoint.model, checkpoint.lsg, checkpoint.max_summary_tokens
     )
-    corpus = _load(args.eval, args.corpus_format, args.columns)
+    corpus = _load(args.eval, args.columns)
     entries = {e.id: summarizer.summarize(e.dialogue) for e in corpus}
     digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     predict_config = {
@@ -285,10 +288,10 @@ def _is_prediction_file(path: str) -> bool:
     return isinstance(payload, dict) and "entries" in payload
 
 
-def _load_candidates(path: str, fmt: str | None, columns: str | None) -> dict[str, str]:
+def _load_candidates(path: str, columns: str | None) -> dict[str, str]:
     if _is_prediction_file(path):
         return dict(load_predictions(path).entries)
-    corpus = _load(path, fmt, columns)
+    corpus = _load(path, columns)
     texts = {}
     for e in corpus:
         if e.note is None:
@@ -298,8 +301,8 @@ def _load_candidates(path: str, fmt: str | None, columns: str | None) -> dict[st
 
 
 def _cmd_score(args) -> int:
-    candidates = _load_candidates(args.candidates, args.corpus_format, args.columns)
-    references = _load_candidates(args.references, args.corpus_format, args.columns)
+    candidates = _load_candidates(args.candidates, args.columns)
+    references = _load_candidates(args.references, args.columns)
     pairs = []
     for eid in sorted(candidates):
         if eid not in references:
@@ -350,8 +353,8 @@ def _parse_sections(spec: str | None) -> tuple[Section, ...] | None:
 
 
 def _cmd_run(args) -> int:
-    train_corpus = _load(args.train, args.corpus_format, args.columns)
-    eval_corpus = _load(args.eval, args.corpus_format, args.columns)
+    train_corpus = _load(args.train, args.columns)
+    eval_corpus = _load(args.eval, args.columns)
     stage2 = None
     if args.approach == "multi-layer":
         stage2 = _backend_from_args(args, kind=args.stage2_backend, extract_k=args.extract_k)
@@ -362,6 +365,10 @@ def _cmd_run(args) -> int:
         stage2=stage2,
         seed=args.seed,
     )
+    # The run is scored against every eval note: fail on a missing one before training.
+    unlabeled = sorted(e.id for e in eval_corpus if e.note is None)
+    if unlabeled:
+        raise MissingReference(unlabeled[0])
     predictions = run_approach(train_corpus, eval_corpus, cfg)
     run = evaluate(predictions, eval_corpus)
     rendered = report([run], format=args.format)
@@ -447,15 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which architecture to run")
     p.add_argument("--train", required=True, help="training corpus file")
     p.add_argument("--eval", required=True, help="evaluation corpus file")
-    p.add_argument("--backend", default="tiny-lsg", choices=BACKEND_KINDS,
+    p.add_argument("--backend", default=_DEFAULT.kind, choices=BACKEND_KINDS,
                    help="summarizer filling each model slot")
-    p.add_argument("--stage2-backend", default="tiny-lsg", choices=BACKEND_KINDS,
+    p.add_argument("--stage2-backend", default=_DEFAULT.kind, choices=BACKEND_KINDS,
                    help="second-stage backend for multi-layer runs")
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
     p.add_argument("--sections", default=None,
                    help="comma-separated section ids for section-wise runs "
                         "(default: every section observed in training)")
-    p.add_argument("--extract-k", type=int, default=3,
+    p.add_argument("--extract-k", type=int, default=_DEFAULT.extract_k,
                    help="sentences kept by the extractive backend")
     p.add_argument("--out-dir", default=None,
                    help="directory for predictions.json, report.txt, report.json")

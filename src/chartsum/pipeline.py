@@ -15,9 +15,8 @@ import json
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
-from enum import Enum
 from io import StringIO
 from itertools import chain
 from typing import Callable, Mapping, Sequence
@@ -58,7 +57,7 @@ from .tinylsg.train import summarize_ids
 BACKEND_KINDS = ("identity", "oracle", "extractive", "tiny-lsg")
 # Backends whose output ignores the section slot: one instance serves every slot.
 _SECTION_BLIND = ("identity", "extractive")
-DIVISIONS = (Division.SUBJECTIVE, Division.EXAM, Division.RESULTS, Division.ASSESSMENT_AND_PLAN)
+DIVISIONS = tuple(Division)
 
 # Per-slot training seeds: section models use seed + canonical section index,
 # the multi-layer second stage uses seed + this offset.
@@ -183,12 +182,13 @@ class BackendSpec:
     lsg: LsgConfig = field(default_factory=LsgConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     max_summary_tokens: int = 128
-    min_freq: int = 1
-    init_scale: float = 0.02
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        for name in ("extract_k", "max_summary_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -208,23 +208,11 @@ class ApproachConfig:
             raise ValueError("section-wise runs need at least one section")
 
 
-def _to_jsonable(value):
-    if isinstance(value, Enum):
-        return value.value
-    if hasattr(value, "__dataclass_fields__"):
-        return {
-            name: _to_jsonable(getattr(value, name)) for name in value.__dataclass_fields__
-        }
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _to_jsonable(v) for k, v in value.items()}
-    return value
-
-
 def config_hash(cfg) -> str:
     """SHA-256 of the canonical JSON form of a config dataclass."""
-    canonical = json.dumps(_to_jsonable(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(
+        asdict(cfg), sort_keys=True, separators=(",", ":"), default=lambda member: member.value
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -248,8 +236,8 @@ def train_tiny_lsg(
     Returns the trained model and its per-epoch mean losses. `log`, when given,
     receives a `vocabulary N tokens, P parameters` line, then one line per epoch.
     """
-    vocab = build_vocab([text for pair in pairs for text in pair], min_freq=backend.min_freq)
-    model = init_model(backend.model, vocab, seed=seed, init_scale=backend.init_scale)
+    vocab = build_vocab([text for pair in pairs for text in pair])
+    model = init_model(backend.model, vocab, seed=seed)
     if log is not None:
         log(f"vocabulary {vocab.size} tokens, {model.num_params} parameters")
     return train(model, pairs, replace(backend.train, seed=seed), backend.lsg, log=log)
@@ -468,14 +456,6 @@ def round4(value: float) -> str:
     return str(Decimal(str(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
-_DIVISION_LABELS = {
-    Division.SUBJECTIVE: "Subjective",
-    Division.EXAM: "Exam",
-    Division.RESULTS: "Results",
-    Division.ASSESSMENT_AND_PLAN: "AssessmentAndPlan",
-}
-
-
 def _report_rows(runs: Sequence[RunReport]) -> list[dict[str, str]]:
     rows = []
     for run in runs:
@@ -486,7 +466,7 @@ def _report_rows(runs: Sequence[RunReport]) -> list[dict[str, str]]:
             "rougeL": round4(run.scores.rougeL.f1),
         }
         for div in DIVISIONS:
-            row[_DIVISION_LABELS[div]] = round4(run.division_f1[div])
+            row[div.value] = round4(run.division_f1[div])
         row["Average"] = round4(run.division_average)
         rows.append(row)
     return rows
@@ -513,7 +493,7 @@ def report(runs: Sequence[RunReport], format: str = "table") -> str:
     if not runs:
         raise ValueError("need at least one run to report")
     rows = _report_rows(runs)
-    division_cols = [_DIVISION_LABELS[d] for d in DIVISIONS] + ["Average"]
+    division_cols = [d.value for d in DIVISIONS] + ["Average"]
     if format == "table":
         full = _render_table(
             ["approach", "rouge1", "rouge2", "rougeL"],

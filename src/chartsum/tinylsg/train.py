@@ -41,8 +41,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr 0 is allowed so a no-op training run stays expressible.
-        if self.initial_lr < 0:
-            raise ValueError(f"initial_lr must be >= 0, got {self.initial_lr}")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr >= 0):
+            raise ValueError(f"initial_lr must be finite and >= 0, got {self.initial_lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

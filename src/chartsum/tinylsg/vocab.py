@@ -50,19 +50,12 @@ class Vocab:
         return " ".join(self.id_to_token[i] for i in ids if i >= len(RESERVED_TOKENS))
 
 
-def build_vocab(texts: Iterable[str], min_freq: int = 1) -> Vocab:
+def build_vocab(texts: Iterable[str]) -> Vocab:
     """Count rouge-style tokens and index them by frequency desc, then lexicographic."""
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     counts: Counter[str] = Counter()
-    saw_text = False
     for text in texts:
-        saw_text = True
         counts.update(tokenize(text))
-    if not saw_text or not counts:
+    if not counts:
         raise EmptyCorpus("cannot build a vocabulary from zero tokens")
-    kept = sorted(
-        (tok for tok, freq in counts.items() if freq >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
     return Vocab(id_to_token=RESERVED_TOKENS + tuple(kept))

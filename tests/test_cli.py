@@ -148,11 +148,9 @@ options:
 """,
     "train": """\
 usage: chartsum train [-h] --train TRAIN --checkpoint CHECKPOINT --seed SEED
-                      [--corpus-format {csv,jsonl}] [--columns COLUMNS]
-                      [--d-model D_MODEL] [--heads HEADS]
+                      [--columns COLUMNS] [--d-model D_MODEL] [--heads HEADS]
                       [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
-                      [--d-ff D_FF] [--init-scale INIT_SCALE]
-                      [--min-freq MIN_FREQ] [--lr LR] [--epochs EPOCHS]
+                      [--d-ff D_FF] [--lr LR] [--epochs EPOCHS]
                       [--batch-size BATCH_SIZE]
                       [--max-summary-tokens MAX_SUMMARY_TOKENS]
                       [--block BLOCK] [--stride STRIDE] [--global NUM_GLOBAL]
@@ -164,8 +162,6 @@ options:
   --checkpoint CHECKPOINT
                         where to write the trained model
   --seed SEED           random seed (required)
-  --corpus-format {csv,jsonl}
-                        corpus file format (default: by extension)
   --columns COLUMNS     remap corpus columns, e.g.
                         id=encounter_id,dialogue=src,note=tgt
   --d-model D_MODEL     embedding width (default: 64)
@@ -175,9 +171,6 @@ options:
   --dec-layers DEC_LAYERS
                         decoder layers (default: 2)
   --d-ff D_FF           feed-forward width (default: 128)
-  --init-scale INIT_SCALE
-                        weight init stddev (default: 0.02)
-  --min-freq MIN_FREQ   vocabulary frequency cutoff (default: 1)
   --lr LR               initial learning rate (default: 5e-05)
   --epochs EPOCHS       training epochs (default: 20)
   --batch-size BATCH_SIZE
@@ -193,7 +186,7 @@ options:
 """,
     "predict": """\
 usage: chartsum predict [-h] --checkpoint CHECKPOINT --eval EVAL [--out OUT]
-                        [--corpus-format {csv,jsonl}] [--columns COLUMNS]
+                        [--columns COLUMNS]
 
 The attention mask, source cap and decode cap are the ones the checkpoint
 records.
@@ -204,15 +197,13 @@ options:
                         trained model file
   --eval EVAL           corpus to summarize
   --out OUT             prediction file (default: stdout)
-  --corpus-format {csv,jsonl}
-                        corpus file format (default: by extension)
   --columns COLUMNS     remap corpus columns, e.g.
                         id=encounter_id,dialogue=src,note=tgt
 """,
     "score": """\
 usage: chartsum score [-h] --candidates CANDIDATES --references REFERENCES
                       [--format {text,csv,json}] [--out OUT]
-                      [--corpus-format {csv,jsonl}] [--columns COLUMNS]
+                      [--columns COLUMNS]
 
 options:
   -h, --help            show this help message and exit
@@ -223,8 +214,6 @@ options:
   --format {text,csv,json}
                         output rendering (default: text)
   --out OUT             output path (default: stdout)
-  --corpus-format {csv,jsonl}
-                        corpus file format (default: by extension)
   --columns COLUMNS     remap corpus columns, e.g.
                         id=encounter_id,dialogue=src,note=tgt
 """,
@@ -235,11 +224,9 @@ usage: chartsum run [-h] --approach {single,section-wise,multi-layer} --train
                     [--stage2-backend {identity,oracle,extractive,tiny-lsg}]
                     --seed SEED [--sections SECTIONS] [--extract-k EXTRACT_K]
                     [--out-dir OUT_DIR] [--format {table,csv,json}]
-                    [--corpus-format {csv,jsonl}] [--columns COLUMNS]
-                    [--d-model D_MODEL] [--heads HEADS]
+                    [--columns COLUMNS] [--d-model D_MODEL] [--heads HEADS]
                     [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
-                    [--d-ff D_FF] [--init-scale INIT_SCALE]
-                    [--min-freq MIN_FREQ] [--lr LR] [--epochs EPOCHS]
+                    [--d-ff D_FF] [--lr LR] [--epochs EPOCHS]
                     [--batch-size BATCH_SIZE]
                     [--max-summary-tokens MAX_SUMMARY_TOKENS] [--block BLOCK]
                     [--stride STRIDE] [--global NUM_GLOBAL] [--radius RADIUS]
@@ -265,8 +252,6 @@ options:
                         report.json
   --format {table,csv,json}
                         report rendering (default: table)
-  --corpus-format {csv,jsonl}
-                        corpus file format (default: by extension)
   --columns COLUMNS     remap corpus columns, e.g.
                         id=encounter_id,dialogue=src,note=tgt
   --d-model D_MODEL     embedding width (default: 64)
@@ -276,9 +261,6 @@ options:
   --dec-layers DEC_LAYERS
                         decoder layers (default: 2)
   --d-ff D_FF           feed-forward width (default: 128)
-  --init-scale INIT_SCALE
-                        weight init stddev (default: 0.02)
-  --min-freq MIN_FREQ   vocabulary frequency cutoff (default: 1)
   --lr LR               initial learning rate (default: 5e-05)
   --epochs EPOCHS       training epochs (default: 20)
   --batch-size BATCH_SIZE
@@ -317,14 +299,14 @@ def test_help_text_is_pinned_for_every_subcommand():
     }
 
 
-def _readme_cli_section() -> str:
+def _readme_section(title: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("\n## CLI\n", 1)[1]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _readme_cli_commands() -> list[list[str]]:
     """The `chartsum` command lines of the README's CLI code block, as argv lists."""
-    block = _readme_cli_section().split("```sh\n", 1)[1].split("\n```", 1)[0]
+    block = _readme_section("CLI").split("```sh\n", 1)[1].split("\n```", 1)[0]
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
         words = shlex.split(line, comments=True)
@@ -341,7 +323,35 @@ def test_readme_cli_examples_parse_and_name_every_subcommand():
     for argv in commands:
         parser.parse_args(argv)  # a stale flag or subcommand exits here
     assert {argv[0] for argv in commands} == _subcommands()
-    assert "One executable, `chartsum`, with six subcommands." in _readme_cli_section()
+    assert "One executable, `chartsum`, with six subcommands." in _readme_section("CLI")
+
+
+def _readme_defaults() -> list[tuple[str, str]]:
+    """(flag, default) for each flag of the README's defaults table, in row order.
+
+    A row may name two flags, as in `--d-model` / `--heads` | 64 / 2.
+    """
+    pairs = []
+    for line in _readme_section("Defaults").splitlines():
+        if not line.startswith("| `--"):
+            continue
+        flags_cell, values_cell = line.split("|")[1:3]
+        flags = re.findall(r"`(--[\w-]+)`", flags_cell)
+        values = [value.strip() for value in values_cell.split("/")]
+        assert len(flags) == len(values), line
+        pairs.extend(zip(flags, values))
+    return pairs
+
+
+def test_readme_defaults_table_matches_the_parser():
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    actions = {option: action for action in run._actions for option in action.option_strings}
+    defaults = _readme_defaults()
+    assert {"--lr", "--d-model", "--heads", "--max-summary-tokens"} <= dict(defaults).keys()
+    assert dict(defaults)["--seed"] == "required" and actions["--seed"].required
+    for flag, value in defaults:
+        if flag != "--seed":
+            assert float(value) == actions[flag].default, flag
 
 
 @pytest.mark.parametrize("command", sorted(HELP_TEXT))
@@ -512,6 +522,21 @@ def test_score_with_column_remap(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # train / predict
 # ---------------------------------------------------------------------------
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_lr_fails_before_training(
+        tmp_path, corpus_csv, capsys, monkeypatch, lr):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
+                 *TINY_MODEL_FLAGS, "--lr", lr]) == 1
+    assert capsys.readouterr().err == f"error: initial_lr must be finite and >= 0, got {lr}\n"
+    assert not ckpt.exists()
+
 
 def test_train_then_predict_round_trip(tmp_path, corpus_csv, eval_csv, capsys):
     ckpt = tmp_path / "model.json"
@@ -830,6 +855,28 @@ def test_jsonl_corpus_with_non_string_field_is_a_runtime_error(tmp_path, corpus_
     _assert_one_line_error(
         capsys.readouterr().err, "row 1: field 'dialogue' must be a string, got int"
     )
+
+
+def test_run_bad_extract_k_fails_before_training(corpus_csv, eval_csv, capsys, monkeypatch):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    assert main([
+        "run", "--approach", "multi-layer", "--stage2-backend", "extractive", "--extract-k", "0",
+        "--train", corpus_csv, "--eval", eval_csv, "--seed", "0", *TINY_MODEL_FLAGS,
+    ]) == 1
+    assert capsys.readouterr().err == "error: extract_k must be >= 1, got 0\n"
+
+
+def test_run_eval_without_notes_fails_before_training(tmp_path, corpus_csv, capsys, monkeypatch):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    unlabeled = tmp_path / "eval.jsonl"
+    unlabeled.write_text("".join(
+        json.dumps({"id": e.id, "dialogue": e.dialogue}) + "\n" for e in synth_corpus(3, start=6)
+    ))
+    assert main([
+        "run", "--approach", "section-wise", "--train", corpus_csv, "--eval", str(unlabeled),
+        "--seed", "0", *TINY_MODEL_FLAGS,
+    ]) == 2
+    assert capsys.readouterr().err == "error: no reference note for encounter 'synth-006'\n"
 
 
 def test_run_csv_format_to_stdout(corpus_csv, eval_csv, capsys):

@@ -21,18 +21,18 @@ from synthdata import synth_corpus
 GOLDEN = {
     "single": (
         [],
-        "fa737e48e558662ff2cd5b4afb3eb44d78d912343e3ac477f2d0ee722e117bae",
-        "a804e9f9177720835143379d7c6e9db3583a02bfea831a2192373d9dfb8b483d",
+        "b93d8c1b4d57a072cd7dc6e41c6c06faa9fd18268fcf24c3f6ef25862c0b9e54",
+        "31cc3008634682f147a67d00be154824d39275cd35566dd06fdd399de2aea9a9",
     ),
     "section-wise": (
         [],
-        "8e1357680b8ed7a661b2baa2608a8c4388052fbf1b3cc865140a707f982d4fdb",
-        "9e148b643af8921ec443fb2590d26de4b870ebbcca1521eea306c61288f8fa00",
+        "ef066e85554fc8cb9eb39dad3dcdffb1cdad5b0f1f283ffff57b9557288b3336",
+        "128d43bd9230b2d7d8b83dea59cf5aa3fc242e5bf2dc936e37a85830dad16a52",
     ),
     "multi-layer": (
         ["--stage2-backend", "identity"],
-        "5ebff09f78cd60a13293c026242a97d3daa6084d7a56f760aab2405a10847595",
-        "b75c7963a9c3d696e1fef677d8c327cb21cb188ec32c91ff9ccbb5391bfc4050",
+        "efcb065319b1af031570a56a5dc1ebcbf21c2b66d8dd2ff8c96816314ea71fec",
+        "9cfa91096918b3635505d8af54d2a477cefae8f14b088a9564b6e46cd4ba5007",
     ),
 }
 

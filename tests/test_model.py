@@ -94,14 +94,6 @@ def test_vocab_orders_by_frequency_then_alphabet():
     assert v.id_to_token[5:] == ("b", "a", "c", "d")
 
 
-def test_vocab_min_freq_filters():
-    v = build_vocab(["x x y"], min_freq=2)
-    assert "y" not in v.id_to_token
-    assert v.token_id("y") == UNK_ID
-    with pytest.raises(ValueError):
-        build_vocab(["x"], min_freq=0)
-
-
 def test_vocab_encode_decode():
     v = build_vocab(["pain in knee"])
     ids = v.encode("Knee PAIN, again!")

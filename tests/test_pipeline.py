@@ -229,6 +229,21 @@ def test_backend_spec_rejects_unknown_kind():
         BackendSpec(kind="quantum")
 
 
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("name", ["extract_k", "max_summary_tokens"])
+def test_backend_spec_rejects_a_count_below_one(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        BackendSpec(**{name: value})
+
+
+def test_run_approach_accepts_an_unlabeled_eval_corpus():
+    eval_c = Corpus(encounters=tuple(
+        Encounter(id=e.id, dialogue=e.dialogue) for e in synth_corpus(3, start=6)
+    ))
+    preds = run_approach(synth_corpus(6), eval_c, ApproachConfig("section-wise", EXTRACTIVE))
+    assert sorted(preds.entries) == ["synth-006", "synth-007", "synth-008"]
+
+
 def test_approach_config_validation():
     with pytest.raises(ValueError):
         ApproachConfig(approach="bogus", backend=ORACLE)

@@ -51,6 +51,8 @@ def test_train_config_defaults_and_validation():
     TrainConfig(initial_lr=0.0)  # zero step size is expressible
     for bad in (
         {"initial_lr": -1e-4},
+        {"initial_lr": float("nan")},
+        {"initial_lr": float("inf")},
         {"epochs": 0},
         {"batch_size": 0},
     ):
