@@ -18,6 +18,7 @@ from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 
+from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (
     APPROACH_TAGS,
     Corpus,
@@ -45,7 +46,6 @@ from .pipeline import (
 )
 from .rouge import corpus_rouge
 from .sections import Section, UnknownSection, canonical_header, segment_note
-from .tinylsg import LsgConfig, ModelConfig, TrainConfig, load_checkpoint, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,6 +238,8 @@ def _cmd_split_sections(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .tinylsg import save_model
+
     corpus = _load(args.train, args.columns)
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
     if not pairs:
@@ -253,6 +255,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .tinylsg import load_checkpoint
+
     checkpoint = load_checkpoint(args.checkpoint)
     summarizer = TinyLsgSummarizer(
         checkpoint.model, checkpoint.lsg, checkpoint.max_summary_tokens

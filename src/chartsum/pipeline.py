@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import APPROACH_TAGS, Corpus, MalformedFile, PredictionSet, _NUMBER, _typed
 from .errors import ChartsumError
 from .rouge import (
@@ -43,16 +44,9 @@ from .sections import (
     division_of,
     segment_note,
 )
-from .tinylsg import (
-    LsgConfig,
-    ModelConfig,
-    TinyModel,
-    TrainConfig,
-    build_vocab,
-    init_model,
-    train,
-)
-from .tinylsg.train import summarize_ids
+
+if TYPE_CHECKING:
+    from .tinylsg import TinyModel, Vocab
 
 BACKEND_KINDS = ("identity", "oracle", "extractive", "tiny-lsg")
 # Backends whose output ignores the section slot: one instance serves every slot.
@@ -80,6 +74,52 @@ class SectionNeverObserved(PipelineError):
             f"section {section.value} is configured but appears in no training reference"
         )
         self.section = section
+
+
+# chartsum.tinylsg loads numpy, so it is imported only where a model is built
+# or run.
+
+
+def build_vocab(texts: Sequence[str]) -> Vocab:
+    """`chartsum.tinylsg.build_vocab`, imported on call.
+
+    A module global only for perfbench's binding; once perfbench traces the
+    function inside chartsum.tinylsg (ROADMAP item 1), it becomes a local
+    import in `train_tiny_lsg`.
+    """
+    from .tinylsg import build_vocab
+
+    return build_vocab(texts)
+
+
+def train(
+    model: TinyModel,
+    pairs: Sequence[tuple[str, str]],
+    tc: TrainConfig,
+    lsg: LsgConfig,
+    log: Callable[[str], None] | None = None,
+) -> tuple[TinyModel, list[float]]:
+    """`chartsum.tinylsg.train`, imported on call.
+
+    A module global only for perfbench's binding; once perfbench traces the
+    function inside chartsum.tinylsg (ROADMAP item 1), it becomes a local
+    import in `train_tiny_lsg`.
+    """
+    from .tinylsg import train
+
+    return train(model, pairs, tc, lsg, log=log)
+
+
+def summarize_ids(model: TinyModel, text: str, max_len: int, lsg: LsgConfig) -> list[int]:
+    """`chartsum.tinylsg.train.summarize_ids`, imported on call.
+
+    A module global only for perfbench's binding; once perfbench traces the
+    function inside chartsum.tinylsg (ROADMAP item 1), it becomes a local
+    import in `TinyLsgSummarizer.summarize`.
+    """
+    from .tinylsg.train import summarize_ids
+
+    return summarize_ids(model, text, max_len, lsg)
 
 
 class Summarizer(ABC):
@@ -236,6 +276,8 @@ def train_tiny_lsg(
     Returns the trained model and its per-epoch mean losses. `log`, when given,
     receives a `vocabulary N tokens, P parameters` line, then one line per epoch.
     """
+    from .tinylsg import init_model
+
     vocab = build_vocab([text for pair in pairs for text in pair])
     model = init_model(backend.model, vocab, seed=seed)
     if log is not None:

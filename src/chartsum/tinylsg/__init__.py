@@ -1,7 +1,7 @@
 """Desk-scale encoder-decoder transformer with local/sparse/global encoder attention."""
 
+from ..config import LsgConfig, ModelConfig, TrainConfig
 from .masks import (
-    LsgConfig,
     causal_mask,
     global_mask,
     lsg_mask,
@@ -20,16 +20,11 @@ from .vocab import (
     Vocab,
     build_vocab,
 )
-from .model import (
-    ModelConfig,
-    SequenceTooLong,
-    TinyModel,
-    init_model,
-)
+from .model import SequenceTooLong, TinyModel, init_model
 from .train import (
     EmptyTrainingSet,
+    NonFiniteDecode,
     NonFiniteLoss,
-    TrainConfig,
     generate,
     grad_check,
     train,
@@ -58,6 +53,7 @@ __all__ = [
     "TinyModel",
     "init_model",
     "EmptyTrainingSet",
+    "NonFiniteDecode",
     "NonFiniteLoss",
     "TrainConfig",
     "generate",

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import LsgConfig, ModelConfig
 from ..errors import ChartsumError
-from .masks import LsgConfig
-from .model import ModelConfig, TinyModel, _param_shapes
+from .model import TinyModel, _param_shapes
 from .vocab import Vocab
 
 FORMAT_VERSION = 2

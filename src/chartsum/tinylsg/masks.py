@@ -7,31 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class LsgConfig:
-    """Encoder attention pattern knobs; positions 0..num_global-1 are global tokens."""
-
-    block_size: int = 16
-    sparsity_stride: int = 4
-    num_global: int = 1
-    max_input_tokens: int = 512
-    local_radius: int = 1
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if self.sparsity_stride < 0:
-            raise ValueError(f"sparsity_stride must be >= 0, got {self.sparsity_stride}")
-        if self.num_global < 0:
-            raise ValueError(f"num_global must be >= 0, got {self.num_global}")
-        if self.max_input_tokens < self.block_size:
-            raise ValueError(
-                f"max_input_tokens ({self.max_input_tokens}) must be >= block_size"
-                f" ({self.block_size})"
-            )
-        if self.local_radius < 0:
-            raise ValueError(f"local_radius must be >= 0, got {self.local_radius}")
+from ..config import LsgConfig
 
 
 def _check_seq_len(seq_len: int) -> None:

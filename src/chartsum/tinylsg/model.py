@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..config import LsgConfig, ModelConfig
 from ..errors import ChartsumError
-from .masks import LsgConfig, LsgLayout, causal_bias, lsg_layout
+from .masks import LsgLayout, causal_bias, lsg_layout
 from .vocab import BOS_ID, EOS_ID, GLOBAL_ID, UNK_ID, Vocab
 
 _LN_EPS = 1e-5
@@ -30,26 +31,6 @@ class SequenceTooLong(ChartsumError):
         super().__init__(f"source sequence has {length} tokens, limit is {limit}")
         self.length = length
         self.limit = limit
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    d_model: int = 64
-    n_heads: int = 2
-    n_layers_enc: int = 2
-    n_layers_dec: int = 2
-    d_ff: int = 128
-
-    def __post_init__(self):
-        for field_name in ("d_model", "n_heads", "n_layers_enc", "n_layers_dec", "d_ff"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{field_name} must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
-            )
-        if self.d_model % 2 != 0:
-            raise ValueError(f"d_model must be even for sinusoidal positions, got {self.d_model}")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ..config import LsgConfig, TrainConfig
 from ..errors import ChartsumError
-from .masks import LsgConfig
 from .model import DecodeState, TinyModel, _decode_step, _encode, loss_and_grads
 from .vocab import BOS_ID, EOS_ID
 
@@ -30,23 +29,8 @@ class NonFiniteLoss(ChartsumError):
         self.loss = loss
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Step size decays linearly from initial_lr toward 0 over epochs × batches."""
-
-    initial_lr: float = 5e-5
-    epochs: int = 20
-    batch_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        # lr 0 is allowed so a no-op training run stays expressible.
-        if not (math.isfinite(self.initial_lr) and self.initial_lr >= 0):
-            raise ValueError(f"initial_lr must be finite and >= 0, got {self.initial_lr}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+class NonFiniteDecode(ChartsumError):
+    """Decoding overflowed or produced NaN: the model's weights are out of range."""
 
 
 def _encode_pairs(model: TinyModel, pairs, lsg: LsgConfig) -> list[tuple[list[int], list[int]]]:
@@ -152,20 +136,27 @@ def generate(model: TinyModel, src: Sequence[int], max_len: int, lsg: LsgConfig)
     """Greedy decode from BOS until EOS or max_len tokens; argmax ties pick the lowest id.
 
     Each step runs the decoder on the newest token only, reusing the cached
-    keys/values of the source and of the earlier positions.
+    keys/values of the source and of the earlier positions. An overflow or
+    invalid value anywhere in the forward passes raises NonFiniteDecode.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     params, cfg = model.params, model.config
-    enc_out, _ = _encode(params, src, cfg, lsg)
-    state = DecodeState(params, enc_out, cfg)
-    token = BOS_ID
     emitted: list[int] = []
-    while len(emitted) < max_len:
-        token = int(np.argmax(_decode_step(params, state, token, cfg)))
-        if token == EOS_ID:
-            break
-        emitted.append(token)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            enc_out, _ = _encode(params, src, cfg, lsg)
+            state = DecodeState(params, enc_out, cfg)
+            token = BOS_ID
+            while len(emitted) < max_len:
+                token = int(np.argmax(_decode_step(params, state, token, cfg)))
+                if token == EOS_ID:
+                    break
+                emitted.append(token)
+    except FloatingPointError as exc:
+        raise NonFiniteDecode(
+            f"decoding failed: {exc}; the model's weights are out of range"
+        ) from exc
     return emitted
 
 

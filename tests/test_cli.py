@@ -668,6 +668,25 @@ def test_predict_non_finite_checkpoint_parameter_is_a_runtime_error(
     assert not out.exists()
 
 
+def test_overflowing_weights_fail_decoding_with_one_error_line(
+        tmp_path, corpus_csv, eval_csv, capsys):
+    # One Adam step at lr 1e300 leaves finite weights near 1e300; a forward
+    # pass through them overflows.
+    flags = [*TINY_MODEL_FLAGS, "--lr", "1e300", "--batch-size", "8"]
+    ckpt, out = tmp_path / "model.json", tmp_path / "preds.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
+                 *flags]) == 0
+    capsys.readouterr()
+    assert _predict(ckpt, eval_csv, out) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: decoding failed: (overflow|invalid value) encountered in \w+; "
+                        r"the model's weights are out of range\n", err), err
+    assert not out.exists()
+    assert main(["run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,
+                 "--seed", "0", *flags]) == 2
+    assert capsys.readouterr().err == err
+
+
 # ---------------------------------------------------------------------------
 # run / report
 # ---------------------------------------------------------------------------

@@ -1,11 +1,26 @@
-"""Every name a package module imports is read in that module or listed in its `__all__`."""
+"""Import hygiene of the package.
+
+Every name a package module imports is read in that module or listed in its
+`__all__`. numpy and `chartsum.tinylsg` load only for commands that train or
+decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
+"""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from chartsum.cli import main
+from chartsum.corpus import save_corpus
+from synthdata import synth_corpus, synth_note
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chartsum"
 
@@ -52,3 +67,171 @@ def test_unused_import_check_flags_what_it_should():
     )
     assert unused_imports(source) == ["os (line 2)", "run_report_to_dict (line 4)",
                                       "system (line 3)"]
+
+
+# ---------------------------------------------------------------------------
+# numpy loads only where the model runs
+# ---------------------------------------------------------------------------
+
+HEAVY = ("numpy", "chartsum.tinylsg")
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Dotted names an import statement in a top-level `chartsum` module may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level == 0:
+        return [node.module]
+    if node.module is None:  # from . import name
+        return [f"chartsum.{alias.name}" for alias in node.names]
+    return [f"chartsum.{node.module}"]
+
+
+def heavy_module_level_imports(source: str) -> list[str]:
+    """Imports of numpy or chartsum.tinylsg that run when the module loads.
+
+    Statements inside functions and classes, and under `if TYPE_CHECKING:`,
+    run later or never, so they are not reported.
+    """
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending.extend(node.orelse)
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler, ast.With)):
+            pending.extend(child for child in ast.iter_child_nodes(node)
+                           if isinstance(child, (ast.stmt, ast.ExceptHandler)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            name == heavy or name.startswith(heavy + ".")
+            for name in _imported_modules(node) for heavy in HEAVY
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_top_level_module_imports_no_numpy_at_load(path):
+    assert heavy_module_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_heavy_import_check_flags_what_it_should():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "from .tinylsg.train import generate\n"
+        "from . import config, tinylsg\n"
+        "try:\n"
+        "    import numpy.linalg\n"
+        "except ImportError:\n"
+        "    from chartsum.tinylsg import train\n"
+        "from .config import LsgConfig\n"
+        "import numbers\n"
+        "if TYPE_CHECKING:\n"
+        "    from .tinylsg import TinyModel\n"
+        "def f():\n"
+        "    import numpy\n"
+    )
+    assert heavy_module_level_imports(source) == [
+        "line 2: import numpy as np",
+        "line 3: from .tinylsg.train import generate",
+        "line 4: from . import config, tinylsg",
+        "line 6: import numpy.linalg",
+        "line 8: from chartsum.tinylsg import train",
+    ]
+
+
+# Runs in a fresh interpreter: `import chartsum.cli`, then `main(argv)` when an
+# argv is given; prints the exit code and which of HEAVY were loaded.
+_PROBE = """
+import json, sys
+from chartsum.cli import main
+code = main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
+print(json.dumps([code, [name for name in {heavy!r} if name in sys.modules]]))
+""".format(heavy=HEAVY)
+
+
+def _fresh(cwd: Path, argv: list[str] | None = None) -> tuple[int | None, list[str]]:
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    args = [sys.executable, "-c", _PROBE] + ([] if argv is None else [json.dumps(argv)])
+    proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports")
+    save_corpus(synth_corpus(6), path / "corpus.csv")
+    save_corpus(synth_corpus(3, start=6), path / "eval.csv")
+    (path / "note.txt").write_text(synth_note(0), encoding="utf-8")
+    assert main(["run", "--approach", "single", "--train", str(path / "corpus.csv"),
+                 "--eval", str(path / "eval.csv"), "--backend", "oracle", "--seed", "0",
+                 "--out-dir", str(path / "run")]) == 0
+    return path
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    assert _fresh(tmp_path) == (None, [])
+
+
+RUN = ["run", "--train", "corpus.csv", "--eval", "eval.csv", "--seed", "0"]
+LIGHT_COMMANDS = {
+    "score": ["score", "--candidates", "eval.csv", "--references", "eval.csv"],
+    "report": ["report", "--in", "run/report.json"],
+    "split-sections": ["split-sections", "--in", "note.txt"],
+    **{
+        f"run-{approach}-{backend}": RUN + ["--approach", approach, "--backend", backend,
+                                             "--stage2-backend", backend]
+        for approach in ("single", "section-wise", "multi-layer")
+        for backend in ("extractive", "identity", "oracle")
+    },
+}
+TINY = ["--d-model", "8", "--enc-layers", "1", "--dec-layers", "1", "--d-ff", "16",
+        "--epochs", "1", "--block", "4", "--max-input", "64", "--max-summary-tokens", "4"]
+MODEL_COMMANDS = {
+    "train": ["train", "--train", "corpus.csv", "--checkpoint", "model.json", "--seed", "0",
+              *TINY],
+    "run-single-tiny-lsg": RUN + ["--approach", "single", "--backend", "tiny-lsg", *TINY],
+}
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS.values(), ids=LIGHT_COMMANDS)
+def test_commands_without_a_model_load_no_numpy(workdir, argv):
+    assert _fresh(workdir, argv) == (0, [])
+
+
+@pytest.mark.parametrize("argv", MODEL_COMMANDS.values(), ids=MODEL_COMMANDS)
+def test_commands_with_a_model_load_numpy(workdir, argv):
+    assert _fresh(workdir, argv) == (0, list(HEAVY))
+
+
+# ---------------------------------------------------------------------------
+# the bindings perfbench/tracing.py wraps
+# ---------------------------------------------------------------------------
+
+# Module → functions that perfbench/tracing.py replaces in that module's
+# globals, so each must be bound there as soon as the module is imported.
+TRACED_BINDINGS = {
+    "chartsum.cli": ("main", "load_corpus", "save_predictions", "run_approach", "evaluate"),
+    "chartsum.pipeline": ("build_vocab", "train", "summarize_ids", "segment_note",
+                          "assemble_note", "corpus_rouge", "rouge_n", "tokenize"),
+    "chartsum.rouge": ("rouge_n", "tokenize", "lcs_length"),
+    "chartsum.tinylsg.vocab": ("tokenize",),
+    "chartsum.tinylsg.train": ("generate", "loss_and_grads"),
+}
+
+
+@pytest.mark.parametrize("module", TRACED_BINDINGS)
+def test_traced_names_are_module_level_functions(module):
+    namespace = vars(importlib.import_module(module))
+    assert [name for name in TRACED_BINDINGS[module]
+            if not inspect.isfunction(namespace.get(name))] == []
+
+
+def test_tinylsg_train_is_the_function_not_the_module():
+    from chartsum.tinylsg import train
+
+    assert inspect.isfunction(train)
