@@ -21,12 +21,13 @@ from pathlib import Path
 from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (
     APPROACH_TAGS,
-    Corpus,
     MalformedFile,
     PredictionSet,
+    decode_utf8,
     load_corpus,
     load_predictions,
     predictions_text,
+    read_json,
     save_predictions,
 )
 from .errors import ChartsumError
@@ -37,14 +38,14 @@ from .pipeline import (
     MissingReference,
     TinyLsgSummarizer,
     evaluate,
+    load_run_reports,
     report,
     round4,
     run_approach,
-    run_report_from_dict,
     scores_to_dict,
     train_tiny_lsg,
 )
-from .rouge import corpus_rouge
+from .rouge import EmptyEvaluation, corpus_rouge
 from .sections import Section, UnknownSection, canonical_header, segment_note
 
 
@@ -116,26 +117,18 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _parse_columns(spec: str | None) -> dict[str, str] | None:
-    if spec is None:
-        return None
+def _parse_columns(spec: str) -> dict[str, str]:
     columns = {}
     for item in spec.split(","):
         canonical, sep, actual = item.partition("=")
         if not sep or not canonical.strip() or not actual.strip():
-            raise ValueError(f"--columns expects canonical=actual pairs, got {item!r}")
+            raise argparse.ArgumentTypeError(f"expects canonical=actual pairs, got {item!r}")
         columns[canonical.strip()] = actual.strip()
     return columns
 
 
-def _load(path: str, columns: str | None) -> Corpus:
-    """The corpus at `path`: JSONL for a `.jsonl` or `.ndjson` name, CSV otherwise."""
-    fmt = "jsonl" if path.endswith((".jsonl", ".ndjson")) else "csv"
-    return load_corpus(path, fmt, _parse_columns(columns))
-
-
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--columns", default=None,
+    p.add_argument("--columns", type=_parse_columns, default=None,
                    help="remap corpus columns, e.g. id=encounter_id,dialogue=src,note=tgt")
 
 
@@ -201,10 +194,7 @@ def _read_note(path: str | None) -> str:
         name, data = "<stdin>", sys.stdin.buffer.read()
     else:
         name, data = path, Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"{name}: not UTF-8 text ({exc})") from exc
+    return decode_utf8(data, name)
 
 
 def _cmd_split_sections(args) -> int:
@@ -240,7 +230,7 @@ def _cmd_split_sections(args) -> int:
 def _cmd_train(args) -> int:
     from .tinylsg import save_model
 
-    corpus = _load(args.train, args.columns)
+    corpus = load_corpus(args.train, args.columns)
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
     if not pairs:
         raise ChartsumError(f"{args.train}: no encounters with reference notes")
@@ -261,7 +251,7 @@ def _cmd_predict(args) -> int:
     summarizer = TinyLsgSummarizer(
         checkpoint.model, checkpoint.lsg, checkpoint.max_summary_tokens
     )
-    corpus = _load(args.eval, args.columns)
+    corpus = load_corpus(args.eval, args.columns)
     entries = {e.id: summarizer.summarize(e.dialogue) for e in corpus}
     digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     predict_config = {
@@ -286,16 +276,16 @@ def _is_prediction_file(path: str) -> bool:
     if path.endswith(".json"):
         return True
     try:
-        payload = json.loads(Path(path).read_bytes())
-    except ValueError:  # not JSON, or not Unicode text: a corpus, or a broken one
+        payload = read_json(path, "prediction file")
+    except MalformedFile:  # not UTF-8 JSON: a corpus, or a broken one
         return False
     return isinstance(payload, dict) and "entries" in payload
 
 
-def _load_candidates(path: str, columns: str | None) -> dict[str, str]:
+def _load_candidates(path: str, columns: dict[str, str] | None) -> dict[str, str]:
     if _is_prediction_file(path):
         return dict(load_predictions(path).entries)
-    corpus = _load(path, columns)
+    corpus = load_corpus(path, columns)
     texts = {}
     for e in corpus:
         if e.note is None:
@@ -357,8 +347,8 @@ def _parse_sections(spec: str | None) -> tuple[Section, ...] | None:
 
 
 def _cmd_run(args) -> int:
-    train_corpus = _load(args.train, args.columns)
-    eval_corpus = _load(args.eval, args.columns)
+    train_corpus = load_corpus(args.train, args.columns)
+    eval_corpus = load_corpus(args.eval, args.columns)
     stage2 = None
     if args.approach == "multi-layer":
         stage2 = _backend_from_args(args, kind=args.stage2_backend, extract_k=args.extract_k)
@@ -369,10 +359,13 @@ def _cmd_run(args) -> int:
         stage2=stage2,
         seed=args.seed,
     )
-    # The run is scored against every eval note: fail on a missing one before training.
+    # The run is scored against every eval note: fail on a missing one, or on
+    # none at all, before training.
     unlabeled = sorted(e.id for e in eval_corpus if e.note is None)
     if unlabeled:
         raise MissingReference(unlabeled[0])
+    if not eval_corpus:
+        raise EmptyEvaluation("no candidate/reference pairs to score")
     predictions = run_approach(train_corpus, eval_corpus, cfg)
     run = evaluate(predictions, eval_corpus)
     rendered = report([run], format=args.format)
@@ -387,19 +380,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    runs = []
-    for path in args.infiles:
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MalformedFile(f"{path}: not a valid report file ({exc})") from exc
-        if not isinstance(payload, list) or not payload:
-            raise MalformedFile(f"{path}: expected a non-empty JSON list of run reports")
-        for index, entry in enumerate(payload):
-            try:
-                runs.append(run_report_from_dict(entry))
-            except MalformedFile as exc:
-                raise MalformedFile(f"{path}: run {index}: {exc}") from None
+    runs = [run for path in args.infiles for run in load_run_reports(path)]
     _write_output(report(runs, format=args.format), args.out)
     return 0
 

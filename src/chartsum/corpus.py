@@ -13,6 +13,8 @@ from typing import Mapping
 from .errors import ChartsumError
 
 CANONICAL_COLUMNS = ("id", "dialogue", "note")
+# The one corpus-format rule: a file whose name ends so is JSONL, any other CSV.
+JSONL_SUFFIXES = (".jsonl", ".ndjson")
 
 # The three pipeline architectures; PredictionSet.approach is one of them.
 APPROACH_TAGS = ("single", "section-wise", "multi-layer")
@@ -49,19 +51,20 @@ class MalformedFile(CorpusError):
     pass
 
 
-_NUMBER = (int, float)
+NUMBER = (int, float)
 _OPTIONAL_STR = (str, type(None))
 _KIND_NAMES = {
     str: "a string",
     int: "an integer",
-    _NUMBER: "a number",
+    list: "a list",
+    NUMBER: "a number",
     dict: "an object",
     _OPTIONAL_STR: "a string or null",
 }
 
 
-def _typed(mapping: Mapping, key: str, kind, where: str = ""):
-    """mapping[key], which must be an instance of kind (never a bool); where names mapping."""
+def typed(mapping: Mapping, key: str, kind, where: str = ""):
+    """mapping[key], an instance of kind but not a bool or non-finite float; where names mapping."""
     path = f"{where}.{key}" if where else key
     if key not in mapping:
         raise MalformedFile(f"missing key {path!r}")
@@ -70,7 +73,31 @@ def _typed(mapping: Mapping, key: str, kind, where: str = ""):
         raise MalformedFile(
             f"{path!r} must be {_KIND_NAMES[kind]}, got {type(value).__name__}"
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MalformedFile(f"{path!r} must be a finite number, got {value}")
     return value
+
+
+def decode_utf8(data: bytes, name: str | Path, error: type[ChartsumError] = MalformedFile) -> str:
+    """`data` decoded strictly as UTF-8; `name` names its source in the error raised."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{name}: not UTF-8 text ({exc})") from exc
+
+
+def parse_json(text: str, where: str | Path, what: str,
+               error: type[ChartsumError] = MalformedFile):
+    """The JSON value `text` holds; invalid or too deeply nested JSON raises `error`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not a valid {what} ({exc})") from exc
+
+
+def read_json(path: str | Path, what: str, error: type[ChartsumError] = MalformedFile):
+    """The JSON value in the UTF-8 file at `path`, a `what`; a malformed file raises `error`."""
+    return parse_json(decode_utf8(Path(path).read_bytes(), path, error), path, what, error)
 
 
 @dataclass(frozen=True)
@@ -122,16 +149,13 @@ def _make_encounter(
     return Encounter(id=raw_id, dialogue=dialogue, note=note if note else None)
 
 
-def load_corpus(
-    path: str | Path, format: str = "csv", columns: Mapping[str, str] | None = None
-) -> Corpus:
+def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> Corpus:
     """Load encounters in file order. `columns` remaps canonical names to actual ones."""
     path = Path(path)
     cols = _resolve_columns(columns)
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown corpus format {format!r}")
+    load = _load_jsonl if path.name.endswith(JSONL_SUFFIXES) else _load_csv
     try:
-        encounters = _load_csv(path, cols) if format == "csv" else _load_jsonl(path, cols)
+        encounters = load(path, cols)
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
@@ -168,10 +192,7 @@ def _load_jsonl(path: Path, cols: dict[str, str]) -> list[Encounter]:
             if not line.strip():
                 continue
             row_num += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedFile(f"{path}: row {row_num}: invalid JSON ({exc})") from exc
+            record = parse_json(line, f"{path}: row {row_num}", "JSON row")
             if not isinstance(record, dict):
                 raise MalformedFile(f"{path}: row {row_num}: expected a JSON object")
             if cols["id"] not in record:
@@ -190,16 +211,10 @@ def _load_jsonl(path: Path, cols: dict[str, str]) -> list[Encounter]:
     return encounters
 
 
-def save_corpus(corpus: Corpus, path: str | Path, format: str = "csv") -> None:
-    """Write a corpus back out; load(save(load(f))) equals load(f)."""
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write a corpus in the format its name calls for; load(save(load(f))) equals load(f)."""
     path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CANONICAL_COLUMNS)
-            for e in corpus:
-                writer.writerow([e.id, e.dialogue, e.note if e.note is not None else ""])
-    elif format == "jsonl":
+    if path.name.endswith(JSONL_SUFFIXES):
         with open(path, "w", encoding="utf-8") as fh:
             for e in corpus:
                 record = {"id": e.id, "dialogue": e.dialogue}
@@ -207,7 +222,11 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "csv") -> None:
                     record["note"] = e.note
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     else:
-        raise ValueError(f"unknown corpus format {format!r}")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CANONICAL_COLUMNS)
+            for e in corpus:
+                writer.writerow([e.id, e.dialogue, e.note if e.note is not None else ""])
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -271,35 +290,21 @@ def save_predictions(predictions: PredictionSet, path: str | Path) -> None:
 
 def load_predictions(path: str | Path) -> PredictionSet:
     """Read a save_predictions file; a missing or mistyped field raises MalformedFile."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"{path}: not a valid prediction file ({exc})") from exc
+    payload = read_json(path, "prediction file")
     if not isinstance(payload, dict):
         raise MalformedFile(f"{path}: expected a JSON object")
+    # created_at and extra may be absent; they then take their defaults.
+    payload = {"created_at": None, "extra": {}, **payload}
+    kinds = {"approach": str, "seed": int, "config_hash": str, "entries": dict,
+             "created_at": _OPTIONAL_STR, "extra": dict}
     try:
-        approach = _typed(payload, "approach", str)
-        seed = _typed(payload, "seed", int)
-        config_hash = _typed(payload, "config_hash", str)
-        entries = _typed(payload, "entries", dict)
-        # created_at and extra may be absent; they then take their defaults.
-        optional = {"created_at": None, "extra": {}, **payload}
-        created_at = _typed(optional, "created_at", _OPTIONAL_STR)
-        extra = _typed(optional, "extra", dict)
+        fields = {key: typed(payload, key, kind) for key, kind in kinds.items()}
     except MalformedFile as exc:
         raise MalformedFile(f"{path}: {exc}") from None
-    for key, mapping in (("entries", entries), ("extra", extra)):
-        if not all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
+    for key in ("entries", "extra"):
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in fields[key].items()):
             raise MalformedFile(f"{path}: {key} must map strings to strings")
     try:
-        return PredictionSet(
-            approach=approach,
-            entries=entries,
-            config_hash=config_hash,
-            seed=seed,
-            created_at=created_at,
-            extra=extra,
-        )
+        return PredictionSet(**fields)
     except ValueError as exc:
         raise MalformedFile(f"{path}: {exc}") from exc

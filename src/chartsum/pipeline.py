@@ -19,10 +19,11 @@ from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
 from itertools import chain
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .config import LsgConfig, ModelConfig, TrainConfig
-from .corpus import APPROACH_TAGS, Corpus, MalformedFile, PredictionSet, _NUMBER, _typed
+from .corpus import APPROACH_TAGS, NUMBER, Corpus, MalformedFile, PredictionSet, read_json, typed
 from .errors import ChartsumError
 from .rouge import (
     AggregateScores,
@@ -609,17 +610,17 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
         raise MalformedFile(f"run report must be an object, got {type(payload).__name__}")
 
     def score(parent: Mapping, metric: str, where: str) -> RougeScore:
-        fields = _typed(parent, metric, dict, where)
+        fields = typed(parent, metric, dict, where)
         where = f"{where}.{metric}"
-        return RougeScore(**{name: _typed(fields, name, _NUMBER, where) for name in _SCORE_FIELDS})
+        return RougeScore(**{name: typed(fields, name, NUMBER, where) for name in _SCORE_FIELDS})
 
     def document(parent: Mapping, doc_id: str, where: str) -> DocumentScores:
-        metrics = _typed(parent, doc_id, dict, where)
+        metrics = typed(parent, doc_id, dict, where)
         where = f"{where}.{doc_id}"
         return DocumentScores(**{metric: score(metrics, metric, where) for metric in _METRICS})
 
-    raw = _typed(payload, "scores", dict)
-    per_document = _typed(raw, "per_document", dict, "scores")
+    raw = typed(payload, "scores", dict)
+    per_document = typed(raw, "per_document", dict, "scores")
     scores = AggregateScores(
         **{metric: score(raw, metric, "scores") for metric in _METRICS},
         per_document={
@@ -627,18 +628,32 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
             for doc_id in per_document
         },
     )
-    division_f1 = _typed(payload, "division_f1", dict)
+    division_f1 = typed(payload, "division_f1", dict)
     return RunReport(
-        approach=_typed(payload, "approach", str),
+        approach=typed(payload, "approach", str),
         scores=scores,
         division_f1={
-            div: _typed(division_f1, div.value, _NUMBER, "division_f1") for div in DIVISIONS
+            div: typed(division_f1, div.value, NUMBER, "division_f1") for div in DIVISIONS
         },
-        division_average=_typed(payload, "division_average", _NUMBER),
-        division_metric=_typed(payload, "division_metric", str),
-        config_hash=_typed(payload, "config_hash", str),
-        seed=_typed(payload, "seed", int),
-        n_documents=_typed(payload, "n_documents", int),
-        skipped_divisions=_typed(payload, "skipped_divisions", int),
-        unknown_sections=_typed(payload, "unknown_sections", int),
+        division_average=typed(payload, "division_average", NUMBER),
+        division_metric=typed(payload, "division_metric", str),
+        config_hash=typed(payload, "config_hash", str),
+        seed=typed(payload, "seed", int),
+        n_documents=typed(payload, "n_documents", int),
+        skipped_divisions=typed(payload, "skipped_divisions", int),
+        unknown_sections=typed(payload, "unknown_sections", int),
     )
+
+
+def load_run_reports(path: str | Path) -> list[RunReport]:
+    """The runs of a `report(format="json")` file; a malformed file raises MalformedFile."""
+    payload = read_json(path, "report file")
+    if not isinstance(payload, list) or not payload:
+        raise MalformedFile(f"{path}: expected a non-empty JSON list of run reports")
+    runs = []
+    for index, entry in enumerate(payload):
+        try:
+            runs.append(run_report_from_dict(entry))
+        except MalformedFile as exc:
+            raise MalformedFile(f"{path}: run {index}: {exc}") from None
+    return runs

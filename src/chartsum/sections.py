@@ -11,6 +11,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Union
 
+from .corpus import decode_utf8
 from .errors import ChartsumError
 
 
@@ -131,10 +132,7 @@ def canonical_key(raw: str) -> str:
 def load_alias_table(path: str | Path) -> dict[str, Section]:
     """Parse an "alias -> SECTION" file into a canonical-key lookup table."""
     table: dict[str, Section] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise AliasTableError(f"{path}: not UTF-8 text ({exc})") from exc
+    text = decode_utf8(Path(path).read_bytes(), path, AliasTableError)
     for line_num, line in enumerate(text.splitlines(), start=1):
         entry = line.strip()
         if not entry or entry.startswith("#"):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import LsgConfig, ModelConfig
+from ..corpus import MalformedFile, read_json, typed
 from ..errors import ChartsumError
 from .model import TinyModel, _param_shapes
 from .vocab import Vocab
@@ -53,55 +54,50 @@ def save_model(model: TinyModel, path: str | Path, lsg: LsgConfig, max_summary_t
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer_config(path: Path, payload: dict, key: str, cls):
+def _integer_config(payload: dict, key: str, cls):
     """`cls` built from `payload[key]`, an object holding exactly cls's fields as integers."""
-    block = payload[key]
-    names = {f.name for f in fields(cls)}
-    if not isinstance(block, dict) or block.keys() != names or not all(map(_is_int, block.values())):
-        raise MalformedCheckpoint(
-            f"{path}: {key} must be an object of the integers {', '.join(sorted(names))}"
-        )
+    block = typed(payload, key, dict)
+    names = sorted(f.name for f in fields(cls))
     try:
-        return cls(**block)
+        if sorted(block) != names:
+            raise MalformedFile(key)
+        values = {name: typed(block, name, int) for name in names}
+    except MalformedFile:
+        raise MalformedFile(f"{key} must be an object of the integers {', '.join(names)}") from None
+    try:
+        return cls(**values)
     except ValueError as exc:
-        raise MalformedCheckpoint(f"{path}: {key}: {exc}") from exc
+        raise MalformedFile(f"{key}: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedCheckpoint(f"{path}: not a valid checkpoint ({exc})") from exc
+    payload = read_json(path, "checkpoint", MalformedCheckpoint)
     if not isinstance(payload, dict):
         raise MalformedCheckpoint(f"{path}: expected a JSON object")
     version = payload.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or not isinstance(version, int):
         raise MalformedCheckpoint(
             f"{path}: unsupported format version {version!r}; "
             f"retrain with `chartsum train` to write version {FORMAT_VERSION}"
         )
-    for key in ("model_config", "lsg", "max_summary_tokens", "vocab", "params"):
-        if key not in payload:
-            raise MalformedCheckpoint(f"{path}: missing key {key!r}")
-    config = _integer_config(path, payload, "model_config", ModelConfig)
-    lsg = _integer_config(path, payload, "lsg", LsgConfig)
-    max_summary_tokens = payload["max_summary_tokens"]
-    if not _is_int(max_summary_tokens) or max_summary_tokens < 1:
+    try:
+        config = _integer_config(payload, "model_config", ModelConfig)
+        lsg = _integer_config(payload, "lsg", LsgConfig)
+        max_summary_tokens = typed(payload, "max_summary_tokens", int)
+        tokens = typed(payload, "vocab", list)
+        records = typed(payload, "params", dict)
+    except MalformedFile as exc:
+        raise MalformedCheckpoint(f"{path}: {exc}") from None
+    if max_summary_tokens < 1:
         raise MalformedCheckpoint(
             f"{path}: max_summary_tokens must be an integer >= 1, got {max_summary_tokens!r}"
         )
-    tokens = payload["vocab"]
-    if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+    if not all(isinstance(token, str) for token in tokens):
         raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")
     try:
         vocab = Vocab(id_to_token=tuple(tokens))
         params = {}
-        for name, record in payload["params"].items():
+        for name, record in records.items():
             raw = base64.b64decode(record["data"])
             shape = tuple(record["shape"])
             params[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()

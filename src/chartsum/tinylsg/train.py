@@ -23,10 +23,9 @@ class EmptyTrainingSet(ChartsumError):
 
 
 class NonFiniteLoss(ChartsumError):
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"training diverged at epoch {epoch}: loss is {loss}")
+    def __init__(self, epoch: int, reason: str):
+        super().__init__(f"training diverged at epoch {epoch}: {reason}")
         self.epoch = epoch
-        self.loss = loss
 
 
 class NonFiniteDecode(ChartsumError):
@@ -61,7 +60,8 @@ def train(
     """Teacher-forced cross-entropy training; returns (updated model, per-epoch mean loss).
 
     The input model is left untouched; sources longer than the input cap are
-    truncated rather than rejected.
+    truncated rather than rejected. An overflow or invalid value anywhere in a
+    step, or a non-finite batch loss, raises NonFiniteLoss.
     """
     if not pairs:
         raise EmptyTrainingSet("no (source, target) pairs to train on")
@@ -81,54 +81,58 @@ def train(
     total_steps = tc.epochs * n_batches
     history: list[float] = []
     step = 0
-    for epoch in range(tc.epochs):
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        epoch_tokens = 0
-        for start in range(0, len(order), tc.batch_size):
-            batch = order[start : start + tc.batch_size]
-            flat_grads.fill(0.0)
-            batch_loss = 0.0
-            batch_tokens = 0
-            for idx in batch:
-                src, tgt = examples[idx]
-                loss_sum, n_tokens, _ = loss_and_grads(working, src, tgt, lsg, grads)
-                batch_loss += loss_sum
-                batch_tokens += n_tokens
-            if not math.isfinite(batch_loss):
-                raise NonFiniteLoss(epoch, batch_loss)
-            lr = tc.initial_lr * (1.0 - step / total_steps)
-            step += 1
-            bias1 = 1.0 - _ADAM_BETA1**step
-            bias2 = 1.0 - _ADAM_BETA2**step
-            # In place, with the per-element arithmetic of
-            #   g = grads·(1/tokens)
-            #   m = β1·m + (1-β1)·g
-            #   v = β2·v + (1-β2)·g²
-            #   p -= lr·(m/bias1) / (√(v/bias2) + ε)
-            # The gradient buffer holds g, then serves as a second scratch;
-            # the next batch zeroes it.
-            g = flat_grads
-            g *= 1.0 / batch_tokens
-            m_state *= _ADAM_BETA1
-            np.multiply(g, 1.0 - _ADAM_BETA1, out=scratch)
-            m_state += scratch
-            v_state *= _ADAM_BETA2
-            np.multiply(g, g, out=g)
-            g *= 1.0 - _ADAM_BETA2
-            v_state += g
-            np.divide(v_state, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += _ADAM_EPS
-            np.divide(m_state, bias1, out=g)
-            g *= lr
-            g /= scratch
-            flat -= g
-            epoch_loss += batch_loss
-            epoch_tokens += batch_tokens
-        history.append(epoch_loss / epoch_tokens)
-        if log is not None:
-            log(f"epoch {epoch + 1}/{tc.epochs}: loss {history[-1]:.6f}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(tc.epochs):
+                rng.shuffle(order)
+                epoch_loss = 0.0
+                epoch_tokens = 0
+                for start in range(0, len(order), tc.batch_size):
+                    batch = order[start : start + tc.batch_size]
+                    flat_grads.fill(0.0)
+                    batch_loss = 0.0
+                    batch_tokens = 0
+                    for idx in batch:
+                        src, tgt = examples[idx]
+                        loss_sum, n_tokens, _ = loss_and_grads(working, src, tgt, lsg, grads)
+                        batch_loss += loss_sum
+                        batch_tokens += n_tokens
+                    if not math.isfinite(batch_loss):
+                        raise NonFiniteLoss(epoch + 1, f"loss is {batch_loss}")
+                    lr = tc.initial_lr * (1.0 - step / total_steps)
+                    step += 1
+                    bias1 = 1.0 - _ADAM_BETA1**step
+                    bias2 = 1.0 - _ADAM_BETA2**step
+                    # In place, with the per-element arithmetic of
+                    #   g = grads·(1/tokens)
+                    #   m = β1·m + (1-β1)·g
+                    #   v = β2·v + (1-β2)·g²
+                    #   p -= lr·(m/bias1) / (√(v/bias2) + ε)
+                    # The gradient buffer holds g, then serves as a second scratch;
+                    # the next batch zeroes it.
+                    g = flat_grads
+                    g *= 1.0 / batch_tokens
+                    m_state *= _ADAM_BETA1
+                    np.multiply(g, 1.0 - _ADAM_BETA1, out=scratch)
+                    m_state += scratch
+                    v_state *= _ADAM_BETA2
+                    np.multiply(g, g, out=g)
+                    g *= 1.0 - _ADAM_BETA2
+                    v_state += g
+                    np.divide(v_state, bias2, out=scratch)
+                    np.sqrt(scratch, out=scratch)
+                    scratch += _ADAM_EPS
+                    np.divide(m_state, bias1, out=g)
+                    g *= lr
+                    g /= scratch
+                    flat -= g
+                    epoch_loss += batch_loss
+                    epoch_tokens += batch_tokens
+                history.append(epoch_loss / epoch_tokens)
+                if log is not None:
+                    log(f"epoch {epoch + 1}/{tc.epochs}: loss {history[-1]:.6f}")
+    except FloatingPointError as exc:
+        raise NonFiniteLoss(len(history) + 1, str(exc)) from exc
     return working, history
 
 

@@ -687,6 +687,18 @@ def test_overflowing_weights_fail_decoding_with_one_error_line(
     assert capsys.readouterr().err == err
 
 
+def test_overflowing_training_step_fails_with_one_error_line(tmp_path, corpus_csv, capsys):
+    # The first of three steps leaves weights near 1e300; the second overflows.
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
+                 *TINY_MODEL_FLAGS, "--lr", "1e300", "--batch-size", "2"]) == 2
+    log, error = capsys.readouterr().err.splitlines()
+    assert log.startswith("vocabulary ")
+    assert re.fullmatch(r"error: training diverged at epoch 1: "
+                        r"(overflow|invalid value) encountered in \w+", error), error
+    assert not ckpt.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / report
 # ---------------------------------------------------------------------------
@@ -790,6 +802,50 @@ def test_report_non_json_file_is_a_runtime_error(tmp_path, capsys):
     bad.write_text("not json")
     assert main(["report", "--in", str(bad)]) == 2
     _assert_one_line_error(capsys.readouterr().err, str(bad), "not a valid report file")
+
+
+_DEPTH = 200_000
+
+
+@pytest.mark.parametrize("nested", [
+    "[" * _DEPTH + "]" * _DEPTH,
+    '{"a": ' * _DEPTH + "0" + "}" * _DEPTH,
+], ids=["array", "object"])
+@pytest.mark.parametrize("command, name", [
+    ("report", "report.json"),
+    ("score", "preds.json"),
+    ("score", "corpus.jsonl"),
+    ("predict", "model.json"),
+])
+def test_too_deeply_nested_json_is_a_runtime_error(
+        tmp_path, eval_csv, capsys, command, name, nested):
+    deep = tmp_path / name
+    deep.write_text(nested + "\n")
+    argv = {
+        "report": ["report", "--in", deep],
+        "score": ["score", "--candidates", deep, "--references", eval_csv],
+        "predict": ["predict", "--checkpoint", deep, "--eval", eval_csv],
+    }[command]
+    assert main([str(arg) for arg in argv]) == 2
+    _assert_one_line_error(capsys.readouterr().err, f"{deep}: ", "maximum recursion depth")
+
+
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_report_with_a_non_finite_number_is_a_runtime_error(
+        tmp_path, corpus_csv, eval_csv, capsys, number):
+    out_dir = tmp_path / "run"
+    assert main([
+        "run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,
+        "--backend", "oracle", "--seed", "0", "--out-dir", str(out_dir),
+    ]) == 0
+    capsys.readouterr()
+    path = out_dir / "report.json"
+    payload = json.loads(path.read_text())
+    payload[0]["division_average"] = 0.123456789
+    path.write_text(json.dumps(payload).replace("0.123456789", number))
+    assert main(["report", "--in", str(path)]) == 2
+    _assert_one_line_error(capsys.readouterr().err,
+                           f"{path}: run 0: 'division_average' must be a finite number")
 
 
 def _drop(*keys):
@@ -896,6 +952,17 @@ def test_run_eval_without_notes_fails_before_training(tmp_path, corpus_csv, caps
         "--seed", "0", *TINY_MODEL_FLAGS,
     ]) == 2
     assert capsys.readouterr().err == "error: no reference note for encounter 'synth-006'\n"
+
+
+def test_run_empty_eval_corpus_fails_before_training(tmp_path, corpus_csv, capsys, monkeypatch):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    empty = tmp_path / "eval.csv"
+    empty.write_text("id,dialogue,note\n")
+    assert main([
+        "run", "--approach", "section-wise", "--train", corpus_csv, "--eval", str(empty),
+        "--seed", "0", *TINY_MODEL_FLAGS,
+    ]) == 2
+    assert capsys.readouterr().err == "error: no candidate/reference pairs to score\n"
 
 
 def test_run_csv_format_to_stdout(corpus_csv, eval_csv, capsys):

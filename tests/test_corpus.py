@@ -92,19 +92,13 @@ def test_load_unknown_canonical_column_rejected(tmp_path):
         load_corpus(p, columns={"bogus": "id"})
 
 
-def test_load_unknown_format_rejected(tmp_path):
-    p = write(tmp_path / "c.csv", "id,dialogue\ne1,hi\n")
-    with pytest.raises(ValueError):
-        load_corpus(p, format="parquet")
-
-
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_load_non_utf8_corpus_is_malformed(tmp_path, format):
     p = tmp_path / f"c.{format}"
     p.write_bytes(b'id,dialogue\ne1,caf\xe9\n' if format == "csv"
                   else b'{"id": "e1", "dialogue": "caf\xe9"}\n')
     with pytest.raises(MalformedFile, match="not UTF-8 text"):
-        load_corpus(p, format=format)
+        load_corpus(p)
 
 
 def test_load_csv_field_over_the_size_limit_is_malformed(tmp_path):
@@ -122,7 +116,7 @@ def test_load_jsonl_basic(tmp_path):
         tmp_path / "c.jsonl",
         '{"id": "e1", "dialogue": "hi", "note": "n1"}\n\n{"id": "e2", "dialogue": "yo"}\n',
     )
-    corpus = load_corpus(p, format="jsonl")
+    corpus = load_corpus(p)
     assert corpus.ids() == ["e1", "e2"]
     assert corpus.encounters[0].note == "n1"
     assert corpus.encounters[1].note is None
@@ -131,19 +125,19 @@ def test_load_jsonl_basic(tmp_path):
 def test_load_jsonl_invalid_json(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"id": "e1", "dialogue": "hi"}\nnot json\n')
     with pytest.raises(MalformedFile):
-        load_corpus(p, format="jsonl")
+        load_corpus(p)
 
 
 def test_load_jsonl_non_object_row(tmp_path):
     p = write(tmp_path / "c.jsonl", "[1, 2, 3]\n")
     with pytest.raises(MalformedFile):
-        load_corpus(p, format="jsonl")
+        load_corpus(p)
 
 
 def test_load_jsonl_missing_keys(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"id": "e1"}\n')
     with pytest.raises(MissingColumn):
-        load_corpus(p, format="jsonl")
+        load_corpus(p)
 
 
 @pytest.mark.parametrize("row, field, got", [
@@ -157,18 +151,18 @@ def test_load_jsonl_missing_keys(tmp_path):
 def test_load_jsonl_non_string_field_names_row_and_field(tmp_path, row, field, got):
     p = write(tmp_path / "c.jsonl", '{"id": "e1", "dialogue": "hi"}\n' + row + "\n")
     with pytest.raises(MalformedFile) as info:
-        load_corpus(p, format="jsonl")
+        load_corpus(p)
     assert f"row 2: field {field!r} must be a string, got {got}" in str(info.value)
 
 
 def test_load_jsonl_null_note_is_unlabeled(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"id": "e1", "dialogue": "hi", "note": null}\n')
-    assert load_corpus(p, format="jsonl").encounters[0].note is None
+    assert load_corpus(p).encounters[0].note is None
 
 
 def test_load_jsonl_column_remap(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"k": "e1", "d": "hi", "n": "note"}\n')
-    corpus = load_corpus(p, format="jsonl", columns={"id": "k", "dialogue": "d", "note": "n"})
+    corpus = load_corpus(p, columns={"id": "k", "dialogue": "d", "note": "n"})
     assert corpus.encounters[0] == Encounter("e1", "hi", "note")
 
 
@@ -176,21 +170,28 @@ def test_load_jsonl_column_remap(tmp_path):
 # Save/load round trips
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("format", ["csv", "jsonl"])
+@pytest.mark.parametrize("format", ["csv", "jsonl", "ndjson"])
 def test_save_load_round_trip(tmp_path, format):
     original = synth_corpus(6)
     p1 = tmp_path / f"one.{format}"
     p2 = tmp_path / f"two.{format}"
-    save_corpus(original, p1, format=format)
-    loaded = load_corpus(p1, format=format)
+    save_corpus(original, p1)
+    loaded = load_corpus(p1)
     assert loaded.encounters == original.encounters
-    save_corpus(loaded, p2, format=format)
+    save_corpus(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_save_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        save_corpus(synth_corpus(2), tmp_path / "x", format="xml")
+@pytest.mark.parametrize("name, first_line", [
+    ("c.csv", "id,dialogue,note"),
+    ("c.jsonl", '{"id": "synth-000"'),
+    ("c.ndjson", '{"id": "synth-000"'),
+    ("c", "id,dialogue,note"),
+    ("c.jsonl.csv", "id,dialogue,note"),
+])
+def test_file_name_decides_the_corpus_format(tmp_path, name, first_line):
+    save_corpus(synth_corpus(2), tmp_path / name)
+    assert (tmp_path / name).read_text(encoding="utf-8").startswith(first_line)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each test starts from a valid file: a corpus in CSV and in JSONL, a
 checkpoint, a prediction file, a report file, a chart note (read from a file and
 from stdin) and the alias table. Hypothesis
 edits it at the byte level (flip, delete, insert) or, for JSON, replaces or
-deletes one value of the parsed document, and feeds the result to the command
+deletes one value of the parsed document (a replacement may be an array
+nested far past the interpreter's recursion limit), and feeds the result to the command
 that reads such a file. The command must succeed, or fail with exit code 2
 (a malformed input file) and one `error:` line on stderr; it must never
 raise. The alias table has
@@ -49,6 +50,10 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
+# An array nested too deeply to parse recursively; json_mutations splices it
+# into the serialized text in place of _DEEP_MARK.
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_MARK = "\x00deep\x00"
 
 
 @st.composite
@@ -80,17 +85,20 @@ def _slots(doc, found):
 
 @st.composite
 def json_mutations(draw, payload) -> bytes:
-    """`payload` with one value replaced or deleted, serialized."""
+    """`payload` with one value replaced, nested too deeply, or deleted, serialized."""
     doc = copy.deepcopy(payload)
     slots = _slots(doc, [])
     if not slots:
         return json.dumps(draw(_JSON_VALUES)).encode()
     container, key = draw(st.sampled_from(slots))
-    if draw(st.booleans()):
+    edit = draw(st.sampled_from(("replace", "nest", "delete")))
+    if edit == "replace":
         container[key] = draw(_JSON_VALUES)
+    elif edit == "nest":
+        container[key] = _DEEP_MARK
     else:
         del container[key]
-    return json.dumps(doc).encode()
+    return json.dumps(doc).replace(json.dumps(_DEEP_MARK), _DEEP).encode()
 
 
 @st.composite
@@ -121,7 +129,7 @@ def valid(tmp_path_factory):
     }
     save_corpus(corpus, paths["csv"])
     paths["note"].write_text(corpus.encounters[0].note, encoding="utf-8")
-    save_corpus(corpus, paths["jsonl"], format="jsonl")
+    save_corpus(corpus, paths["jsonl"])
     vocab = build_vocab([text for e in corpus for text in (e.dialogue, e.note)])
     cfg = ModelConfig(d_model=8, n_heads=2, n_layers_enc=1, n_layers_dec=1, d_ff=16)
     lsg = LsgConfig(block_size=4, sparsity_stride=2, max_input_tokens=48)

@@ -3,6 +3,7 @@
 Every name a package module imports is read in that module or listed in its
 `__all__`. numpy and `chartsum.tinylsg` load only for commands that train or
 decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
+Input files are decoded and parsed as JSON in one place each.
 """
 
 from __future__ import annotations
@@ -235,3 +236,99 @@ def test_tinylsg_train_is_the_function_not_the_module():
     from chartsum.tinylsg import train
 
     assert inspect.isfunction(train)
+
+
+# ---------------------------------------------------------------------------
+# one decode and one JSON parse for every input file
+# ---------------------------------------------------------------------------
+
+# Call → the one (module, function) allowed to make it.
+SHARED_READERS = {
+    "json.loads": ("corpus.py", "parse_json"),
+    '.decode("utf-8")': ("corpus.py", "decode_utf8"),
+}
+_UTF8_NAMES = {"utf-8", "utf8", "utf_8"}
+
+
+def _reader_call(node: ast.Call) -> str | None:
+    """The SHARED_READERS key this call is an instance of, if any.
+
+    `json.load`/`json.loads` count as "json.loads"; `.decode()`,
+    `.decode("utf-8")` (any spelling) and `.read_text(...)` count as UTF-8 decodes.
+    """
+    func = node.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if ast.unparse(func) in ("json.load", "json.loads"):
+        return "json.loads"
+    if func.attr == "read_text":
+        return '.decode("utf-8")'
+    if func.attr == "decode" and not node.keywords:
+        first = node.args[0] if node.args else None
+        if first is None or (isinstance(first, ast.Constant)
+                             and str(first.value).lower() in _UTF8_NAMES):
+            return '.decode("utf-8")'
+    return None
+
+
+def reader_calls(source: str, module: str) -> list[str]:
+    """JSON parses and UTF-8 decodes made outside the function SHARED_READERS allows."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.append(f"line {child.lineno}: {ast.unparse(child)}")
+            if isinstance(child, ast.Call):
+                kind = _reader_call(child)
+                if kind is not None and SHARED_READERS[kind] != (module, function):
+                    found.append(f"line {child.lineno}: {ast.unparse(child)}")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: str(path.relative_to(PACKAGE))
+)
+def test_input_files_are_decoded_and_parsed_in_one_place(path):
+    assert reader_calls(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_reader_call_check_flags_what_it_should():
+    source = (
+        "import json\n"
+        "from json import loads\n"
+        "def parse_json(text):\n"
+        "    return json.loads(text)\n"
+        "def decode_utf8(data):\n"
+        "    return data.decode('utf-8')\n"
+        "def other(path, data, ids):\n"
+        "    json.load(open(path))\n"
+        "    data.decode()\n"
+        "    data.decode('UTF8')\n"
+        "    path.read_text(encoding='utf-8')\n"
+        "    data.decode('ascii')\n"
+        "    vocab.decode(ids)\n"
+        "    def parse_json(text):\n"
+        "        return json.loads(text)\n"
+    )
+    assert reader_calls(source, "corpus.py") == [
+        "line 2: from json import loads",
+        "line 8: json.load(open(path))",
+        "line 9: data.decode()",
+        "line 10: data.decode('UTF8')",
+        "line 11: path.read_text(encoding='utf-8')",
+    ]
+    assert reader_calls(source, "cli.py") == [
+        "line 2: from json import loads",
+        "line 4: json.loads(text)",
+        "line 6: data.decode('utf-8')",
+        "line 8: json.load(open(path))",
+        "line 9: data.decode()",
+        "line 10: data.decode('UTF8')",
+        "line 11: path.read_text(encoding='utf-8')",
+        "line 15: json.loads(text)",
+    ]
