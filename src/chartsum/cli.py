@@ -229,6 +229,7 @@ def _cmd_split_sections(args) -> int:
 
 def _cmd_train(args) -> int:
     from .tinylsg import save_model
+    from .tinylsg.train import NonFiniteDecode, summarize_ids
 
     corpus = load_corpus(args.train, args.columns)
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
@@ -238,6 +239,12 @@ def _cmd_train(args) -> int:
     trained, history = train_tiny_lsg(
         backend, pairs, args.seed, log=lambda line: print(line, file=sys.stderr)
     )
+    # A finite loss does not prove the weights decode; a checkpoint that
+    # cannot decode is not written.
+    try:
+        summarize_ids(trained, pairs[0][0], 1, backend.lsg)
+    except NonFiniteDecode as exc:
+        raise ChartsumError(f"trained model cannot decode ({exc}); try a lower --lr") from exc
     save_model(trained, args.checkpoint, backend.lsg, backend.max_summary_tokens)
     print(f"final loss {history[-1]:.6f}; checkpoint written to {args.checkpoint}",
           file=sys.stderr)

@@ -605,14 +605,24 @@ def run_report_to_dict(run: RunReport) -> dict:
 
 
 def run_report_from_dict(payload: Mapping) -> RunReport:
-    """Inverse of run_report_to_dict; a missing or mistyped field raises MalformedFile."""
+    """Inverse of run_report_to_dict.
+
+    A missing or mistyped field, or a score outside [0, 1], raises MalformedFile.
+    """
     if not isinstance(payload, dict):
         raise MalformedFile(f"run report must be an object, got {type(payload).__name__}")
+
+    def unit(parent: Mapping, key: str, where: str = "") -> float:
+        value = typed(parent, key, NUMBER, where)
+        if not 0 <= value <= 1:
+            path = f"{where}.{key}" if where else key
+            raise MalformedFile(f"{path!r} must be a score in [0, 1], got {value}")
+        return value
 
     def score(parent: Mapping, metric: str, where: str) -> RougeScore:
         fields = typed(parent, metric, dict, where)
         where = f"{where}.{metric}"
-        return RougeScore(**{name: typed(fields, name, NUMBER, where) for name in _SCORE_FIELDS})
+        return RougeScore(**{name: unit(fields, name, where) for name in _SCORE_FIELDS})
 
     def document(parent: Mapping, doc_id: str, where: str) -> DocumentScores:
         metrics = typed(parent, doc_id, dict, where)
@@ -632,10 +642,8 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
     return RunReport(
         approach=typed(payload, "approach", str),
         scores=scores,
-        division_f1={
-            div: typed(division_f1, div.value, NUMBER, "division_f1") for div in DIVISIONS
-        },
-        division_average=typed(payload, "division_average", NUMBER),
+        division_f1={div: unit(division_f1, div.value, "division_f1") for div in DIVISIONS},
+        division_average=unit(payload, "division_average"),
         division_metric=typed(payload, "division_metric", str),
         config_hash=typed(payload, "config_hash", str),
         seed=typed(payload, "seed", int),

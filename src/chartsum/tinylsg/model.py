@@ -3,9 +3,10 @@
 The encoder self-attention follows the local/sparse/global pattern: on long
 inputs a block-sparse kernel computes only the scores the pattern allows, on
 short ones dense attention takes the pattern as a mask (see `masks.lsg_layout`).
-The decoder is causally masked; cross-attention is unmasked. Everything runs in
-double precision so analytic gradients can be checked against central finite
-differences.
+The decoder is causally masked; cross-attention is unmasked. One decoder
+forward, `_decode`, serves teacher forcing and cached greedy decoding alike.
+Everything runs in double precision so analytic gradients can be checked
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -121,10 +122,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _attend(params, prefix: str, x_q, kh, vh, bias, n_heads: int):
+def _attend(params, prefix: str, x_q, x_kv, kh, vh, bias, n_heads: int):
     """Attention of x_q's queries over keys/values already split into heads.
 
     `bias` is an additive (n_q, n_kv) mask, or None for unmasked attention.
+    `x_kv`, which kh and vh were projected from, is kept for the backward pass.
     """
     qh = _split_heads(x_q @ params[f"{prefix}.wq"], n_heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
@@ -133,14 +135,13 @@ def _attend(params, prefix: str, x_q, kh, vh, bias, n_heads: int):
         scores += bias[None, :, :]
     probs = _softmax_rows(scores)
     merged = _merge_heads(probs @ vh)
-    return merged @ params[f"{prefix}.wo"], (qh, probs, merged, scale)
+    return merged @ params[f"{prefix}.wo"], (x_q, x_kv, qh, kh, vh, probs, merged, scale)
 
 
 def _mha_forward(params, prefix: str, x_q, x_kv, bias, n_heads: int):
     kh = _split_heads(x_kv @ params[f"{prefix}.wk"], n_heads)
     vh = _split_heads(x_kv @ params[f"{prefix}.wv"], n_heads)
-    out, (qh, probs, merged, scale) = _attend(params, prefix, x_q, kh, vh, bias, n_heads)
-    return out, (x_q, x_kv, qh, kh, vh, probs, merged, scale)
+    return _attend(params, prefix, x_q, x_kv, kh, vh, bias, n_heads)
 
 
 def _mha_backward(params, prefix: str, cache, d_out, grads):
@@ -340,9 +341,11 @@ def encoder_input_ids(src: Sequence[int], lsg: LsgConfig) -> list[int]:
     return ids if ids else [UNK_ID]
 
 
-def _embed(params, ids: Sequence[int]):
+def _embed(params, ids: Sequence[int], start: int = 0):
+    """Token embeddings plus the encodings of positions start .. start+len(ids)-1."""
     ids = np.asarray(ids, dtype=np.intp)
-    return params["tok_emb"][ids] + positional_encoding(len(ids), params["tok_emb"].shape[1]), ids
+    pe = positional_encoding(len(ids), params["tok_emb"].shape[1], start)
+    return params["tok_emb"][ids] + pe, ids
 
 
 def _encode(params, src: Sequence[int], cfg: ModelConfig, lsg: LsgConfig):
@@ -384,42 +387,18 @@ def _encode_backward(params, cache, d_out, grads):
     np.add.at(grads["tok_emb"], ids, d_x)
 
 
-def _decode(params, enc_out, tgt_prefix: Sequence[int], cfg: ModelConfig):
-    x, ids = _embed(params, tgt_prefix)
-    self_bias = causal_bias(len(ids))
-    layers = []
-    for i in range(cfg.n_layers_dec):
-        p = f"dec.{i}"
-        normed1, ln1 = _ln_forward(params, f"{p}.ln1", x)
-        self_out, self_attn = _mha_forward(
-            params, f"{p}.self", normed1, normed1, self_bias, cfg.n_heads
-        )
-        x = x + self_out
-        normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
-        cross_out, cross_attn = _mha_forward(
-            params, f"{p}.cross", normed2, enc_out, None, cfg.n_heads
-        )
-        x = x + cross_out
-        normed3, ln3 = _ln_forward(params, f"{p}.ln3", x)
-        ff_out, ff = _ff_forward(params, f"{p}.ff", normed3)
-        x = x + ff_out
-        layers.append((ln1, self_attn, ln2, cross_attn, ln3, ff))
-    normed, ln_final = _ln_forward(params, "dec.norm", x)
-    logits = normed @ params["out.w"] + params["out.b"]
-    return logits, (ids, layers, ln_final, normed)
-
-
 class DecodeState:
-    """Keys/values that greedy decoding of one source reuses across steps.
+    """What `_decode` reuses across calls for one source.
 
-    The cross-attention keys/values of each decoder layer are projected from
-    the encoder output once; the self-attention keys/values grow by one row
-    per decoded position. All are split into heads: (n_heads, rows, d_head).
+    `enc_out` is the encoder output. The cross-attention keys/values of each
+    decoder layer are projected from it once; the self-attention keys/values
+    grow by one row per position fed. Keys/values are split into heads:
+    (n_heads, rows, d_head). `length` counts the positions fed so far.
     """
 
     def __init__(self, params, enc_out, cfg: ModelConfig):
         h = cfg.n_heads
-        empty = np.empty((h, 0, cfg.d_model // h))
+        self.enc_out = enc_out
         self.cross = [
             (
                 _split_heads(enc_out @ params[f"dec.{i}.cross.wk"], h),
@@ -427,35 +406,50 @@ class DecodeState:
             )
             for i in range(cfg.n_layers_dec)
         ]
-        self.self_kv = [(empty, empty)] * cfg.n_layers_dec
+        self.self_kv = [None] * cfg.n_layers_dec
         self.length = 0
 
 
-def _decode_step(params, state: DecodeState, token: int, cfg: ModelConfig) -> np.ndarray:
-    """Logits (V,) after feeding `token` at the next position; extends `state` by that position.
+def _decode(params, state: DecodeState, tokens: Sequence[int], cfg: ModelConfig):
+    """Logits (len(tokens), V) of `tokens` fed at positions state.length onward.
 
-    Equal, up to rounding, to the last row of `_decode` on the whole prefix.
+    Extends `state`'s self-attention keys/values by those positions. Teacher
+    forcing feeds BOS + target to a fresh state; greedy decoding feeds one
+    token per call. The returned backward cache is valid only for a call on a
+    fresh state, since its self-attention inputs cover the new positions alone.
     """
-    h = cfg.n_heads
-    x = params["tok_emb"][token] + positional_encoding(1, cfg.d_model, state.length)
+    h, start = cfg.n_heads, state.length
+    x, ids = _embed(params, tokens, start)
+    # A lone new position sees every cached key, so it needs no mask.
+    self_bias = None if len(ids) == 1 else causal_bias(start + len(ids))[start:]
+    layers = []
     for i, (cross_k, cross_v) in enumerate(state.cross):
         p = f"dec.{i}"
-        normed1, _ = _ln_forward(params, f"{p}.ln1", x)
-        self_k, self_v = state.self_kv[i]
-        self_k = np.concatenate([self_k, _split_heads(normed1 @ params[f"{p}.self.wk"], h)], axis=1)
-        self_v = np.concatenate([self_v, _split_heads(normed1 @ params[f"{p}.self.wv"], h)], axis=1)
+        normed1, ln1 = _ln_forward(params, f"{p}.ln1", x)
+        self_k = _split_heads(normed1 @ params[f"{p}.self.wk"], h)
+        self_v = _split_heads(normed1 @ params[f"{p}.self.wv"], h)
+        if start:
+            cached_k, cached_v = state.self_kv[i]
+            self_k = np.concatenate([cached_k, self_k], axis=1)
+            self_v = np.concatenate([cached_v, self_v], axis=1)
         state.self_kv[i] = (self_k, self_v)
-        self_out, _ = _attend(params, f"{p}.self", normed1, self_k, self_v, None, h)
+        self_out, self_attn = _attend(
+            params, f"{p}.self", normed1, normed1, self_k, self_v, self_bias, h
+        )
         x = x + self_out
-        normed2, _ = _ln_forward(params, f"{p}.ln2", x)
-        cross_out, _ = _attend(params, f"{p}.cross", normed2, cross_k, cross_v, None, h)
+        normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
+        cross_out, cross_attn = _attend(
+            params, f"{p}.cross", normed2, state.enc_out, cross_k, cross_v, None, h
+        )
         x = x + cross_out
-        normed3, _ = _ln_forward(params, f"{p}.ln3", x)
-        ff_out, _ = _ff_forward(params, f"{p}.ff", normed3)
+        normed3, ln3 = _ln_forward(params, f"{p}.ln3", x)
+        ff_out, ff = _ff_forward(params, f"{p}.ff", normed3)
         x = x + ff_out
-    state.length += 1
-    normed, _ = _ln_forward(params, "dec.norm", x)
-    return (normed @ params["out.w"] + params["out.b"])[0]
+        layers.append((ln1, self_attn, ln2, cross_attn, ln3, ff))
+    state.length += len(ids)
+    normed, ln_final = _ln_forward(params, "dec.norm", x)
+    logits = normed @ params["out.w"] + params["out.b"]
+    return logits, (ids, layers, ln_final, normed)
 
 
 def _decode_backward(params, cache, d_logits, grads):
@@ -499,7 +493,8 @@ def loss_and_grads(
     tgt_in = [BOS_ID] + list(tgt)
     tgt_out = np.asarray(list(tgt) + [EOS_ID], dtype=np.intp)
     enc_out, enc_cache = _encode(params, src, model.config, cfg)
-    logits, dec_cache = _decode(params, enc_out, tgt_in, model.config)
+    state = DecodeState(params, enc_out, model.config)
+    logits, dec_cache = _decode(params, state, tgt_in, model.config)
     probs = _softmax_rows(logits)
     picked = probs[np.arange(len(tgt_out)), tgt_out]
     loss_sum = float(-np.log(np.maximum(picked, 1e-300)).sum())

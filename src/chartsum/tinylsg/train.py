@@ -10,7 +10,7 @@ import numpy as np
 
 from ..config import LsgConfig, TrainConfig
 from ..errors import ChartsumError
-from .model import DecodeState, TinyModel, _decode_step, _encode, loss_and_grads
+from .model import DecodeState, TinyModel, _decode, _encode, loss_and_grads
 from .vocab import BOS_ID, EOS_ID
 
 _ADAM_BETA1 = 0.9
@@ -32,13 +32,13 @@ class NonFiniteDecode(ChartsumError):
     """Decoding overflowed or produced NaN: the model's weights are out of range."""
 
 
+def _source_ids(model: TinyModel, text: str, lsg: LsgConfig) -> list[int]:
+    """Token ids of a source text, cut to the input cap."""
+    return model.vocab.encode(text)[: lsg.max_input_tokens]
+
+
 def _encode_pairs(model: TinyModel, pairs, lsg: LsgConfig) -> list[tuple[list[int], list[int]]]:
-    encoded = []
-    for src_text, tgt_text in pairs:
-        src = model.vocab.encode(src_text)[: lsg.max_input_tokens]
-        tgt = model.vocab.encode(tgt_text)
-        encoded.append((src, tgt))
-    return encoded
+    return [(_source_ids(model, src, lsg), model.vocab.encode(tgt)) for src, tgt in pairs]
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -139,7 +139,7 @@ def train(
 def generate(model: TinyModel, src: Sequence[int], max_len: int, lsg: LsgConfig) -> list[int]:
     """Greedy decode from BOS until EOS or max_len tokens; argmax ties pick the lowest id.
 
-    Each step runs the decoder on the newest token only, reusing the cached
+    Each step feeds `_decode` the newest token only, reusing the cached
     keys/values of the source and of the earlier positions. An overflow or
     invalid value anywhere in the forward passes raises NonFiniteDecode.
     """
@@ -153,7 +153,8 @@ def generate(model: TinyModel, src: Sequence[int], max_len: int, lsg: LsgConfig)
             state = DecodeState(params, enc_out, cfg)
             token = BOS_ID
             while len(emitted) < max_len:
-                token = int(np.argmax(_decode_step(params, state, token, cfg)))
+                logits, _ = _decode(params, state, [token], cfg)
+                token = int(np.argmax(logits[0]))
                 if token == EOS_ID:
                     break
                 emitted.append(token)
@@ -166,7 +167,7 @@ def generate(model: TinyModel, src: Sequence[int], max_len: int, lsg: LsgConfig)
 
 def summarize_ids(model: TinyModel, text: str, max_len: int, lsg: LsgConfig) -> list[int]:
     """Encode text (truncated to the input cap) and greedy-decode a summary."""
-    return generate(model, model.vocab.encode(text)[: lsg.max_input_tokens], max_len, lsg)
+    return generate(model, _source_ids(model, text, lsg), max_len, lsg)
 
 
 def _mean_loss(model: TinyModel, src, tgt, lsg: LsgConfig) -> float:

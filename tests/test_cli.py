@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from chartsum.cli import build_parser, main
+from chartsum.cli import _backend_from_args, build_parser, main
 from chartsum.corpus import load_corpus, load_predictions, save_corpus
-from chartsum.pipeline import TinyLsgSummarizer, run_report_from_dict
-from chartsum.tinylsg import LsgConfig, load_checkpoint
+from chartsum.pipeline import TinyLsgSummarizer, run_report_from_dict, train_tiny_lsg
+from chartsum.tinylsg import LsgConfig, load_checkpoint, save_model
 from synthdata import synth_corpus
 
 
@@ -668,22 +668,40 @@ def test_predict_non_finite_checkpoint_parameter_is_a_runtime_error(
     assert not out.exists()
 
 
+# One Adam step at lr 1e300 leaves finite weights near 1e300; a forward pass
+# through them overflows.
+OVERFLOW_FLAGS = [*TINY_MODEL_FLAGS, "--lr", "1e300", "--batch-size", "8"]
+
+
+def test_train_refuses_to_write_a_checkpoint_that_cannot_decode(tmp_path, corpus_csv, capsys):
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
+                 *OVERFLOW_FLAGS]) == 2
+    *log, error = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in log] == ["vocabulary", "epoch"]
+    assert re.fullmatch(r"error: trained model cannot decode \(decoding failed: "
+                        r"(overflow|invalid value) encountered in \w+; the model's weights "
+                        r"are out of range\); try a lower --lr", error), error
+    assert not ckpt.exists()
+
+
 def test_overflowing_weights_fail_decoding_with_one_error_line(
         tmp_path, corpus_csv, eval_csv, capsys):
-    # One Adam step at lr 1e300 leaves finite weights near 1e300; a forward
-    # pass through them overflows.
-    flags = [*TINY_MODEL_FLAGS, "--lr", "1e300", "--batch-size", "8"]
+    # `train` refuses to write such weights, so the library writes them.
+    args = build_parser().parse_args(["train", "--train", corpus_csv, "--checkpoint", "-",
+                                      "--seed", "0", *OVERFLOW_FLAGS])
+    backend = _backend_from_args(args)
+    pairs = [(e.dialogue, e.note) for e in load_corpus(corpus_csv).labeled()]
+    trained, _ = train_tiny_lsg(backend, pairs, 0)
     ckpt, out = tmp_path / "model.json", tmp_path / "preds.json"
-    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
-                 *flags]) == 0
-    capsys.readouterr()
+    save_model(trained, ckpt, backend.lsg, backend.max_summary_tokens)
     assert _predict(ckpt, eval_csv, out) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: decoding failed: (overflow|invalid value) encountered in \w+; "
                         r"the model's weights are out of range\n", err), err
     assert not out.exists()
     assert main(["run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,
-                 "--seed", "0", *flags]) == 2
+                 "--seed", "0", *OVERFLOW_FLAGS]) == 2
     assert capsys.readouterr().err == err
 
 
@@ -876,6 +894,12 @@ def _set(value, *keys):
     (_set([1, 2], "scores", "rouge1"), "'scores.rouge1' must be an object, got list"),
     (_set("high", "scores", "rougeL", "f1"), "'scores.rougeL.f1' must be a number, got str"),
     (_set(None, "approach"), "'approach' must be a string, got NoneType"),
+    *(
+        (_set(value, *keys), f"'{'.'.join(keys)}' must be a score in [0, 1], got {value}")
+        for value in (1e30, 7.5, -0.5)
+        for keys in (("division_average",),
+                     ("scores", "per_document", "synth-006", "rouge1", "f1"))
+    ),
 ])
 def test_report_malformed_entry_is_a_runtime_error(
     tmp_path, corpus_csv, eval_csv, capsys, mutate, fragment

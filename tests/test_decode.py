@@ -1,9 +1,11 @@
 """Cached greedy decoding against a full-recompute oracle.
 
-`generate` runs the decoder on one new token per step and reuses cached
-self- and cross-attention keys/values. `ref_generate` below is the plain
-loop it replaced: it re-runs `_decode` over the whole prefix at every step.
-Both must pick the same tokens, and every step's logits must agree to 1e-12.
+`generate` feeds `_decode` one new token per step and reuses the self- and
+cross-attention keys/values its `DecodeState` keeps. `ref_generate` below is
+the plain loop it replaced: it re-runs `_decode` over the whole prefix on a
+fresh state at every step. Both must pick the same tokens, and every step's
+logits must agree to 1e-12. A prefix fed to one state in two chunks must give
+the logits of feeding it in one call, to the same tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from chartsum.tinylsg.masks import LsgConfig
-from chartsum.tinylsg.model import ModelConfig, _decode, _encode, init_model
+from chartsum.tinylsg.model import DecodeState, ModelConfig, _decode, _encode, init_model
 from chartsum.tinylsg.train import generate, summarize_ids
 from chartsum.tinylsg.vocab import BOS_ID, EOS_ID, build_vocab
 
@@ -28,11 +30,12 @@ LOGIT_TOL = 1e-12
 
 def ref_generate(model, src, max_len, lsg):
     """Full-recompute greedy decode: (emitted tokens, last-row logits of each step)."""
-    enc_out, _ = _encode(model.params, src, model.config, lsg)
+    params, cfg = model.params, model.config
+    enc_out, _ = _encode(params, src, cfg, lsg)
     prefix = [BOS_ID]
     emitted, step_logits = [], []
     while len(emitted) < max_len:
-        logits, _ = _decode(model.params, enc_out, prefix, model.config)
+        logits, _ = _decode(params, DecodeState(params, enc_out, cfg), prefix, cfg)
         step_logits.append(logits[-1])
         nxt = int(np.argmax(logits[-1]))
         if nxt == EOS_ID:
@@ -53,15 +56,15 @@ def make_model(seed, scale, n_heads=2, n_layers_dec=2, eos_bias=0.0):
 def cached_generate(monkeypatch, model, src, max_len, lsg=LSG):
     """`generate`'s tokens, per-step logits, and per-step cached (key, value) rows per layer."""
     step_logits, cached_rows = [], []
-    step = train_mod._decode_step
+    decode = train_mod._decode
 
-    def recording(params, state, token, cfg):
-        logits = step(params, state, token, cfg)
-        step_logits.append(logits.copy())
+    def recording(params, state, tokens, cfg):
+        logits, cache = decode(params, state, tokens, cfg)
+        step_logits.append(logits[-1].copy())
         cached_rows.append([(k.shape[1], v.shape[1]) for k, v in state.self_kv])
-        return logits
+        return logits, cache
 
-    monkeypatch.setattr(train_mod, "_decode_step", recording)
+    monkeypatch.setattr(train_mod, "_decode", recording)
     return generate(model, src, max_len, lsg), step_logits, cached_rows
 
 
@@ -160,3 +163,21 @@ def test_decode_cache_grows_per_step_not_per_cap(monkeypatch, eos_bias, max_len,
     model = make_model(seed=6, scale=0.5, eos_bias=eos_bias)
     _, _, cached_rows = cached_generate(monkeypatch, model, [5, 6], max_len)
     assert cached_rows == [[(n, n)] * model.config.n_layers_dec for n in range(1, steps + 1)]
+
+
+@pytest.mark.parametrize("scale,n_heads,n_layers_dec", [(0.02, 1, 1), (0.5, 2, 2), (0.5, 4, 3)])
+def test_prefix_fed_in_two_chunks_matches_one_shot(scale, n_heads, n_layers_dec):
+    model = make_model(seed=7, scale=scale, n_heads=n_heads, n_layers_dec=n_layers_dec)
+    params, cfg = model.params, model.config
+    rng = np.random.default_rng(n_layers_dec)
+    prefix = [BOS_ID] + rng.integers(5, model.vocab.size, size=11).tolist()
+    for src in ([], [5, 6, 7], list(range(5, 5 + LSG.max_input_tokens))):
+        enc_out, _ = _encode(params, src, cfg, LSG)
+        whole, _ = _decode(params, DecodeState(params, enc_out, cfg), prefix, cfg)
+        for j in range(1, len(prefix)):
+            state = DecodeState(params, enc_out, cfg)
+            head, _ = _decode(params, state, prefix[:j], cfg)
+            tail, _ = _decode(params, state, prefix[j:], cfg)
+            assert state.length == len(prefix)
+            assert [k.shape[1] for k, _ in state.self_kv] == [len(prefix)] * n_layers_dec
+            assert np.max(np.abs(np.vstack([head, tail]) - whole)) <= LOGIT_TOL, j

@@ -1,7 +1,8 @@
 """Import hygiene of the package.
 
 Every name a package module imports is read in that module or listed in its
-`__all__`. numpy and `chartsum.tinylsg` load only for commands that train or
+`__all__`, and every module-level private name is read somewhere in the
+package. numpy and `chartsum.tinylsg` load only for commands that train or
 decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
 Input files are decoded and parsed as JSON in one place each.
 """
@@ -68,6 +69,81 @@ def test_unused_import_check_flags_what_it_should():
     )
     assert unused_imports(source) == ["os (line 2)", "run_report_to_dict (line 4)",
                                       "system (line 3)"]
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name`s that no code in `sources` reads outside their own definition.
+
+    A read is a name load in the defining module, or, in any module, an
+    import of the name or an attribute access by that name.
+    """
+    defined = []  # (module, name, line, index of the defining statement)
+    local_reads: dict[str, list[tuple[str, int]]] = {}
+    foreign_reads: set[str] = set()
+    for module, source in sources.items():
+        for index, statement in enumerate(ast.parse(source).body):
+            defined.extend((module, name, statement.lineno, index)
+                           for name in _bound_names(statement)
+                           if name.startswith("_") and not name.startswith("__"))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    local_reads.setdefault(node.id, []).append((module, index))
+                elif isinstance(node, ast.Attribute):
+                    foreign_reads.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    foreign_reads.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, name, line, index in defined
+        if name not in foreign_reads and not any(
+            where == module and at != index for where, at in local_reads.get(name, ()))
+    )
+
+
+def test_every_private_name_is_read():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_name_check_flags_what_it_should():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "class _Dead:\n"
+            "    pass\n"
+            "__all__ = ['public']\n"
+            "def public():\n"
+            "    return _USED\n"
+        ),
+        "b.py": (
+            "from .a import _imported\n"
+            "from . import a\n"
+            "_ALSO, _LOCAL = 3, 4\n"
+            "def f():\n"
+            "    return _imported(), a._by_attribute, _USED, _LOCAL\n"
+        ),
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _Dead (line 9)", "a.py: _UNUSED (line 2)", "a.py: _recursive (line 3)",
+        "b.py: _ALSO (line 3)",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from chartsum.tinylsg.masks import LsgConfig, lsg_layout, lsg_mask, mask_to_bias
 from chartsum.tinylsg.model import (
     ModelConfig,
     SequenceTooLong,
+    DecodeState,
     TinyModel,
     _attend,
     _decode,
@@ -283,7 +284,7 @@ def test_multi_head_attend_is_per_head_reference_attention(n_heads, masked):
     x_q, x_kv = rng.normal(size=(n_q, d)), rng.normal(size=(n_kv, d))
     k, v = x_kv @ params["a.wk"], x_kv @ params["a.wv"]
     mask = lsg_mask(n_kv, LsgConfig(block_size=2, num_global=1))[:n_q] if masked else None
-    got, _ = _attend(params, "a", x_q, _split_heads(k, n_heads), _split_heads(v, n_heads),
+    got, _ = _attend(params, "a", x_q, x_kv, _split_heads(k, n_heads), _split_heads(v, n_heads),
                      None if mask is None else mask_to_bias(mask), n_heads)
     q, dh = x_q @ params["a.wq"], d // n_heads
     full = np.ones((n_q, n_kv), dtype=bool) if mask is None else mask
@@ -296,8 +297,8 @@ def test_attend_without_bias_equals_zero_bias():
     rng = np.random.default_rng(3)
     params = {f"a.{w}": rng.normal(size=(4, 4)) for w in ("wq", "wk", "wv", "wo")}
     x_q, kh, vh = rng.normal(size=(3, 4)), rng.normal(size=(2, 6, 2)), rng.normal(size=(2, 6, 2))
-    plain, _ = _attend(params, "a", x_q, kh, vh, None, 2)
-    zero, _ = _attend(params, "a", x_q, kh, vh, np.zeros((3, 6)), 2)
+    plain, _ = _attend(params, "a", x_q, None, kh, vh, None, 2)
+    zero, _ = _attend(params, "a", x_q, None, kh, vh, np.zeros((3, 6)), 2)
     assert np.array_equal(plain, zero)
 
 
@@ -466,7 +467,8 @@ def forward(model, src, tgt_prefix, cfg):
     if len(tgt_prefix) < 1:
         raise DimensionMismatch("tgt_prefix must contain at least one token")
     enc_out, _ = _encode(model.params, src, model.config, cfg)
-    logits, _ = _decode(model.params, enc_out, tgt_prefix, model.config)
+    state = DecodeState(model.params, enc_out, model.config)
+    logits, _ = _decode(model.params, state, tgt_prefix, model.config)
     return logits
 
 
