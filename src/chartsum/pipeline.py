@@ -148,21 +148,29 @@ class OracleSummarizer(Summarizer):
         return self._references[encounter_id]
 
 
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+# A sentence ends at a run of whitespace after ".", "!" or "?". Each pattern
+# starts with its literal end mark, so the regex engine skips ahead to the next
+# mark in C instead of testing a lookbehind at every character.
+_SENTENCE_ENDS = tuple((re.compile(re.escape(mark) + r"\s+"), mark + "\n") for mark in ".!?")
 
 
 def split_sentences(text: str) -> list[tuple[str, list[str]]]:
     """Newline-then-punctuation sentence split, each sentence paired with its tokens.
 
-    Token-free fragments are dropped. Every cut falls on whitespace or a line
-    break, so the sentences' tokens together are exactly `tokenize(text)`. No
-    part holds a line feed, so one `tokenize_lines` pass over the parts joined
-    by line feeds gives each part's `tokenize`.
+    Every line boundary that `str.splitlines` knows becomes a line feed, and so
+    does every whitespace run after a sentence end mark. The parts that hold
+    tokens are those of cutting the text into lines and each line at its
+    sentence ends, up to whitespace at their edges, which is stripped.
+    Token-free parts are dropped. Every cut falls on whitespace or a line
+    break, so the sentences' tokens together are exactly `tokenize(text)`, and
+    one `tokenize_lines` pass over the cut text gives each part's `tokenize`.
     """
-    parts = [part for line in text.splitlines() for part in _SENTENCE_SPLIT.split(line)]
+    cut = "\n".join(text.splitlines())
+    for pattern, replacement in _SENTENCE_ENDS:
+        cut = pattern.sub(replacement, cut)
     return [
         (part.strip(), tokens)
-        for part, tokens in zip(parts, tokenize_lines("\n".join(parts)))
+        for part, tokens in zip(cut.split("\n"), tokenize_lines(cut))
         if tokens
     ]
 

@@ -96,20 +96,35 @@ class AggregateScores:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    """Multiset of the n-grams of `tokens`; a unigram is keyed by the token itself."""
+    if n == 1:
+        return Counter(tokens)
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
-    """Clipped n-gram multiset overlap between two token sequences."""
+    """Clipped n-gram multiset overlap between two token sequences.
+
+    A sequence of k tokens holds k - n + 1 n-grams. The overlap sums, over the
+    distinct n-grams of the side with fewer of them, the smaller of the two
+    counts.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cand = _ngram_counts(candidate, n)
-    ref = _ngram_counts(reference, n)
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
-    if cand_total == 0 or ref_total == 0:
+    cand_total = len(candidate) - n + 1
+    ref_total = len(reference) - n + 1
+    if cand_total <= 0 or ref_total <= 0:
         return RougeScore.zero()
-    overlap = sum((cand & ref).values())
+    fewer = _ngram_counts(candidate, n)
+    more = _ngram_counts(reference, n)
+    if len(fewer) > len(more):
+        fewer, more = more, fewer
+    get = more.get
+    overlap = 0
+    for gram, count in fewer.items():
+        other = get(gram)
+        if other:
+            overlap += count if count < other else other
     return RougeScore.from_pr(overlap / cand_total, overlap / ref_total)
 
 

@@ -123,9 +123,16 @@ class ChartNote:
         return out
 
 
+# Characters that `canonical_key` strips from both ends of a header.
+_EDGE_CHARS = string.punctuation + string.whitespace
+
+# The shape rule's limit on the words of a header line.
+_MAX_SHAPE_WORDS = 6
+
+
 def canonical_key(raw: str) -> str:
     """Trim, strip edge punctuation, collapse inner whitespace, uppercase."""
-    stripped = raw.strip().strip(string.punctuation + string.whitespace)
+    stripped = raw.strip().strip(_EDGE_CHARS)
     return " ".join(stripped.split()).upper()
 
 
@@ -168,22 +175,35 @@ def normalize_header(raw: str) -> SectionId:
     return section if section is not None else UnknownSection(raw)
 
 
+@functools.cache
+def _max_alias_words() -> int:
+    """Words in the longest key of the default alias table."""
+    return max((len(key.split()) for key in default_alias_table()), default=0)
+
+
 def is_header_line(line: str) -> bool:
     """True iff the line's canonical form is an alias key or the line fits the header shape.
 
     Shape rule: at most 6 words, at least one uppercase letter, no lowercase
     letters, optionally terminated by a colon.
+
+    Both tests split off at most one word more than they can accept, so a long
+    body line is rejected without splitting it whole. Uppercasing adds and
+    removes no whitespace, so a canonical key has as many words as the
+    stripped text it comes from.
     """
     text = line.strip()
     if not text:
         return False
-    if canonical_key(text) in default_alias_table():
+    cap = _max_alias_words()
+    words = text.strip(_EDGE_CHARS).split(None, cap)
+    if len(words) <= cap and " ".join(words).upper() in default_alias_table():
         return True
     if text.endswith(":"):
         text = text[:-1].rstrip()
-    if not text or len(text.split()) > 6:
+    if not text or len(text.split(None, _MAX_SHAPE_WORDS)) > _MAX_SHAPE_WORDS:
         return False
-    return any(ch.isupper() for ch in text) and not any(ch.islower() for ch in text)
+    return any(map(str.isupper, text)) and not any(map(str.islower, text))
 
 
 def _trim_blank_edges(lines: list[str]) -> list[str]:

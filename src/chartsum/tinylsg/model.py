@@ -93,15 +93,30 @@ def init_model(cfg: ModelConfig, vocab: Vocab, seed: int, init_scale: float = 0.
     return TinyModel(config=cfg, vocab=vocab, params=params)
 
 
+# One read-only table of encodings per model width, rebuilt at twice the size
+# when a position past its end is asked for.
+_PE_TABLES: dict[int, np.ndarray] = {}
+
+
 def positional_encoding(n: int, d: int, start: int = 0) -> np.ndarray:
-    """Sinusoidal encodings of positions start .. start+n-1; shape (n, d)."""
-    positions = np.arange(start, start + n, dtype=np.float64)[:, None]
-    freqs = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
-    angles = positions * freqs[None, :]
-    pe = np.empty((n, d))
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)
-    return pe
+    """Sinusoidal encodings of positions start .. start+n-1; shape (n, d), read-only.
+
+    A slice of the table for width d. Every entry depends only on its position
+    and column, so the slice equals the encodings computed for that range alone.
+    """
+    end = start + n
+    table = _PE_TABLES.get(d)
+    if table is None or len(table) < end:
+        size = max(end, 2 * len(table)) if table is not None else end
+        positions = np.arange(size, dtype=np.float64)[:, None]
+        freqs = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
+        angles = positions * freqs[None, :]
+        table = np.empty((size, d))
+        table[:, 0::2] = np.sin(angles)
+        table[:, 1::2] = np.cos(angles)
+        table.flags.writeable = False
+        _PE_TABLES[d] = table
+    return table[start:end]
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

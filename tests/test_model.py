@@ -176,6 +176,26 @@ def test_num_params_counts_everything():
 # Positional encoding
 # ---------------------------------------------------------------------------
 
+def ref_positional_encoding(n, d, start=0):
+    """The encodings of positions start .. start+n-1 computed for that range alone."""
+    positions = np.arange(start, start + n, dtype=np.float64)[:, None]
+    freqs = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
+    angles = positions * freqs[None, :]
+    pe = np.empty((n, d))
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles)
+    return pe
+
+
+@pytest.mark.parametrize("d", [8, ModelConfig().d_model])
+def test_positional_encoding_slices_equal_the_direct_formula(d):
+    for n in (1, 77, 513):
+        for start in range(601):
+            pe = positional_encoding(n, d, start)
+            assert np.array_equal(pe, ref_positional_encoding(n, d, start)), (n, start)
+            assert not pe.flags.writeable
+
+
 def test_positional_encoding_matches_sinusoid_formula():
     n, d = 7, 6
     pe = positional_encoding(n, d)

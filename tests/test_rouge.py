@@ -299,13 +299,18 @@ def random_tokens(rng, max_len=8, alphabet=("pa", "re", "mo")):
 
 
 def test_rouge_n_matches_brute_force_randomized():
+    # Alphabets of different sizes make either side the one with fewer
+    # distinct n-grams, and make counts clip on both sides.
     rng = random.Random(3)
+    alphabets = (("pa",), ("pa", "re"), ("pa", "re", "mo"), ("pa", "re", "mo", "ti", "su", "ka"))
     for _ in range(300):
-        cand, ref = random_tokens(rng), random_tokens(rng)
-        for n in (1, 2):
+        cand = random_tokens(rng, 40, rng.choice(alphabets))
+        ref = random_tokens(rng, 40, rng.choice(alphabets))
+        for n in (1, 2, 3, 4):
             got = rouge_n(cand, ref, n)
             p, r = brute_rouge_n(cand, ref, n)
-            assert got.precision == p and got.recall == r
+            f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+            assert (got.precision, got.recall, got.f1) == (p, r, f1)
 
 
 def test_rouge_l_matches_brute_force_randomized():
@@ -322,7 +327,9 @@ def test_rouge_l_matches_brute_force_randomized():
 
 
 def ref_ngram_counts(tokens, n):
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """n-gram counts keyed by tuple, except that a unigram is keyed by its token."""
+    grams = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    return Counter(gram[0] for gram in grams) if n == 1 else Counter(grams)
 
 
 @ORACLE

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartsum import sections
 from chartsum.sections import (
     CANONICAL_HEADERS,
     SECTION_ORDER,
@@ -148,6 +150,89 @@ def test_lowercase_alias_with_trailing_words_stays_in_body():
     note = segment_note(text)
     assert [s.id for s in note.sections] == [Section.CC]
     assert note.sections[0].body == "chief complaint was noted on arrival.\nresolved today."
+
+
+def ref_is_header_line(line):
+    """Header test on the whole line: canonical key lookup, then the shape rule."""
+    text = line.strip()
+    if not text:
+        return False
+    if canonical_key(text) in default_alias_table():
+        return True
+    if text.endswith(":"):
+        text = text[:-1].rstrip()
+    if not text or len(text.split()) > 6:
+        return False
+    return any(ch.isupper() for ch in text) and not any(ch.islower() for ch in text)
+
+
+# Words that make or break a header: alias words, shape-rule words, lowercase
+# words, digits, punctuation-only words and non-ASCII letters whose case
+# mappings are special (İ lowers to two characters, ß uppers to "SS", Σ has
+# two lowercase forms, ǅ is titlecase: neither upper nor lower).
+_HEADER_WORDS = st.sampled_from([
+    "HPI", "PLAN", "plan", "Exam", "A/P", "CHIEF", "complaint", "OF", "a", "120/80", "7",
+    "-", ":", "**", "İ", "ß", "SS", "Σ", "σς", "ǅ", "İSTANBUL", "STRAßE", "ǅOKER",
+])
+_ALIAS_KEYS = sorted(default_alias_table())
+_CASINGS = st.sampled_from([str.upper, str.lower, str.title, str.swapcase, str])
+_GAPS = st.text(st.sampled_from(" \t\xa0"), min_size=1, max_size=3)
+_EDGES = st.sampled_from(["", " ", "\xa0", "\t", ":", "*", "**", "#", "(", ")", "...", "- "])
+
+
+@st.composite
+def header_like_lines(draw):
+    """0-9 words, at times around an alias key, in any casing, with edge
+    punctuation, whitespace runs and an optional colon."""
+    words = draw(st.lists(_HEADER_WORDS, max_size=9))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = draw(st.sampled_from(_ALIAS_KEYS)).split()
+        del words[9:]
+    words = [draw(_CASINGS)(word) for word in words]
+    line = "".join(word + draw(_GAPS) for word in words).rstrip(" \t\xa0") if words else ""
+    colon = draw(st.sampled_from(["", ":", " :", "::"]))
+    return draw(_EDGES) + line + draw(_EDGES) + colon + draw(_EDGES)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(line=header_like_lines())
+def test_is_header_line_matches_whole_line_reference(line):
+    assert is_header_line(line) == ref_is_header_line(line)
+
+
+def test_every_alias_key_in_any_casing_is_a_header():
+    # Lowercase keys fail the shape rule, so only the alias lookup accepts
+    # them: this holds only if the lookup takes as many words as the longest key.
+    for key in default_alias_table():
+        for line in (key.lower(), f" **{key.title()}** :", key.replace(" ", "\xa0\t").swapcase()):
+            assert is_header_line(line) and ref_is_header_line(line), line
+
+
+@pytest.mark.parametrize("line", [
+    "chief complaint of the knee",  # alias key plus words, lowercase
+    "CHIEF COMPLAINT OF THE LEFT KNEE",  # alias key plus words, 7 words
+    "ASSESSMENT AND PLAN OF CARE",  # longest alias plus one word, shape rule holds
+    "** a / p **",
+    "ǅ HPX",  # titlecase is not lowercase
+    "ǅ",  # no uppercase letter
+    "STRAßE",  # ß is lowercase
+    "İ",
+    "\xa0PLAN\xa0:",
+])
+def test_is_header_line_matches_whole_line_reference_on_edge_cases(line):
+    assert is_header_line(line) == ref_is_header_line(line)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(header_like_lines() | st.sampled_from(["", "  ", "knee pain today."]),
+                      max_size=12),
+       newline=st.sampled_from(["\n", "\r\n", "\u2028"]))
+def test_segment_note_matches_whole_line_reference(lines, newline):
+    text = newline.join(lines)
+    with mock.patch.object(sections, "is_header_line", ref_is_header_line):
+        expected = segment_note(text)
+    assert segment_note(text) == expected
 
 
 # ---------------------------------------------------------------------------
