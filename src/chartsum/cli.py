@@ -8,14 +8,12 @@ the requested output path.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict
-from io import StringIO
 from pathlib import Path
 
 from .config import LsgConfig, ModelConfig, TrainConfig
@@ -24,6 +22,7 @@ from .corpus import (
     MalformedFile,
     PredictionSet,
     decode_utf8,
+    json_text,
     load_corpus,
     load_predictions,
     predictions_text,
@@ -39,10 +38,10 @@ from .pipeline import (
     TinyLsgSummarizer,
     evaluate,
     load_run_reports,
+    pair_references,
+    render_scores,
     report,
-    round4,
     run_approach,
-    scores_to_dict,
     train_tiny_lsg,
 )
 from .rouge import EmptyEvaluation, corpus_rouge
@@ -110,7 +109,7 @@ def _keep_freed_memory() -> tuple[int, ...]:
     )
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -208,10 +207,7 @@ def _cmd_split_sections(args) -> int:
                 entry = {"id": sec.id.value}
             entry.update(header=sec.header, body=sec.body)
             sections.append(entry)
-        rendered = json.dumps(
-            {"preamble": note.preamble, "sections": sections},
-            sort_keys=True, ensure_ascii=False, indent=2,
-        ) + "\n"
+        rendered = json_text({"preamble": note.preamble, "sections": sections})
     else:
         blocks = []
         if note.preamble:
@@ -304,40 +300,8 @@ def _load_candidates(path: str, columns: dict[str, str] | None) -> dict[str, str
 def _cmd_score(args) -> int:
     candidates = _load_candidates(args.candidates, args.columns)
     references = _load_candidates(args.references, args.columns)
-    pairs = []
-    for eid in sorted(candidates):
-        if eid not in references:
-            raise ChartsumError(f"candidate {eid!r} has no reference")
-        pairs.append((eid, candidates[eid], references[eid]))
-    scores = corpus_rouge(pairs)
-    metrics = ("rouge1", "rouge2", "rougeL")
-    if args.format == "json":
-        rendered = json.dumps(scores_to_dict(scores), sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        buffer = StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["id", "rouge1", "rouge2", "rougeL"])
-        for eid, _, _ in pairs:
-            doc = scores.per_document[eid]
-            writer.writerow([eid] + [round4(getattr(doc, m).f1) for m in metrics])
-        writer.writerow(["AGGREGATE"] + [round4(getattr(scores, m).f1) for m in metrics])
-        rendered = buffer.getvalue()
-    else:
-        lines = ["id              rouge1  rouge2  rougeL"]
-        for eid, _, _ in pairs:
-            doc = scores.per_document[eid]
-            lines.append(
-                f"{eid:<14}  " + "  ".join(round4(getattr(doc, m).f1) for m in metrics)
-            )
-        lines.append("")
-        lines.append("aggregate       precision  recall  f1")
-        for m in metrics:
-            s = getattr(scores, m)
-            lines.append(
-                f"{m:<14}  {round4(s.precision):<9}  {round4(s.recall):<6}  {round4(s.f1)}"
-            )
-        rendered = "\n".join(lines) + "\n"
-    _write_output(rendered, args.out)
+    scores = corpus_rouge(pair_references(candidates, references))
+    _write_output(render_scores(scores, args.format), args.out)
     return 0
 
 
@@ -375,14 +339,16 @@ def _cmd_run(args) -> int:
         raise EmptyEvaluation("no candidate/reference pairs to score")
     predictions = run_approach(train_corpus, eval_corpus, cfg)
     run = evaluate(predictions, eval_corpus)
-    rendered = report([run], format=args.format)
+    # Each form is rendered once, for stdout and for its file alike.
+    forms = {args.format} | ({"table", "json"} if args.out_dir is not None else set())
+    rendered = {form: report([run], format=form) for form in forms}
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_predictions(predictions, out_dir / "predictions.json")
-        (out_dir / "report.txt").write_text(report([run]), encoding="utf-8")
-        (out_dir / "report.json").write_text(report([run], format="json"), encoding="utf-8")
-    sys.stdout.write(rendered)
+        _write_output(rendered["table"], out_dir / "report.txt")
+        _write_output(rendered["json"], out_dir / "report.json")
+    _write_output(rendered[args.format], None)
     return 0
 
 

@@ -7,8 +7,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ChartsumError
 
@@ -98,6 +99,18 @@ def parse_json(text: str, where: str | Path, what: str,
 def read_json(path: str | Path, what: str, error: type[ChartsumError] = MalformedFile):
     """The JSON value in the UTF-8 file at `path`, a `what`; a malformed file raises `error`."""
     return parse_json(decode_utf8(Path(path).read_bytes(), path, error), path, what, error)
+
+
+def json_text(value) -> str:
+    """The one rendering of every JSON output: sorted keys, two-space indent, UTF-8 text."""
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """The one rendering of every CSV output: `rows` with line feeds between them."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
@@ -281,7 +294,7 @@ def predictions_text(predictions: PredictionSet) -> str:
         "entries": predictions.entries,
         "extra": predictions.extra,
     }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return json_text(payload)
 
 
 def save_predictions(predictions: PredictionSet, path: str | Path) -> None:

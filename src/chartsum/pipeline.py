@@ -9,7 +9,6 @@ without any training.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import re
@@ -17,13 +16,13 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
-from io import StringIO
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .config import LsgConfig, ModelConfig, TrainConfig
-from .corpus import APPROACH_TAGS, NUMBER, Corpus, MalformedFile, PredictionSet, read_json, typed
+from .corpus import (APPROACH_TAGS, NUMBER, Corpus, MalformedFile, PredictionSet, csv_text,
+                     json_text, read_json, typed)
 from .errors import ChartsumError
 from .rouge import (
     AggregateScores,
@@ -53,6 +52,8 @@ BACKEND_KINDS = ("identity", "oracle", "extractive", "tiny-lsg")
 # Backends whose output ignores the section slot: one instance serves every slot.
 _SECTION_BLIND = ("identity", "extractive")
 DIVISIONS = tuple(Division)
+# The score each division is measured by; `report.json` names it.
+DIVISION_METRIC = "rouge1_f1"
 
 # Per-slot training seeds: section models use seed + canonical section index,
 # the multi-layer second stage uses seed + this offset.
@@ -452,7 +453,6 @@ class RunReport:
     n_documents: int
     skipped_divisions: int
     unknown_sections: int
-    division_metric: str = "rouge1_f1"
 
 
 def _division_texts(note: ChartNote) -> tuple[dict[Division, str], int]:
@@ -467,14 +467,21 @@ def _division_texts(note: ChartNote) -> tuple[dict[Division, str], int]:
     return {div: "\n".join(parts) for div, parts in buckets.items()}, unknown
 
 
-def evaluate(predictions: PredictionSet, eval_corpus: Corpus) -> RunReport:
-    """Score predictions against eval references, whole-note and per division."""
-    references = {e.id: e.note for e in eval_corpus}
+def pair_references(
+    candidates: Mapping[str, str], references: Mapping[str, str | None]
+) -> list[tuple[str, str, str]]:
+    """(id, candidate, reference) per candidate in id order; a missing reference raises."""
     pairs = []
-    for eid in sorted(predictions.entries):
+    for eid in sorted(candidates):
         if references.get(eid) is None:
             raise MissingReference(eid)
-        pairs.append((eid, predictions.entries[eid], references[eid]))
+        pairs.append((eid, candidates[eid], references[eid]))
+    return pairs
+
+
+def evaluate(predictions: PredictionSet, eval_corpus: Corpus) -> RunReport:
+    """Score predictions against eval references, whole-note and per division."""
+    pairs = pair_references(predictions.entries, {e.id: e.note for e in eval_corpus})
     scores = corpus_rouge(pairs)
     division_sums = {div: 0.0 for div in DIVISIONS}
     skipped = 0
@@ -507,23 +514,22 @@ def round4(value: float) -> str:
     return str(Decimal(str(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
-def _report_rows(runs: Sequence[RunReport]) -> list[dict[str, str]]:
-    rows = []
-    for run in runs:
-        row = {
-            "approach": run.approach,
-            "rouge1": round4(run.scores.rouge1.f1),
-            "rouge2": round4(run.scores.rouge2.f1),
-            "rougeL": round4(run.scores.rougeL.f1),
-        }
-        for div in DIVISIONS:
-            row[div.value] = round4(run.division_f1[div])
-        row["Average"] = round4(run.division_average)
-        rows.append(row)
-    return rows
+_SCORE_FIELDS = ("precision", "recall", "f1")
+_METRICS = ("rouge1", "rouge2", "rougeL")
+_DIVISION_COLUMNS = (*(div.value for div in DIVISIONS), "Average")
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
+def _report_rows(runs: Sequence[RunReport]) -> list[list[str]]:
+    """Per run: approach, each metric's F1, each division's F1, the division average."""
+    return [
+        [run.approach, *(round4(getattr(run.scores, m).f1) for m in _METRICS),
+         *(round4(run.division_f1[div]) for div in DIVISIONS), round4(run.division_average)]
+        for run in runs
+    ]
+
+
+def render_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned columns as wide as their longest cell, under a dashed header rule."""
     widths = [
         max(len(header), *(len(row[i]) for row in rows)) for i, header in enumerate(headers)
     ]
@@ -544,39 +550,43 @@ def report(runs: Sequence[RunReport], format: str = "table") -> str:
     if not runs:
         raise ValueError("need at least one run to report")
     rows = _report_rows(runs)
-    division_cols = [d.value for d in DIVISIONS] + ["Average"]
     if format == "table":
-        full = _render_table(
-            ["approach", "rouge1", "rouge2", "rougeL"],
-            [[r["approach"], r["rouge1"], r["rouge2"], r["rougeL"]] for r in rows],
-        )
-        division = _render_table(
-            ["approach"] + division_cols,
-            [[r["approach"]] + [r[c] for c in division_cols] for r in rows],
-        )
-        metric = runs[0].division_metric
+        split = 1 + len(_METRICS)
+        division = [row[:1] + row[split:] for row in rows]
         return (
             "Full-note scores (F1)\n\n"
-            + full
-            + f"\n\nDivision scores (metric: {metric})\n\n"
-            + division
+            + render_table(["approach", *_METRICS], [row[:split] for row in rows])
+            + f"\n\nDivision scores (metric: {DIVISION_METRIC})\n\n"
+            + render_table(["approach", *_DIVISION_COLUMNS], division)
             + "\n"
         )
     if format == "csv":
-        buffer = StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        columns = ["approach", "rouge1", "rouge2", "rougeL"] + division_cols
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([r[c] for c in columns])
-        return buffer.getvalue()
+        return csv_text([["approach", *_METRICS, *_DIVISION_COLUMNS], *rows])
     if format == "json":
-        return json.dumps([run_report_to_dict(r) for r in runs], sort_keys=True, indent=2) + "\n"
+        return json_text([run_report_to_dict(r) for r in runs])
     raise ValueError(f"unknown report format {format!r}")
 
 
-_SCORE_FIELDS = ("precision", "recall", "f1")
-_METRICS = ("rouge1", "rouge2", "rougeL")
+def render_scores(scores: AggregateScores, format: str = "text") -> str:
+    """Per-document F1 in id order, then each metric's aggregate, as `score` prints them.
+
+    "json" gives `scores_to_dict`, the `scores` object `report.json` holds.
+    """
+    per_document = [
+        [eid, *(round4(getattr(doc, m).f1) for m in _METRICS)]
+        for eid, doc in scores.per_document.items()
+    ]
+    if format == "text":
+        aggregate = [[m, *(round4(getattr(getattr(scores, m), f)) for f in _SCORE_FIELDS)]
+                     for m in _METRICS]
+        return (render_table(["id", *_METRICS], per_document) + "\n\n"
+                + render_table(["aggregate", *_SCORE_FIELDS], aggregate) + "\n")
+    if format == "csv":
+        aggregate = ["AGGREGATE", *(round4(getattr(scores, m).f1) for m in _METRICS)]
+        return csv_text([["id", *_METRICS], *per_document, aggregate])
+    if format == "json":
+        return json_text(scores_to_dict(scores))
+    raise ValueError(f"unknown score format {format!r}")
 
 
 def _metrics_to_dict(scores: AggregateScores | DocumentScores) -> dict[str, dict[str, float]]:
@@ -603,7 +613,7 @@ def run_report_to_dict(run: RunReport) -> dict:
         "scores": scores_to_dict(run.scores),
         "division_f1": {div.value: run.division_f1[div] for div in DIVISIONS},
         "division_average": run.division_average,
-        "division_metric": run.division_metric,
+        "division_metric": DIVISION_METRIC,
         "config_hash": run.config_hash,
         "seed": run.seed,
         "n_documents": run.n_documents,
@@ -615,7 +625,8 @@ def run_report_to_dict(run: RunReport) -> dict:
 def run_report_from_dict(payload: Mapping) -> RunReport:
     """Inverse of run_report_to_dict.
 
-    A missing or mistyped field, or a score outside [0, 1], raises MalformedFile.
+    A missing or mistyped field, a score outside [0, 1], or a division metric
+    other than DIVISION_METRIC raises MalformedFile.
     """
     if not isinstance(payload, dict):
         raise MalformedFile(f"run report must be an object, got {type(payload).__name__}")
@@ -647,12 +658,14 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
         },
     )
     division_f1 = typed(payload, "division_f1", dict)
+    metric = typed(payload, "division_metric", str)
+    if metric != DIVISION_METRIC:
+        raise MalformedFile(f"'division_metric' must be {DIVISION_METRIC!r}, got {metric!r}")
     return RunReport(
         approach=typed(payload, "approach", str),
         scores=scores,
         division_f1={div: unit(division_f1, div.value, "division_f1") for div in DIVISIONS},
         division_average=unit(payload, "division_average"),
-        division_metric=typed(payload, "division_metric", str),
         config_hash=typed(payload, "config_hash", str),
         seed=typed(payload, "seed", int),
         n_documents=typed(payload, "n_documents", int),

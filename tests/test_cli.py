@@ -12,12 +12,13 @@ import shlex
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from chartsum.cli import _backend_from_args, build_parser, main
-from chartsum.corpus import load_corpus, load_predictions, save_corpus
+from chartsum.corpus import Corpus, load_corpus, load_predictions, save_corpus
 from chartsum.pipeline import TinyLsgSummarizer, run_report_from_dict, train_tiny_lsg
 from chartsum.tinylsg import LsgConfig, load_checkpoint, save_model
 from synthdata import synth_corpus
@@ -509,6 +510,35 @@ def test_score_tells_a_prediction_file_by_its_content(tmp_path, eval_csv, capsys
     assert capsys.readouterr().out.splitlines()[-1] == "AGGREGATE,1.0000,1.0000,1.0000"
 
 
+def _with_ids(corpus, ids):
+    return Corpus(tuple(replace(e, id=eid) for e, eid in zip(corpus, ids, strict=True)))
+
+
+def test_score_text_columns_start_at_the_header_offsets(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(_with_ids(synth_corpus(2), ["ab", "encounter-2024-000001-long"]), path)
+    assert main(["score", "--candidates", str(path), "--references", str(path)]) == 0
+    tables = capsys.readouterr().out.split("\n\n")
+    assert [table.split(None, 1)[0] for table in tables] == ["id", "aggregate"]
+    for table in tables:
+        header, *rows = table.splitlines()
+        offsets = [m.start() for m in re.finditer(r"\S+", header)]
+        for row in rows:
+            assert [m.start() for m in re.finditer(r"\S+", row)] == offsets, row
+    assert [row.split()[0] for row in tables[0].splitlines()[2:]] == [
+        "ab", "encounter-2024-000001-long",
+    ]
+
+
+def test_score_candidate_without_a_reference_is_a_missing_reference(
+        corpus_csv, eval_csv, capsys):
+    for fmt in ("text", "csv", "json"):
+        assert main(["score", "--candidates", eval_csv, "--references", corpus_csv,
+                     "--format", fmt]) == 2
+        assert capsys.readouterr() == (
+            "", "error: no reference note for encounter 'synth-006'\n")
+
+
 def test_score_with_column_remap(tmp_path, capsys):
     path = tmp_path / "weird.csv"
     path.write_text("k,d,n\ne1,hello there,note text here\n")
@@ -770,6 +800,49 @@ def test_report_rerenders_saved_runs(tmp_path, corpus_csv, eval_csv, capsys):
     assert rows[2].startswith("section-wise,")
 
 
+def test_run_writes_a_non_ascii_id_as_utf8_in_every_json_output(tmp_path, corpus_csv, capsys):
+    evaluation = tmp_path / "eval.csv"
+    save_corpus(_with_ids(synth_corpus(2, start=6), ["enc-é", "synth-007"]), evaluation)
+    out_dir = tmp_path / "run"
+    assert main(["run", "--approach", "single", "--train", corpus_csv, "--eval",
+                 str(evaluation), "--backend", "extractive", "--seed", "0",
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    outputs = {name: (out_dir / name).read_bytes() for name in ("predictions.json", "report.json")}
+    assert main(["report", "--in", str(out_dir / "report.json"), "--format", "json"]) == 0
+    outputs["report"] = capsys.readouterr().out.encode()
+    assert main(["score", "--candidates", str(out_dir / "predictions.json"),
+                 "--references", str(evaluation), "--format", "json"]) == 0
+    outputs["score"] = capsys.readouterr().out.encode()
+    for name, data in outputs.items():
+        assert '"enc-é"'.encode() in data and b"\\u" not in data, name
+
+
+@pytest.mark.parametrize("fmt, forms", [
+    ("table", ["json", "table"]),
+    ("csv", ["csv", "json", "table"]),
+    ("json", ["json", "table"]),
+])
+def test_run_renders_each_report_form_once(tmp_path, corpus_csv, eval_csv, capsys,
+                                           monkeypatch, fmt, forms):
+    from chartsum import cli
+
+    original, rendered = cli.report, []
+
+    def counting_report(runs, format="table"):
+        rendered.append(format)
+        return original(runs, format=format)
+
+    monkeypatch.setattr(cli, "report", counting_report)
+    out_dir = tmp_path / "run"
+    assert _run_extractive(corpus_csv, eval_csv, out_dir, "--format", fmt) == 0
+    assert sorted(rendered) == forms
+    stdout = capsys.readouterr().out
+    if fmt != "csv":
+        name = {"table": "report.txt", "json": "report.json"}[fmt]
+        assert stdout == (out_dir / name).read_text(encoding="utf-8")
+
+
 def _run_extractive(corpus_csv, eval_csv, out_dir, *flags) -> int:
     return main([
         "run", "--approach", "section-wise", "--train", corpus_csv, "--eval", eval_csv,
@@ -894,6 +967,8 @@ def _set(value, *keys):
     (_set([1, 2], "scores", "rouge1"), "'scores.rouge1' must be an object, got list"),
     (_set("high", "scores", "rougeL", "f1"), "'scores.rougeL.f1' must be a number, got str"),
     (_set(None, "approach"), "'approach' must be a string, got NoneType"),
+    (_set("rougeL_f1", "division_metric"),
+     "'division_metric' must be 'rouge1_f1', got 'rougeL_f1'"),
     *(
         (_set(value, *keys), f"'{'.'.join(keys)}' must be a score in [0, 1], got {value}")
         for value in (1e30, 7.5, -0.5)

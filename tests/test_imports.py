@@ -4,7 +4,8 @@ Every name a package module imports is read in that module or listed in its
 `__all__`, and every module-level private name is read somewhere in the
 package. numpy and `chartsum.tinylsg` load only for commands that train or
 decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
-Input files are decoded and parsed as JSON in one place each.
+Input files are decoded and parsed as JSON in one place each, and indented
+JSON output is rendered in one place.
 """
 
 from __future__ import annotations
@@ -315,13 +316,14 @@ def test_tinylsg_train_is_the_function_not_the_module():
 
 
 # ---------------------------------------------------------------------------
-# one decode and one JSON parse for every input file
+# one decode and one JSON parse for every input file, one indented-JSON rendering
 # ---------------------------------------------------------------------------
 
 # Call → the one (module, function) allowed to make it.
 SHARED_READERS = {
     "json.loads": ("corpus.py", "parse_json"),
     '.decode("utf-8")': ("corpus.py", "decode_utf8"),
+    "json.dumps(indent=...)": ("corpus.py", "json_text"),
 }
 _UTF8_NAMES = {"utf-8", "utf8", "utf_8"}
 
@@ -330,13 +332,18 @@ def _reader_call(node: ast.Call) -> str | None:
     """The SHARED_READERS key this call is an instance of, if any.
 
     `json.load`/`json.loads` count as "json.loads"; `.decode()`,
-    `.decode("utf-8")` (any spelling) and `.read_text(...)` count as UTF-8 decodes.
+    `.decode("utf-8")` (any spelling) and `.read_text(...)` count as UTF-8
+    decodes; `json.dump`/`json.dumps` with an `indent` keyword count as
+    indented-JSON renderings, and without one (compact JSON) as nothing.
     """
     func = node.func
     if not isinstance(func, ast.Attribute):
         return None
     if ast.unparse(func) in ("json.load", "json.loads"):
         return "json.loads"
+    if ast.unparse(func) in ("json.dump", "json.dumps"):
+        indented = any(keyword.arg == "indent" for keyword in node.keywords)
+        return "json.dumps(indent=...)" if indented else None
     if func.attr == "read_text":
         return '.decode("utf-8")'
     if func.attr == "decode" and not node.keywords:
@@ -348,7 +355,8 @@ def _reader_call(node: ast.Call) -> str | None:
 
 
 def reader_calls(source: str, module: str) -> list[str]:
-    """JSON parses and UTF-8 decodes made outside the function SHARED_READERS allows."""
+    """JSON parses, UTF-8 decodes and indented-JSON renderings made outside the
+    function SHARED_READERS allows."""
     found = []
 
     def visit(node: ast.AST, function: str | None) -> None:
@@ -381,30 +389,37 @@ def test_reader_call_check_flags_what_it_should():
         "    return json.loads(text)\n"
         "def decode_utf8(data):\n"
         "    return data.decode('utf-8')\n"
-        "def other(path, data, ids):\n"
+        "def json_text(value):\n"
+        "    return json.dumps(value, sort_keys=True, indent=2) + '\\n'\n"
+        "def other(path, data, ids, x):\n"
         "    json.load(open(path))\n"
         "    data.decode()\n"
         "    data.decode('UTF8')\n"
         "    path.read_text(encoding='utf-8')\n"
         "    data.decode('ascii')\n"
         "    vocab.decode(ids)\n"
+        "    json.dumps(x, indent=2)\n"
+        "    json.dumps(x, sort_keys=True, separators=(',', ':'))\n"
         "    def parse_json(text):\n"
         "        return json.loads(text)\n"
     )
     assert reader_calls(source, "corpus.py") == [
         "line 2: from json import loads",
-        "line 8: json.load(open(path))",
-        "line 9: data.decode()",
-        "line 10: data.decode('UTF8')",
-        "line 11: path.read_text(encoding='utf-8')",
+        "line 10: json.load(open(path))",
+        "line 11: data.decode()",
+        "line 12: data.decode('UTF8')",
+        "line 13: path.read_text(encoding='utf-8')",
+        "line 16: json.dumps(x, indent=2)",
     ]
     assert reader_calls(source, "cli.py") == [
         "line 2: from json import loads",
         "line 4: json.loads(text)",
         "line 6: data.decode('utf-8')",
-        "line 8: json.load(open(path))",
-        "line 9: data.decode()",
-        "line 10: data.decode('UTF8')",
-        "line 11: path.read_text(encoding='utf-8')",
-        "line 15: json.loads(text)",
+        "line 8: json.dumps(value, sort_keys=True, indent=2)",
+        "line 10: json.load(open(path))",
+        "line 11: data.decode()",
+        "line 12: data.decode('UTF8')",
+        "line 13: path.read_text(encoding='utf-8')",
+        "line 16: json.dumps(x, indent=2)",
+        "line 19: json.loads(text)",
     ]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chartsum.corpus import Corpus, Encounter, PredictionSet
 from chartsum.pipeline import (
+    DIVISION_METRIC,
     DIVISIONS,
     ApproachConfig,
     BackendSpec,
@@ -26,6 +27,8 @@ from chartsum.pipeline import (
     SectionNeverObserved,
     config_hash,
     evaluate,
+    pair_references,
+    render_scores,
     report,
     round4,
     run_approach,
@@ -691,6 +694,16 @@ def test_evaluate_missing_reference_raises():
         evaluate(PredictionSet(approach="single", entries={"u1": "text"}), unlabeled)
 
 
+def test_pair_references_sorts_candidates_and_names_the_first_missing_reference():
+    candidates = {"b": "cand b", "a": "cand a"}
+    assert pair_references(candidates, {"a": "ref a", "b": "ref b", "c": "ref c"}) == [
+        ("a", "cand a", "ref a"), ("b", "cand b", "ref b"),
+    ]
+    for references in ({"a": "ref a"}, {"a": "ref a", "b": None}):
+        with pytest.raises(MissingReference, match="no reference note for encounter 'b'"):
+            pair_references(candidates, references)
+
+
 def test_evaluate_carries_run_metadata():
     eval_c = synth_corpus(2)
     preds = PredictionSet(
@@ -699,7 +712,7 @@ def test_evaluate_carries_run_metadata():
     run = evaluate(preds, eval_c)
     assert run.config_hash == "deadbeef"
     assert run.seed == 9
-    assert run.division_metric == "rouge1_f1"
+    assert run_report_to_dict(run)["division_metric"] == DIVISION_METRIC == "rouge1_f1"
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +787,7 @@ def test_report_json_parses_with_metadata():
         assert item["scores"] == scores_to_dict(run.scores)
         assert item["config_hash"] == run.config_hash
         assert item["n_documents"] == run.n_documents
-        assert item["division_metric"] == "rouge1_f1"
+        assert item["division_metric"] == DIVISION_METRIC
 
 
 def test_report_rejects_empty_and_unknown_format():
@@ -782,6 +795,8 @@ def test_report_rejects_empty_and_unknown_format():
         report([])
     with pytest.raises(ValueError):
         report(sample_runs()[:1], format="yaml")
+    with pytest.raises(ValueError):
+        render_scores(sample_runs()[0].scores, format="table")
 
 
 def test_run_report_dict_round_trip():
