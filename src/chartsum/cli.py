@@ -330,21 +330,23 @@ def _cmd_run(args) -> int:
         stage2=stage2,
         seed=args.seed,
     )
-    # The run is scored against every eval note: fail on a missing one, or on
-    # none at all, before training.
+    # Fail before training on what would stop the run after it: a missing eval
+    # note (the run is scored against every one), no eval note at all, or an
+    # output directory that cannot be made.
     unlabeled = sorted(e.id for e in eval_corpus if e.note is None)
     if unlabeled:
         raise MissingReference(unlabeled[0])
     if not eval_corpus:
         raise EmptyEvaluation("no candidate/reference pairs to score")
+    if args.out_dir is not None:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     predictions = run_approach(train_corpus, eval_corpus, cfg)
     run = evaluate(predictions, eval_corpus)
     # Each form is rendered once, for stdout and for its file alike.
     forms = {args.format} | ({"table", "json"} if args.out_dir is not None else set())
     rendered = {form: report([run], format=form) for form in forms}
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         save_predictions(predictions, out_dir / "predictions.json")
         _write_output(rendered["table"], out_dir / "report.txt")
         _write_output(rendered["json"], out_dir / "report.json")

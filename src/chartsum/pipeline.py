@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import unicodedata
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -180,22 +181,22 @@ class ExtractiveSummarizer(Summarizer):
     """Picks the k sentences whose words are most frequent across the whole text.
 
     Sentence score = mean corpus frequency of its tokens; ties go to the
-    earlier sentence; output keeps source order. The most recent (text, summary)
-    pair is kept, so a section-wise run, which hands one shared instance the
-    same dialogue once per section slot, extracts each dialogue once.
+    earlier sentence; output keeps source order. Each instance keeps the
+    summary of every text it has seen: a section-wise run hands its one shared
+    instance every dialogue once per section slot, slot after slot, and so
+    extracts each distinct dialogue once. Instances are built per run.
     """
 
     def __init__(self, k: int = 3):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self._last: tuple[str, str] | None = None
+        self._summaries: dict[str, str] = {}
 
     def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
-        if self._last is not None and self._last[0] == text:
-            return self._last[1]
-        summary = self._extract(text)
-        self._last = (text, summary)
+        summary = self._summaries.get(text)
+        if summary is None:
+            summary = self._summaries[text] = self._extract(text)
         return summary
 
     def _extract(self, text: str) -> str:
@@ -339,55 +340,57 @@ def _configured_sections(cfg: ApproachConfig, segmented: Mapping[str, ChartNote]
     return sorted(observed, key=SECTION_ORDER.index)
 
 
-def _train_section_models(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig
-) -> dict[Section, Summarizer]:
-    """One summarizer per configured section; a section-blind backend fills every slot
-    with one shared instance."""
+def _run_section_wise(
+    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, corpora: Sequence[Corpus]
+) -> list[dict[str, str]]:
+    """Section-wise notes for each corpus of `corpora`, one section slot at a time.
+
+    Each configured section's summarizer is built, summarizes every dialogue of
+    `corpora`, and is dropped before the next slot's is built, so a run holds
+    one trained model at a time. A section-blind backend fills every slot with
+    one shared instance. The slots' texts are assembled in canonical order.
+    """
     labeled = _labeled_pairs(train_corpus)
     segmented = {eid: segment_note(note) for eid, _, note in labeled}
     eval_segmented = {
         e.id: segment_note(e.note) for e in eval_corpus if e.note is not None
     }
+    train_bodies = {eid: note.bodies() for eid, note in segmented.items()}
+    slot_pairs = {}
+    for section in _configured_sections(cfg, segmented):
+        slot_pairs[section] = [
+            (dialogue, train_bodies[eid][section]) for eid, dialogue, _ in labeled
+            if section in train_bodies[eid]
+        ]
+        if not slot_pairs[section]:
+            raise SectionNeverObserved(section)
     shared = (
         _build_summarizer(cfg.backend, (), {}, cfg.seed)
         if cfg.backend.kind in _SECTION_BLIND
         else None
     )
-    models: dict[Section, Summarizer] = {}
-    for section in _configured_sections(cfg, segmented):
-        pairs = []
-        for eid, dialogue, _ in labeled:
-            body = segmented[eid].bodies().get(section)
-            if body is not None:
-                pairs.append((dialogue, body))
-        if not pairs:
-            raise SectionNeverObserved(section)
+    encounters = [e for corpus in corpora for e in corpus]
+    outputs: dict[Section, list[str]] = {}
+    for section, pairs in slot_pairs.items():
         if shared is not None:
-            models[section] = shared
-            continue
-        references = {
-            eid: note.bodies()[section]
-            for eid, note in {**segmented, **eval_segmented}.items()
-            if section in note.bodies()
-        }
-        seed = cfg.seed + SECTION_ORDER.index(section)
-        models[section] = _build_summarizer(cfg.backend, pairs, references, seed)
-    return models
-
-
-def _run_section_wise(models: Mapping[Section, Summarizer], corpus: Corpus) -> dict[str, str]:
-    """Per-section summarizer outputs, assembled in canonical order."""
-    ordered = sorted(models, key=SECTION_ORDER.index)
-    entries = {}
-    for e in corpus:
-        produced = []
-        for section in ordered:
-            text = models[section].summarize(e.dialogue, encounter_id=e.id)
-            if text:
-                produced.append(NoteSection(id=section, body=text))
-        entries[e.id] = assemble_note(ChartNote(sections=tuple(produced)))
-    return entries
+            summarizer = shared
+        else:
+            references = {
+                eid: note.bodies()[section]
+                for eid, note in {**segmented, **eval_segmented}.items()
+                if section in note.bodies()
+            }
+            seed = cfg.seed + SECTION_ORDER.index(section)
+            summarizer = _build_summarizer(cfg.backend, pairs, references, seed)
+        outputs[section] = [summarizer.summarize(e.dialogue, encounter_id=e.id) for e in encounters]
+        del summarizer
+    notes = (
+        assemble_note(ChartNote(sections=tuple(
+            NoteSection(id=section, body=text) for section, text in zip(outputs, texts) if text
+        )))
+        for texts in zip(*outputs.values())
+    )
+    return [{e.id: next(notes) for e in corpus} for corpus in corpora]
 
 
 def _run_multi_layer(
@@ -398,9 +401,9 @@ def _run_multi_layer(
     Returns the entries and the stage-1 facts recorded in PredictionSet.extra.
     """
     stage1_cfg = replace(cfg, approach="section-wise", stage2=None)
-    models = _train_section_models(train_corpus, eval_corpus, stage1_cfg)
-    stage1_train = _run_section_wise(models, train_corpus)
-    stage1_eval = _run_section_wise(models, eval_corpus)
+    stage1_train, stage1_eval = _run_section_wise(
+        train_corpus, eval_corpus, stage1_cfg, (train_corpus, eval_corpus)
+    )
     stage2_pairs = [
         (stage1_train[eid], note) for eid, _, note in _labeled_pairs(train_corpus)
     ]
@@ -427,8 +430,7 @@ def run_approach(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig)
     if cfg.approach == "single":
         entries = _run_single(train_corpus, eval_corpus, cfg)
     elif cfg.approach == "section-wise":
-        models = _train_section_models(train_corpus, eval_corpus, cfg)
-        entries = _run_section_wise(models, eval_corpus)
+        (entries,) = _run_section_wise(train_corpus, eval_corpus, cfg, (eval_corpus,))
     else:
         entries, extra = _run_multi_layer(train_corpus, eval_corpus, cfg)
     return PredictionSet(
@@ -528,18 +530,28 @@ def _report_rows(runs: Sequence[RunReport]) -> list[list[str]]:
     ]
 
 
+def _display_width(text: str) -> int:
+    """Terminal columns of `text`: East Asian Wide and Fullwidth characters take two."""
+    return sum(2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1 for ch in text)
+
+
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Left-aligned columns as wide as their longest cell, under a dashed header rule."""
+    """Left-aligned columns as wide as their longest cell, under a dashed header rule.
+
+    Widths are display widths (`_display_width`), so wide characters keep the
+    columns of their row in line.
+    """
     widths = [
-        max(len(header), *(len(row[i]) for row in rows)) for i, header in enumerate(headers)
+        max(_display_width(header), *(_display_width(row[i]) for row in rows))
+        for i, header in enumerate(headers)
     ]
-    lines = [
-        "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+
+    def line(cells: list[str]) -> str:
+        padded = (cell + " " * (widths[i] - _display_width(cell)) for i, cell in enumerate(cells))
+        return "  ".join(padded).rstrip()
+
+    return "\n".join([line(headers), "  ".join("-" * width for width in widths),
+                      *(line(row) for row in rows)])
 
 
 def report(runs: Sequence[RunReport], format: str = "table") -> str:

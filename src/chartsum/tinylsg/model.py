@@ -389,12 +389,13 @@ def _encode(params, src: Sequence[int], cfg: ModelConfig, lsg: LsgConfig):
 
 
 def _encode_backward(params, cache, d_out, grads):
+    """Consumes `cache`: each layer's entry is popped, and so freed, once its backward is done."""
     ids, blocked, layers, ln_final = cache
     attn_backward = _lsg_attention_backward if blocked else _mha_backward
     d_x = _ln_backward(params, "enc.norm", ln_final, d_out, grads)
     for i in range(len(layers) - 1, -1, -1):
         p = f"enc.{i}"
-        ln1, attn, ln2, ff = layers[i]
+        ln1, attn, ln2, ff = layers.pop()
         d_normed2 = _ff_backward(params, f"{p}.ff", ff, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln2", ln2, d_normed2, grads)
         d_q, d_kv = attn_backward(params, f"{p}.attn", attn, d_x, grads)
@@ -468,7 +469,10 @@ def _decode(params, state: DecodeState, tokens: Sequence[int], cfg: ModelConfig)
 
 
 def _decode_backward(params, cache, d_logits, grads):
-    """Returns the gradient w.r.t. the encoder output (summed over cross-attentions)."""
+    """Returns the gradient w.r.t. the encoder output (summed over cross-attentions).
+
+    Consumes `cache` like `_encode_backward`.
+    """
     ids, layers, ln_final, normed = cache
     grads["out.w"] += normed.T @ d_logits
     grads["out.b"] += d_logits.sum(axis=0)
@@ -476,7 +480,7 @@ def _decode_backward(params, cache, d_logits, grads):
     d_enc = None
     for i in range(len(layers) - 1, -1, -1):
         p = f"dec.{i}"
-        ln1, self_attn, ln2, cross_attn, ln3, ff = layers[i]
+        ln1, self_attn, ln2, cross_attn, ln3, ff = layers.pop()
         d_normed3 = _ff_backward(params, f"{p}.ff", ff, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln3", ln3, d_normed3, grads)
         d_q, d_kv = _mha_backward(params, f"{p}.cross", cross_attn, d_x, grads)
@@ -518,5 +522,7 @@ def loss_and_grads(
     d_logits = probs
     d_logits[np.arange(len(tgt_out)), tgt_out] -= 1.0
     d_enc = _decode_backward(params, dec_cache, d_logits, grads)
+    # Free the decoder's state, logits and cache before the encoder's backward.
+    del enc_out, state, logits, probs, d_logits, dec_cache
     _encode_backward(params, enc_cache, d_enc, grads)
     return loss_sum, len(tgt_out), grads

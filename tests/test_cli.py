@@ -514,20 +514,26 @@ def _with_ids(corpus, ids):
     return Corpus(tuple(replace(e, id=eid) for e, eid in zip(corpus, ids, strict=True)))
 
 
+def _column_starts(line):
+    """Display column where each word starts; 日 and 本 are East Asian Wide, two columns each."""
+    def width(text):
+        return len(text) + sum(ch in "日本" for ch in text)
+
+    return [width(line[:m.start()]) for m in re.finditer(r"\S+", line)]
+
+
 def test_score_text_columns_start_at_the_header_offsets(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
-    save_corpus(_with_ids(synth_corpus(2), ["ab", "encounter-2024-000001-long"]), path)
-    assert main(["score", "--candidates", str(path), "--references", str(path)]) == 0
-    tables = capsys.readouterr().out.split("\n\n")
-    assert [table.split(None, 1)[0] for table in tables] == ["id", "aggregate"]
-    for table in tables:
-        header, *rows = table.splitlines()
-        offsets = [m.start() for m in re.finditer(r"\S+", header)]
-        for row in rows:
-            assert [m.start() for m in re.finditer(r"\S+", row)] == offsets, row
-    assert [row.split()[0] for row in tables[0].splitlines()[2:]] == [
-        "ab", "encounter-2024-000001-long",
-    ]
+    for ids in (["ab", "encounter-2024-000001-long"], ["日本-3", "enc-é", "ab"]):
+        save_corpus(_with_ids(synth_corpus(len(ids)), ids), path)
+        assert main(["score", "--candidates", str(path), "--references", str(path)]) == 0
+        tables = capsys.readouterr().out.split("\n\n")
+        assert [table.split(None, 1)[0] for table in tables] == ["id", "aggregate"]
+        for table in tables:
+            header, *rows = table.splitlines()
+            for row in rows:
+                assert _column_starts(row) == _column_starts(header), row
+        assert [row.split()[0] for row in tables[0].splitlines()[2:]] == sorted(ids)
 
 
 def test_score_candidate_without_a_reference_is_a_missing_reference(
@@ -750,6 +756,17 @@ def test_overflowing_training_step_fails_with_one_error_line(tmp_path, corpus_cs
 # ---------------------------------------------------------------------------
 # run / report
 # ---------------------------------------------------------------------------
+
+def test_run_out_dir_naming_a_file_fails_before_training(
+        tmp_path, corpus_csv, eval_csv, capsys, monkeypatch):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("a file\n")
+    assert main(["run", "--approach", "section-wise", "--train", corpus_csv, "--eval", eval_csv,
+                 "--seed", "0", "--out-dir", str(out_dir), *TINY_MODEL_FLAGS]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{out_dir}'\n")
+    assert out_dir.read_text() == "a file\n"
+
 
 def test_run_oracle_scores_one_and_writes_artifacts(tmp_path, corpus_csv, eval_csv, capsys):
     out_dir = tmp_path / "run1"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chartsum.tinylsg.checkpoint import (
     load_checkpoint,
     save_model,
 )
+from chartsum.tinylsg import model as model_mod
 from chartsum.tinylsg.masks import LsgConfig, lsg_layout, lsg_mask, mask_to_bias
 from chartsum.tinylsg.model import (
     ModelConfig,
@@ -44,6 +46,7 @@ from chartsum.tinylsg.model import (
     _split_heads,
     encoder_input_ids,
     init_model,
+    loss_and_grads,
     positional_encoding,
     zero_grads,
 )
@@ -593,6 +596,45 @@ def test_grad_check_through_blocked_encoder():
     assert lsg_layout(lsg.num_global + len(src), lsg).blocked
     err = grad_check(model, (src, vocab.encode(tgt_text)), n_params_sampled=400, seed=0, lsg=lsg)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("lsg", [FULL_LSG, LsgConfig(block_size=2, sparsity_stride=8,
+                                                     num_global=1, max_input_tokens=64)],
+                         ids=["dense", "blocked"])
+def test_loss_and_grads_frees_the_decoder_before_the_encoder_backward(monkeypatch, lsg):
+    """The decode state and the logits are gone when the encoder's backward starts,
+    and each backward pops every layer of its cache."""
+    states, logits, seen = [], [], []
+
+    class TrackedState(DecodeState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(weakref.ref(self))
+
+    decode_backward, encode_backward = model_mod._decode_backward, model_mod._encode_backward
+
+    def tracked_decode_backward(params, cache, d_logits, grads):
+        logits.append(weakref.ref(d_logits))
+        d_enc = decode_backward(params, cache, d_logits, grads)
+        seen.append(("decoder layers left", len(cache[1])))
+        return d_enc
+
+    def tracked_encode_backward(params, cache, d_out, grads):
+        seen.append(("state alive", states[-1]() is not None))
+        seen.append(("logits alive", logits[-1]() is not None))
+        encode_backward(params, cache, d_out, grads)
+        seen.append(("encoder layers left", len(cache[2])))
+
+    monkeypatch.setattr(model_mod, "DecodeState", TrackedState)
+    monkeypatch.setattr(model_mod, "_decode_backward", tracked_decode_backward)
+    monkeypatch.setattr(model_mod, "_encode_backward", tracked_encode_backward)
+    model = small_model()
+    src = [5 + i % 11 for i in range(34)]
+    assert lsg_layout(lsg.num_global + len(src), lsg).blocked == (lsg is not FULL_LSG)
+    loss_and_grads(model, src, [5, 6, 7], lsg)
+    assert len(states) == len(logits) == 1
+    assert seen == [("decoder layers left", 0), ("state alive", False), ("logits alive", False),
+                    ("encoder layers left", 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -36,6 +38,7 @@ from chartsum.pipeline import (
     run_report_to_dict,
     scores_to_dict,
     split_sentences,
+    train_tiny_lsg,
 )
 from chartsum.rouge import rouge_n, tokenize
 from chartsum.sections import (
@@ -548,22 +551,63 @@ def extraction_calls(monkeypatch):
     return calls
 
 
+def distinct_dialogues(*corpora):
+    """Each distinct dialogue of `corpora` once, in first-seen order."""
+    return list(dict.fromkeys(e.dialogue for corpus in corpora for e in corpus))
+
+
 def test_approach2_extractive_extracts_each_dialogue_once(extraction_calls):
-    train_c, eval_c = synth_corpus(4), synth_corpus(3, start=4)
-    run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=EXTRACTIVE))
+    train_c = synth_corpus(4)
     slots = len(observed_sections(train_c))
     assert slots == 5
-    assert len(extraction_calls["summarize"]) == len(eval_c) * slots
-    assert extraction_calls["split_sentences"] == [e.dialogue for e in eval_c]
+    for eval_c in (synth_corpus(3, start=4), repeat_corpus()):
+        for calls in extraction_calls.values():
+            calls.clear()
+        run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=EXTRACTIVE))
+        assert len(extraction_calls["summarize"]) == len(eval_c) * slots
+        assert extraction_calls["split_sentences"] == distinct_dialogues(eval_c)
 
 
 def test_approach3_extractive_stage1_extracts_each_dialogue_once(extraction_calls):
-    train_c, eval_c = synth_corpus(4), synth_corpus(3, start=4)
-    cfg = ApproachConfig(approach="multi-layer", backend=EXTRACTIVE, stage2=IDENTITY)
-    run_approach(train_c, eval_c, cfg)
+    train_c = synth_corpus(4)
     slots = len(observed_sections(train_c))
-    assert len(extraction_calls["summarize"]) == (len(train_c) + len(eval_c)) * slots
-    assert extraction_calls["split_sentences"] == [e.dialogue for e in (*train_c, *eval_c)]
+    for eval_c in (synth_corpus(3, start=4), repeat_corpus()):
+        for calls in extraction_calls.values():
+            calls.clear()
+        cfg = ApproachConfig(approach="multi-layer", backend=EXTRACTIVE, stage2=IDENTITY)
+        run_approach(train_c, eval_c, cfg)
+        assert len(extraction_calls["summarize"]) == (len(train_c) + len(eval_c)) * slots
+        assert extraction_calls["split_sentences"] == distinct_dialogues(train_c, eval_c)
+
+
+TINY = BackendSpec(
+    kind="tiny-lsg",
+    model=ModelConfig(d_model=8, n_heads=2, n_layers_enc=1, n_layers_dec=1, d_ff=16),
+    lsg=LsgConfig(block_size=4, sparsity_stride=2, num_global=1, max_input_tokens=64),
+    train=TrainConfig(initial_lr=1e-3, epochs=1, batch_size=2),
+    max_summary_tokens=4,
+)
+
+
+@pytest.mark.parametrize("approach", ["section-wise", "multi-layer"])
+def test_tiny_lsg_slots_train_with_no_earlier_model_alive(monkeypatch, approach):
+    """Each slot's model is dropped before the next slot trains: a run holds one at a time."""
+    trained, alive_at_start = [], []
+
+    def tracked_train_tiny_lsg(*args, **kwargs):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in trained))
+        model, history = train_tiny_lsg(*args, **kwargs)
+        trained.append(weakref.ref(model))
+        return model, history
+
+    monkeypatch.setattr("chartsum.pipeline.train_tiny_lsg", tracked_train_tiny_lsg)
+    train_c, eval_c = synth_corpus(4), synth_corpus(2, start=4)
+    stage2 = TINY if approach == "multi-layer" else None
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach, TINY, stage2=stage2))
+    assert sorted(preds.entries) == eval_c.ids()
+    slots = len(observed_sections(train_c)) + (stage2 is not None)
+    assert alive_at_start == [0] * slots
 
 
 # ---------------------------------------------------------------------------
