@@ -45,7 +45,7 @@ from .pipeline import (
     train_tiny_lsg,
 )
 from .rouge import EmptyEvaluation, corpus_rouge
-from .sections import Section, UnknownSection, canonical_header, segment_note
+from .sections import UnknownSection, canonical_header, segment_note
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,13 +68,6 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         if action.required or action.default is None or "(default" in text:
             return text
         return super()._get_help_string(action)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 # glibc's mallopt parameters, and the value both take: glibc's own 64-bit cap
@@ -146,7 +139,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=train.epochs, help="training epochs")
     p.add_argument("--batch-size", type=int, default=train.batch_size,
                    help="examples per update")
-    p.add_argument("--max-summary-tokens", type=_positive_int,
+    p.add_argument("--max-summary-tokens", type=int,
                    default=_DEFAULT.max_summary_tokens, help="decode length cap")
 
 
@@ -227,11 +220,11 @@ def _cmd_train(args) -> int:
     from .tinylsg import save_model
     from .tinylsg.train import NonFiniteDecode, summarize_ids
 
+    backend = _backend_from_args(args)
     corpus = load_corpus(args.train, args.columns)
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
     if not pairs:
         raise ChartsumError(f"{args.train}: no encounters with reference notes")
-    backend = _backend_from_args(args)
     trained, history = train_tiny_lsg(
         backend, pairs, args.seed, log=lambda line: print(line, file=sys.stderr)
     )
@@ -305,31 +298,20 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _parse_sections(spec: str | None) -> tuple[Section, ...] | None:
-    if spec is None:
-        return None
-    sections = []
-    for name in spec.split(","):
-        try:
-            sections.append(Section[name.strip().upper()])
-        except KeyError:
-            raise ValueError(f"unknown section {name.strip()!r}") from None
-    return tuple(sections)
-
-
 def _cmd_run(args) -> int:
-    train_corpus = load_corpus(args.train, args.columns)
-    eval_corpus = load_corpus(args.eval, args.columns)
+    # Settings are checked before any file is read: a bad value exits 1 even
+    # when an input file is missing.
     stage2 = None
     if args.approach == "multi-layer":
         stage2 = _backend_from_args(args, kind=args.stage2_backend, extract_k=args.extract_k)
     cfg = ApproachConfig(
         approach=args.approach,
         backend=_backend_from_args(args, kind=args.backend, extract_k=args.extract_k),
-        sections=_parse_sections(args.sections),
         stage2=stage2,
         seed=args.seed,
     )
+    train_corpus = load_corpus(args.train, args.columns)
+    eval_corpus = load_corpus(args.eval, args.columns)
     # Fail before training on what would stop the run after it: a missing eval
     # note (the run is scored against every one), no eval note at all, or an
     # output directory that cannot be made.
@@ -419,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage2-backend", default=_DEFAULT.kind, choices=BACKEND_KINDS,
                    help="second-stage backend for multi-layer runs")
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
-    p.add_argument("--sections", default=None,
-                   help="comma-separated section ids for section-wise runs "
-                        "(default: every section observed in training)")
     p.add_argument("--extract-k", type=int, default=_DEFAULT.extract_k,
                    help="sentences kept by the extractive backend")
     p.add_argument("--out-dir", default=None,

@@ -53,14 +53,12 @@ class MalformedFile(CorpusError):
 
 
 NUMBER = (int, float)
-_OPTIONAL_STR = (str, type(None))
 _KIND_NAMES = {
     str: "a string",
     int: "an integer",
     list: "a list",
     NUMBER: "a number",
     dict: "an object",
-    _OPTIONAL_STR: "a string or null",
 }
 
 
@@ -266,17 +264,12 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Predicted note text per encounter id, plus the run's reproducibility metadata.
-
-    `created_at` defaults to None so that repeated runs with identical inputs
-    serialize to identical bytes; callers may stamp it explicitly.
-    """
+    """Predicted note text per encounter id, plus the run's reproducibility metadata."""
 
     approach: str
     entries: dict[str, str]
     config_hash: str = ""
     seed: int = 0
-    created_at: str | None = None
     extra: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -290,7 +283,6 @@ def predictions_text(predictions: PredictionSet) -> str:
         "approach": predictions.approach,
         "seed": predictions.seed,
         "config_hash": predictions.config_hash,
-        "created_at": predictions.created_at,
         "entries": predictions.entries,
         "extra": predictions.extra,
     }
@@ -306,10 +298,10 @@ def load_predictions(path: str | Path) -> PredictionSet:
     payload = read_json(path, "prediction file")
     if not isinstance(payload, dict):
         raise MalformedFile(f"{path}: expected a JSON object")
-    # created_at and extra may be absent; they then take their defaults.
-    payload = {"created_at": None, "extra": {}, **payload}
-    kinds = {"approach": str, "seed": int, "config_hash": str, "entries": dict,
-             "created_at": _OPTIONAL_STR, "extra": dict}
+    # extra may be absent; it then takes its default. Keys not read here are
+    # ignored, so prediction files with keys this version dropped still load.
+    payload = {"extra": {}, **payload}
+    kinds = {"approach": str, "seed": int, "config_hash": str, "entries": dict, "extra": dict}
     try:
         fields = {key: typed(payload, key, kind) for key, kind in kinds.items()}
     except MalformedFile as exc:

@@ -71,14 +71,6 @@ class MissingReference(PipelineError):
         self.encounter_id = encounter_id
 
 
-class SectionNeverObserved(PipelineError):
-    def __init__(self, section: Section):
-        super().__init__(
-            f"section {section.value} is configured but appears in no training reference"
-        )
-        self.section = section
-
-
 # chartsum.tinylsg loads numpy, so it is imported only where a model is built
 # or run.
 
@@ -246,7 +238,6 @@ class BackendSpec:
 class ApproachConfig:
     approach: str
     backend: BackendSpec
-    sections: tuple[Section, ...] | None = None
     stage2: BackendSpec | None = None
     seed: int = 0
 
@@ -255,15 +246,11 @@ class ApproachConfig:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.approach == "multi-layer" and self.stage2 is None:
             raise ValueError("multi-layer runs need a stage2 backend")
-        if self.sections is not None and len(self.sections) == 0:
-            raise ValueError("section-wise runs need at least one section")
 
 
 def config_hash(cfg) -> str:
     """SHA-256 of the canonical JSON form of a config dataclass."""
-    canonical = json.dumps(
-        asdict(cfg), sort_keys=True, separators=(",", ":"), default=lambda member: member.value
-    )
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -325,30 +312,17 @@ def _run_single(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) 
     return {e.id: summarizer.summarize(e.dialogue, encounter_id=e.id) for e in eval_corpus}
 
 
-def _configured_sections(cfg: ApproachConfig, segmented: Mapping[str, ChartNote]) -> list[Section]:
-    """Explicit section list, or every known section observed in training references."""
-    if cfg.sections is not None:
-        return sorted(set(cfg.sections), key=SECTION_ORDER.index)
-    observed = {
-        sec.id
-        for note in segmented.values()
-        for sec in note.sections
-        if isinstance(sec.id, Section)
-    }
-    if not observed:
-        raise PipelineError("no known sections found in any training reference")
-    return sorted(observed, key=SECTION_ORDER.index)
-
-
 def _run_section_wise(
     train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, corpora: Sequence[Corpus]
 ) -> list[dict[str, str]]:
     """Section-wise notes for each corpus of `corpora`, one section slot at a time.
 
-    Each configured section's summarizer is built, summarizes every dialogue of
-    `corpora`, and is dropped before the next slot's is built, so a run holds
-    one trained model at a time. A section-blind backend fills every slot with
-    one shared instance. The slots' texts are assembled in canonical order.
+    The slots are the known sections of the training references, in canonical
+    order, so each slot has at least one training pair. Each slot's summarizer
+    is built, summarizes every dialogue of `corpora`, and is dropped before the
+    next slot's is built, so a run holds one trained model at a time. A
+    section-blind backend fills every slot with one shared instance. The slots'
+    texts are assembled in slot order.
     """
     labeled = _labeled_pairs(train_corpus)
     segmented = {eid: segment_note(note) for eid, _, note in labeled}
@@ -356,14 +330,13 @@ def _run_section_wise(
         e.id: segment_note(e.note) for e in eval_corpus if e.note is not None
     }
     train_bodies = {eid: note.bodies() for eid, note in segmented.items()}
-    slot_pairs = {}
-    for section in _configured_sections(cfg, segmented):
-        slot_pairs[section] = [
-            (dialogue, train_bodies[eid][section]) for eid, dialogue, _ in labeled
-            if section in train_bodies[eid]
-        ]
-        if not slot_pairs[section]:
-            raise SectionNeverObserved(section)
+    slots = sorted(
+        {section for bodies in train_bodies.values() for section in bodies
+         if isinstance(section, Section)},
+        key=SECTION_ORDER.index,
+    )
+    if not slots:
+        raise PipelineError("no known sections found in any training reference")
     shared = (
         _build_summarizer(cfg.backend, (), {}, cfg.seed)
         if cfg.backend.kind in _SECTION_BLIND
@@ -371,10 +344,14 @@ def _run_section_wise(
     )
     encounters = [e for corpus in corpora for e in corpus]
     outputs: dict[Section, list[str]] = {}
-    for section, pairs in slot_pairs.items():
+    for section in slots:
         if shared is not None:
             summarizer = shared
         else:
+            pairs = [
+                (dialogue, train_bodies[eid][section]) for eid, dialogue, _ in labeled
+                if section in train_bodies[eid]
+            ]
             references = {
                 eid: note.bodies()[section]
                 for eid, note in {**segmented, **eval_segmented}.items()
@@ -531,8 +508,14 @@ def _report_rows(runs: Sequence[RunReport]) -> list[list[str]]:
 
 
 def _display_width(text: str) -> int:
-    """Terminal columns of `text`: East Asian Wide and Fullwidth characters take two."""
-    return sum(2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1 for ch in text)
+    """Terminal columns of `text`: combining marks take none, East Asian Wide and
+    Fullwidth characters two, every other character one."""
+    return sum(
+        0 if unicodedata.combining(ch)
+        else 2 if unicodedata.east_asian_width(ch) in ("W", "F")
+        else 1
+        for ch in text
+    )
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:

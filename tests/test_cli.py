@@ -95,24 +95,53 @@ def test_malformed_prediction_file_is_a_runtime_error(tmp_path, corpus_csv):
     assert main(["score", "--candidates", str(bad), "--references", corpus_csv]) == 2
 
 
-def test_unknown_section_name_is_a_validation_error(corpus_csv, eval_csv, capsys):
+def test_run_has_no_sections_option(tmp_path, corpus_csv, eval_csv, capsys):
+    out_dir = tmp_path / "out"
     code = main([
         "run", "--approach", "section-wise", "--train", corpus_csv, "--eval", eval_csv,
-        "--backend", "oracle", "--seed", "0", "--sections", "cc,bogus",
+        "--backend", "oracle", "--seed", "0", "--sections", "cc", "--out-dir", str(out_dir),
     ])
     assert code == 1
-    assert "unknown section" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --sections cc" in captured.err
+    assert captured.out == "" and not out_dir.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("command", [
-    ["run", "--approach", "single", "--backend", "tiny-lsg", "--seed", "0",
-     "--train", "missing-train.csv", "--eval", "missing-eval.csv"],
+# Each setting is checked before any file is read: the inputs do not exist,
+# and reaching them would be a runtime error (exit 2).
+MISSING_INPUTS = {
+    "run": ["run", "--approach", "single", "--backend", "tiny-lsg", "--seed", "0",
+            "--train", "missing-train.csv", "--eval", "missing-eval.csv"],
+    "train": ["train", "--train", "missing-train.csv", "--checkpoint", "never-written.json",
+              "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--max-summary-tokens", "0"], "max_summary_tokens must be >= 1, got 0", id="0"),
+    pytest.param(["--max-summary-tokens", "-3"], "max_summary_tokens must be >= 1, got -3",
+                 id="-3"),
+    pytest.param(["--d-model", "7"], "d_model (7) must be divisible by n_heads (2)",
+                 id="d-model-7"),
+    pytest.param(["--heads", "3"], "d_model (64) must be divisible by n_heads (3)", id="heads-3"),
+    pytest.param(["--block", "0"], "block_size must be >= 1, got 0", id="block-0"),
+    pytest.param(["--extract-k", "0"], "extract_k must be >= 1, got 0", id="extract-k-0"),
 ])
-def test_nonpositive_max_summary_tokens_fails_at_parse_time(command, value, capsys):
-    # The inputs do not exist: reaching them would be a runtime error (exit 2).
-    assert main(command + ["--max-summary-tokens", value]) == 1
-    assert f"--max-summary-tokens: must be >= 1, got {value}" in capsys.readouterr().err
+@pytest.mark.parametrize("command", [MISSING_INPUTS["run"]])
+def test_nonpositive_max_summary_tokens_fails_at_parse_time(command, flags, message, capsys):
+    assert main(command + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--d-model", "7"], "d_model (7) must be divisible by n_heads (2)",
+                 id="d-model-7"),
+    pytest.param(["--max-summary-tokens", "0"], "max_summary_tokens must be >= 1, got 0",
+                 id="max-summary-tokens-0"),
+])
+def test_train_checks_settings_before_reading_the_corpus(flags, message, capsys):
+    assert main(MISSING_INPUTS["train"] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +252,9 @@ usage: chartsum run [-h] --approach {single,section-wise,multi-layer} --train
                     TRAIN --eval EVAL
                     [--backend {identity,oracle,extractive,tiny-lsg}]
                     [--stage2-backend {identity,oracle,extractive,tiny-lsg}]
-                    --seed SEED [--sections SECTIONS] [--extract-k EXTRACT_K]
-                    [--out-dir OUT_DIR] [--format {table,csv,json}]
-                    [--columns COLUMNS] [--d-model D_MODEL] [--heads HEADS]
+                    --seed SEED [--extract-k EXTRACT_K] [--out-dir OUT_DIR]
+                    [--format {table,csv,json}] [--columns COLUMNS]
+                    [--d-model D_MODEL] [--heads HEADS]
                     [--enc-layers ENC_LAYERS] [--dec-layers DEC_LAYERS]
                     [--d-ff D_FF] [--lr LR] [--epochs EPOCHS]
                     [--batch-size BATCH_SIZE]
@@ -245,8 +274,6 @@ options:
                         second-stage backend for multi-layer runs (default:
                         tiny-lsg)
   --seed SEED           random seed (required)
-  --sections SECTIONS   comma-separated section ids for section-wise runs
-                        (default: every section observed in training)
   --extract-k EXTRACT_K
                         sentences kept by the extractive backend (default: 3)
   --out-dir OUT_DIR     directory for predictions.json, report.txt,
@@ -515,16 +542,18 @@ def _with_ids(corpus, ids):
 
 
 def _column_starts(line):
-    """Display column where each word starts; 日 and 本 are East Asian Wide, two columns each."""
+    """Display column where each word starts; 日 and 本 are East Asian Wide, two columns
+    each, and the combining acute accent U+0301 takes none."""
     def width(text):
-        return len(text) + sum(ch in "日本" for ch in text)
+        return len(text) + sum(ch in "日本" for ch in text) - text.count("\u0301")
 
     return [width(line[:m.start()]) for m in re.finditer(r"\S+", line)]
 
 
 def test_score_text_columns_start_at_the_header_offsets(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
-    for ids in (["ab", "encounter-2024-000001-long"], ["日本-3", "enc-é", "ab"]):
+    for ids in (["ab", "encounter-2024-000001-long"], ["日本-3", "enc-é", "ab"],
+                ["enc-e\u0301", "ab"]):
         save_corpus(_with_ids(synth_corpus(len(ids)), ids), path)
         assert main(["score", "--candidates", str(path), "--references", str(path)]) == 0
         tables = capsys.readouterr().out.split("\n\n")

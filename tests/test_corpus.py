@@ -14,6 +14,7 @@ from chartsum.corpus import (
     MalformedFile,
     MissingColumn,
     PredictionSet,
+    json_text,
     load_corpus,
     load_predictions,
     save_corpus,
@@ -262,8 +263,7 @@ def test_predictions_serialization_is_stable(tmp_path):
     )
     assert p1.read_bytes() == p2.read_bytes()
     payload = json.loads(p1.read_text())
-    assert list(payload) == sorted(payload)
-    assert payload["created_at"] is None
+    assert list(payload) == ["approach", "config_hash", "entries", "extra", "seed"]
 
 
 def test_predictions_unknown_tag_rejected():
@@ -295,7 +295,6 @@ VALID_PREDICTIONS = {
     "approach": "multi-layer",
     "seed": 3,
     "config_hash": "abc",
-    "created_at": None,
     "entries": {"e1": "note"},
     "extra": {"stage1_empty_eval": "0"},
 }
@@ -307,7 +306,7 @@ VALID_PREDICTIONS = {
     ("seed", 1.5, "'seed' must be an integer, got float"),
     ("config_hash", 5, "'config_hash' must be a string, got int"),
     ("approach", None, "'approach' must be a string, got NoneType"),
-    ("created_at", 20240101, "'created_at' must be a string or null, got int"),
+    ("entries", [1], "'entries' must be an object, got list"),
     ("extra", [1], "'extra' must be an object, got list"),
     ("extra", {"k": 1}, "extra must map strings to strings"),
 ])
@@ -319,11 +318,11 @@ def test_load_predictions_rejects_mistyped_fields(tmp_path, key, value, fragment
     assert message.startswith(f"{p}: ") and fragment in message and "\n" not in message
 
 
-def test_load_predictions_defaults_absent_created_at_and_extra(tmp_path):
-    payload = {k: v for k, v in VALID_PREDICTIONS.items() if k not in ("created_at", "extra")}
-    loaded = load_predictions(write(tmp_path / "p.json", json.dumps(payload)))
-    assert loaded.created_at is None and loaded.extra == {}
-    stamped = {**VALID_PREDICTIONS, "created_at": "2024-01-01T00:00:00Z"}
-    assert load_predictions(write(tmp_path / "q.json", json.dumps(stamped))).created_at == (
-        "2024-01-01T00:00:00Z"
-    )
+def test_load_predictions_defaults_absent_extra_and_ignores_created_at(tmp_path):
+    payload = {k: v for k, v in VALID_PREDICTIONS.items() if k != "extra"}
+    assert load_predictions(write(tmp_path / "p.json", json.dumps(payload))).extra == {}
+    # Older prediction files hold a `created_at` key, null or a timestamp.
+    expected = load_predictions(write(tmp_path / "q.json", json.dumps(VALID_PREDICTIONS)))
+    for stamp in (None, "2024-01-01T00:00:00Z"):
+        older = json_text({**VALID_PREDICTIONS, "created_at": stamp})
+        assert load_predictions(write(tmp_path / "older.json", older)) == expected

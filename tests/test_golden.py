@@ -21,18 +21,18 @@ from synthdata import synth_corpus
 GOLDEN = {
     "single": (
         [],
-        "b93d8c1b4d57a072cd7dc6e41c6c06faa9fd18268fcf24c3f6ef25862c0b9e54",
-        "31cc3008634682f147a67d00be154824d39275cd35566dd06fdd399de2aea9a9",
+        "aebdfa7063753db0a33e0eb4bc5513a421cf3ef38f3148cba06d173ca3ff1a28",
+        "6877e6cdd45f5a8ba56265e6bb81ba675a1b64b623f5893e341e16e0728c1080",
     ),
     "section-wise": (
         [],
-        "ef066e85554fc8cb9eb39dad3dcdffb1cdad5b0f1f283ffff57b9557288b3336",
-        "128d43bd9230b2d7d8b83dea59cf5aa3fc242e5bf2dc936e37a85830dad16a52",
+        "efd73c4de61ddd6e7be1430720e6430a720cdd32c7e59452f5a013fffa9d1ee8",
+        "bd499172502153e979aa8dab389767b320bd0e3dbfb4231493a3e1908a1e7b09",
     ),
     "multi-layer": (
         ["--stage2-backend", "identity"],
-        "efcb065319b1af031570a56a5dc1ebcbf21c2b66d8dd2ff8c96816314ea71fec",
-        "9cfa91096918b3635505d8af54d2a477cefae8f14b088a9564b6e46cd4ba5007",
+        "84fe43936fe0de9e3dd7dbdc516519ff6823eea3600b1238ec3811402fbfa8ae",
+        "219a5cbcd7195b0cb11a54c496dda8b65cd24a59e22113dbe69fa390daee9a32",
     ),
 }
 

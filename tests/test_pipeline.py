@@ -26,7 +26,6 @@ from chartsum.pipeline import (
     OracleSummarizer,
     PipelineError,
     RunReport,
-    SectionNeverObserved,
     config_hash,
     evaluate,
     pair_references,
@@ -255,8 +254,6 @@ def test_approach_config_validation():
         ApproachConfig(approach="bogus", backend=ORACLE)
     with pytest.raises(ValueError):
         ApproachConfig(approach="multi-layer", backend=ORACLE)  # stage2 required
-    with pytest.raises(ValueError):
-        ApproachConfig(approach="section-wise", backend=ORACLE, sections=())
 
 
 def test_config_hash_stable_and_sensitive():
@@ -379,26 +376,6 @@ def test_approach2_identity_puts_dialogue_in_every_observed_section():
         assert all(s.body == e.dialogue for s in note.sections)
 
 
-def test_approach2_explicit_sections_limit_output():
-    train_c, eval_c = synth_corpus(3), synth_corpus(2, start=3)
-    cfg = ApproachConfig(
-        approach="section-wise", backend=ORACLE, sections=(Section.PE, Section.CC)
-    )
-    preds = run_approach(train_c, eval_c, cfg)
-    note = segment_note(preds.entries[eval_c.ids()[0]])
-    # canonical order regardless of the order given in the config
-    assert [s.id for s in note.sections] == [Section.CC, Section.PE]
-
-
-@pytest.mark.parametrize("backend", [ORACLE, EXTRACTIVE, IDENTITY], ids=lambda b: b.kind)
-def test_approach2_unseen_configured_section_raises(backend):
-    # Section-blind backends share one instance, but every slot is still checked.
-    train_c, eval_c = synth_corpus(3), synth_corpus(2, start=3)
-    cfg = ApproachConfig(approach="section-wise", backend=backend, sections=(Section.ROS,))
-    with pytest.raises(SectionNeverObserved):
-        run_approach(train_c, eval_c, cfg)
-
-
 def test_approach2_no_sections_at_all_raises():
     enc = tuple(
         Encounter(id=f"p{i}", dialogue="talk talk", note="plain text, no headers")
@@ -411,20 +388,20 @@ def test_approach2_no_sections_at_all_raises():
 
 
 def test_approach2_adding_a_section_leaves_others_untouched():
+    # Each slot trains with seed + its canonical section index, so the other
+    # slots' output does not depend on whether the training notes hold CC.
     train_c, eval_c = synth_corpus(4), synth_corpus(2, start=4)
-    cc_only = run_approach(
-        train_c, eval_c,
-        ApproachConfig(approach="section-wise", backend=EXTRACTIVE, sections=(Section.CC,)),
-    )
-    cc_pe = run_approach(
-        train_c, eval_c,
-        ApproachConfig(approach="section-wise", backend=EXTRACTIVE,
-                       sections=(Section.CC, Section.PE)),
-    )
-    for eid in eval_c.ids():
-        one = segment_note(cc_only.entries[eid]).bodies()[Section.CC]
-        two = segment_note(cc_pe.entries[eid]).bodies()[Section.CC]
-        assert one == two
+    without_cc = Corpus(encounters=tuple(
+        replace(e, note=strip_section(e.note, Section.CC)) for e in train_c
+    ))
+    for backend in (TINY, ORACLE):
+        cfg = ApproachConfig(approach="section-wise", backend=backend, seed=5)
+        full = run_approach(train_c, eval_c, cfg)
+        fewer = run_approach(without_cc, eval_c, cfg)
+        for eid in eval_c.ids():
+            expected = segment_note(full.entries[eid]).bodies()
+            expected.pop(Section.CC, None)
+            assert expected and segment_note(fewer.entries[eid]).bodies() == expected
 
 
 def division_bodies(text):
