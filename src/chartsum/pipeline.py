@@ -1,9 +1,13 @@
 """End-to-end orchestration of the three summarization architectures.
 
-Approach "single" trains one dialogue→note summarizer. Approach "section-wise"
-trains one summarizer per chart-note section and assembles the outputs.
-Approach "multi-layer" feeds the assembled section-wise output through a second
-summarizer. Oracle/identity/extractive backends exercise the same plumbing
+The approaches differ only in which summarizers fill which slots. A slot is
+one summarizer, trained with its own seed on its own (input, target) pairs and
+run over every input; one loop, `_fill_slots`, runs a list of slots one after
+another. Approach "single" is one slot from dialogue to whole note.
+"section-wise" is one slot per chart-note section the training notes hold, its
+outputs assembled into a note. "multi-layer" is section-wise over the train
+and eval dialogues, then one more slot from each stage-1 note to its
+reference. Oracle/identity/extractive backends exercise the same plumbing
 without any training.
 """
 
@@ -19,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (APPROACH_TAGS, NUMBER, Corpus, MalformedFile, PredictionSet, csv_text,
@@ -174,9 +178,9 @@ class ExtractiveSummarizer(Summarizer):
 
     Sentence score = mean corpus frequency of its tokens; ties go to the
     earlier sentence; output keeps source order. Each instance keeps the
-    summary of every text it has seen: a section-wise run hands its one shared
-    instance every dialogue once per section slot, slot after slot, and so
-    extracts each distinct dialogue once. Instances are built per run.
+    summary of every text it has seen: the slot loop hands a section-blind
+    backend's one shared instance every input once per slot, slot after slot,
+    and so extracts each distinct input once. Instances are built per run.
     """
 
     def __init__(self, k: int = 3):
@@ -246,21 +250,14 @@ class ApproachConfig:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.approach == "multi-layer" and self.stage2 is None:
             raise ValueError("multi-layer runs need a stage2 backend")
+        if self.approach != "multi-layer" and self.stage2 is not None:
+            raise ValueError(f"only multi-layer runs take a stage2 backend, not {self.approach!r}")
 
 
 def config_hash(cfg) -> str:
     """SHA-256 of the canonical JSON form of a config dataclass."""
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _reference_lookup(*corpora: Corpus) -> dict[str, str]:
-    refs: dict[str, str] = {}
-    for corpus in corpora:
-        for e in corpus:
-            if e.note is not None:
-                refs[e.id] = e.note
-    return refs
 
 
 def train_tiny_lsg(
@@ -283,136 +280,122 @@ def train_tiny_lsg(
     return train(model, pairs, replace(backend.train, seed=seed), backend.lsg, log=log)
 
 
+# A slot: its training seed, its (input, target) training pairs and its
+# (id, reference) pairs. Only tiny-lsg reads the training pairs and only oracle
+# the references, so both may be lazy iterables that nothing else consumes.
+_Slot = tuple[int, Iterable[tuple[str, str]], Iterable[tuple[str, str]]]
+
+
 def _build_summarizer(
     backend: BackendSpec,
-    pairs: Sequence[tuple[str, str]],
-    references: Mapping[str, str],
+    pairs: Iterable[tuple[str, str]],
+    references: Iterable[tuple[str, str]],
     seed: int,
 ) -> Summarizer:
     if backend.kind == "identity":
         return IdentitySummarizer()
     if backend.kind == "oracle":
-        return OracleSummarizer(references)
+        return OracleSummarizer(dict(references))
     if backend.kind == "extractive":
         return ExtractiveSummarizer(backend.extract_k)
-    trained, _ = train_tiny_lsg(backend, pairs, seed)
+    trained, _ = train_tiny_lsg(backend, list(pairs), seed)
     return TinyLsgSummarizer(trained, backend.lsg, backend.max_summary_tokens)
 
 
-def _labeled_pairs(corpus: Corpus) -> list[tuple[str, str, str]]:
-    return [(e.id, e.dialogue, e.note) for e in corpus if e.note is not None]
+def _fill_slots(
+    backend: BackendSpec, slots: Iterable[_Slot], inputs: Sequence[tuple[str, str]]
+) -> list[list[str]]:
+    """Per slot, the summary of every (id, text) of `inputs`, one slot at a time.
+
+    Each slot's summarizer is built, summarizes every input, and is dropped
+    before the next slot's is built, so a run holds one trained model at a
+    time; `slots` may be a generator, so that a slot's pairs are made only
+    when the loop reaches it. A section-blind backend fills every slot with
+    one shared instance.
+    """
+    shared = _build_summarizer(backend, (), (), 0) if backend.kind in _SECTION_BLIND else None
+    outputs = []
+    for seed, pairs, references in slots:
+        summarizer = shared or _build_summarizer(backend, pairs, references, seed)
+        outputs.append([summarizer.summarize(text, encounter_id=eid) for eid, text in inputs])
+        del summarizer
+    return outputs
 
 
-def _run_single(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) -> dict[str, str]:
-    """One summarizer over full dialogue → full note."""
-    pairs = [(dialogue, note) for _, dialogue, note in _labeled_pairs(train_corpus)]
-    summarizer = _build_summarizer(
-        cfg.backend, pairs, _reference_lookup(train_corpus, eval_corpus), cfg.seed
-    )
-    return {e.id: summarizer.summarize(e.dialogue, encounter_id=e.id) for e in eval_corpus}
-
-
-def _run_section_wise(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig, corpora: Sequence[Corpus]
-) -> list[dict[str, str]]:
-    """Section-wise notes for each corpus of `corpora`, one section slot at a time.
+def _section_wise(
+    backend: BackendSpec,
+    seed: int,
+    train_corpus: Corpus,
+    eval_corpus: Corpus,
+    inputs: Sequence[tuple[str, str]],
+) -> list[str]:
+    """The section-wise note of every (id, dialogue) of `inputs`.
 
     The slots are the known sections of the training references, in canonical
-    order, so each slot has at least one training pair. Each slot's summarizer
-    is built, summarizes every dialogue of `corpora`, and is dropped before the
-    next slot's is built, so a run holds one trained model at a time. A
-    section-blind backend fills every slot with one shared instance. The slots'
-    texts are assembled in slot order.
+    order, so each slot has at least one training pair; a slot trains with
+    `seed` plus its section's canonical index. The slots' texts are assembled
+    in slot order.
     """
-    labeled = _labeled_pairs(train_corpus)
-    segmented = {eid: segment_note(note) for eid, _, note in labeled}
-    eval_segmented = {
-        e.id: segment_note(e.note) for e in eval_corpus if e.note is not None
-    }
-    train_bodies = {eid: note.bodies() for eid, note in segmented.items()}
-    slots = sorted(
-        {section for bodies in train_bodies.values() for section in bodies
-         if isinstance(section, Section)},
+    labeled = train_corpus.labeled()
+    # Only oracle reads the eval references' sections; perfbench pins their
+    # segmentation until it counts work rather than calls (ROADMAP item 1a).
+    reference_bodies = [
+        (e.id, segment_note(e.note).bodies()) for e in (*labeled, *eval_corpus.labeled())
+    ]
+    train_bodies = [bodies for _, bodies in reference_bodies[: len(labeled)]]
+    sections = sorted(
+        {section for bodies in train_bodies for section in bodies if isinstance(section, Section)},
         key=SECTION_ORDER.index,
     )
-    if not slots:
+    if not sections:
         raise PipelineError("no known sections found in any training reference")
-    shared = (
-        _build_summarizer(cfg.backend, (), {}, cfg.seed)
-        if cfg.backend.kind in _SECTION_BLIND
-        else None
-    )
-    encounters = [e for corpus in corpora for e in corpus]
-    outputs: dict[Section, list[str]] = {}
-    for section in slots:
-        if shared is not None:
-            summarizer = shared
-        else:
-            pairs = [
-                (dialogue, train_bodies[eid][section]) for eid, dialogue, _ in labeled
-                if section in train_bodies[eid]
-            ]
-            references = {
-                eid: note.bodies()[section]
-                for eid, note in {**segmented, **eval_segmented}.items()
-                if section in note.bodies()
-            }
-            seed = cfg.seed + SECTION_ORDER.index(section)
-            summarizer = _build_summarizer(cfg.backend, pairs, references, seed)
-        outputs[section] = [summarizer.summarize(e.dialogue, encounter_id=e.id) for e in encounters]
-        del summarizer
-    notes = (
+
+    def slot(section: Section) -> _Slot:
+        return (
+            seed + SECTION_ORDER.index(section),
+            ((e.dialogue, bodies[section]) for e, bodies in zip(labeled, train_bodies)
+             if section in bodies),
+            ((eid, bodies[section]) for eid, bodies in reference_bodies if section in bodies),
+        )
+
+    outputs = _fill_slots(backend, map(slot, sections), inputs)
+    return [
         assemble_note(ChartNote(sections=tuple(
-            NoteSection(id=section, body=text) for section, text in zip(outputs, texts) if text
+            NoteSection(id=section, body=text) for section, text in zip(sections, texts) if text
         )))
-        for texts in zip(*outputs.values())
-    )
-    return [{e.id: next(notes) for e in corpus} for corpus in corpora]
-
-
-def _run_multi_layer(
-    train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Section-wise stage 1, then a second summarizer over the assembled text.
-
-    Returns the entries and the stage-1 facts recorded in PredictionSet.extra.
-    """
-    stage1_cfg = replace(cfg, approach="section-wise", stage2=None)
-    stage1_train, stage1_eval = _run_section_wise(
-        train_corpus, eval_corpus, stage1_cfg, (train_corpus, eval_corpus)
-    )
-    stage2_pairs = [
-        (stage1_train[eid], note) for eid, _, note in _labeled_pairs(train_corpus)
+        for texts in zip(*outputs)
     ]
-    stage2 = _build_summarizer(
-        cfg.stage2,
-        stage2_pairs,
-        _reference_lookup(train_corpus, eval_corpus),
-        cfg.seed + _STAGE2_SEED_OFFSET,
-    )
-    entries = {
-        e.id: stage2.summarize(stage1_eval[e.id], encounter_id=e.id) for e in eval_corpus
-    }
-    extra = {
-        "stage1_config_hash": config_hash(stage1_cfg),
-        "stage1_empty_train": str(sum(1 for text in stage1_train.values() if not text)),
-        "stage1_empty_eval": str(sum(1 for text in stage1_eval.values() if not text)),
-    }
-    return entries, extra
 
 
 def run_approach(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) -> PredictionSet:
     """Train cfg.approach on train_corpus and summarize every eval_corpus encounter."""
+    encounters = [*train_corpus, *eval_corpus]
+    dialogues = [(e.id, e.dialogue) for e in encounters]
+    n_train = len(train_corpus)
     extra: dict[str, str] = {}
-    if cfg.approach == "single":
-        entries = _run_single(train_corpus, eval_corpus, cfg)
-    elif cfg.approach == "section-wise":
-        (entries,) = _run_section_wise(train_corpus, eval_corpus, cfg, (eval_corpus,))
+    if cfg.approach == "section-wise":
+        texts = _section_wise(cfg.backend, cfg.seed, train_corpus, eval_corpus, dialogues[n_train:])
     else:
-        entries, extra = _run_multi_layer(train_corpus, eval_corpus, cfg)
+        # One whole-note slot over the dialogues (single), or over their
+        # section-wise notes (multi-layer stage 2).
+        backend, seed, sources = cfg.backend, cfg.seed, [text for _, text in dialogues]
+        if cfg.approach == "multi-layer":
+            sources = _section_wise(cfg.backend, cfg.seed, train_corpus, eval_corpus, dialogues)
+            backend, seed = cfg.stage2, cfg.seed + _STAGE2_SEED_OFFSET
+            stage1_cfg = replace(cfg, approach="section-wise", stage2=None)
+            extra = {
+                "stage1_config_hash": config_hash(stage1_cfg),
+                "stage1_empty_train": str(sources[:n_train].count("")),
+                "stage1_empty_eval": str(sources[n_train:].count("")),
+            }
+        pairs = ((source, e.note) for e, source in zip(train_corpus, sources) if e.note is not None)
+        # Only oracle reads the references; an eval note overrides a train note of the same id.
+        references = ((e.id, e.note) for e in encounters if e.note is not None)
+        inputs = list(zip(eval_corpus.ids(), sources[n_train:]))
+        (texts,) = _fill_slots(backend, [(seed, pairs, references)], inputs)
     return PredictionSet(
         approach=cfg.approach,
-        entries=entries,
+        entries=dict(zip(eval_corpus.ids(), texts)),
         config_hash=config_hash(cfg),
         seed=cfg.seed,
         extra=extra,

@@ -116,10 +116,14 @@ class ChartNote:
     preamble: str = ""
 
     def bodies(self) -> dict[SectionId, str]:
-        """First body per id, for notes without duplicate sections."""
+        """Body per id. A repeated section's bodies are joined in note order by a
+        blank line; an empty body adds nothing."""
         out: dict[SectionId, str] = {}
         for sec in self.sections:
-            out.setdefault(sec.id, sec.body)
+            earlier = out.get(sec.id)
+            out[sec.id] = (
+                sec.body if earlier is None else "\n\n".join(filter(None, (earlier, sec.body)))
+            )
         return out
 
 

@@ -26,6 +26,7 @@ from chartsum.pipeline import (
     OracleSummarizer,
     PipelineError,
     RunReport,
+    _STAGE2_SEED_OFFSET,
     config_hash,
     evaluate,
     pair_references,
@@ -256,6 +257,14 @@ def test_approach_config_validation():
         ApproachConfig(approach="multi-layer", backend=ORACLE)  # stage2 required
 
 
+@pytest.mark.parametrize("approach", ["single", "section-wise"])
+def test_approach_config_rejects_a_stage2_outside_multi_layer(approach):
+    # An ignored stage2 would change config_hash and nothing else.
+    message = f"^only multi-layer runs take a stage2 backend, not '{approach}'$"
+    with pytest.raises(ValueError, match=message):
+        ApproachConfig(approach=approach, backend=ORACLE, stage2=IDENTITY)
+
+
 def test_config_hash_stable_and_sensitive():
     cfg = ApproachConfig(approach="single", backend=BackendSpec(kind="tiny-lsg"), seed=3)
     assert config_hash(cfg) == config_hash(cfg)
@@ -363,6 +372,22 @@ def test_approach2_oracle_sections_match_reference_segmentation():
         got = segment_note(preds.entries[e.id])
         want = segment_note(e.note)
         assert [(s.id, s.body) for s in got.sections] == [(s.id, s.body) for s in want.sections]
+
+
+def test_approach2_oracle_keeps_every_body_of_a_repeated_section():
+    # The second PLAN body is part of the slot's reference, so oracle returns it too.
+    def encounter(eid, plan):
+        note = (f"CHIEF COMPLAINT\n\nknee pain\n\nPLAN\n\n{plan[0]}\n\n"
+                f"RESULTS\n\nclean xray\n\nPLAN\n\n{plan[1]}\n")
+        return Encounter(id=eid, dialogue="knee pain talk", note=note)
+
+    train_c = Corpus(encounters=(encounter("t0", ("rest", "ice nightly")),))
+    eval_c = Corpus(encounters=(encounter("e0", ("stretch daily", "recheck in two weeks")),))
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach="section-wise", backend=ORACLE))
+    plan = segment_note(preds.entries["e0"]).bodies()[Section.PLAN]
+    assert plan == "stretch daily\n\nrecheck in two weeks"
+    run = evaluate(preds, eval_c)
+    assert run.division_f1[Division.ASSESSMENT_AND_PLAN] == 1.0
 
 
 def test_approach2_identity_puts_dialogue_in_every_observed_section():
@@ -602,6 +627,29 @@ def test_approach3_identity_stage2_equals_approach2():
     assert p3.extra["stage1_config_hash"] == p2.config_hash
     assert p3.extra["stage1_empty_train"] == "0"
     assert p3.extra["stage1_empty_eval"] == "0"
+
+
+def test_approach3_tiny_lsg_stage2_equals_a_single_run_over_stage1_notes():
+    # Stage 2 is one more slot: a single run whose dialogues are the stage-1
+    # notes, with the stage-2 backend and the stage-2 seed.
+    train_c, eval_c = synth_corpus(4), synth_corpus(2, start=4)
+    cfg = ApproachConfig(approach="multi-layer", backend=TINY, stage2=TINY, seed=3)
+    multi = run_approach(train_c, eval_c, cfg)
+
+    stage1_cfg = ApproachConfig(approach="section-wise", backend=TINY, seed=3)
+    stage1_train = run_approach(train_c, train_c, stage1_cfg).entries
+    stage1_eval = run_approach(train_c, eval_c, stage1_cfg).entries
+
+    def with_stage1_dialogues(corpus, stage1):
+        return Corpus(encounters=tuple(replace(e, dialogue=stage1[e.id]) for e in corpus))
+
+    single_cfg = ApproachConfig(approach="single", backend=TINY, seed=3 + _STAGE2_SEED_OFFSET)
+    single = run_approach(
+        with_stage1_dialogues(train_c, stage1_train),
+        with_stage1_dialogues(eval_c, stage1_eval),
+        single_cfg,
+    )
+    assert multi.entries == single.entries
 
 
 def test_approach3_oracle_stage2_scores_perfectly():

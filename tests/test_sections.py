@@ -272,11 +272,15 @@ def test_segment_empty_body_section():
     assert note.sections[1].body == "aspirin"
 
 
-def test_segment_duplicate_sections_kept_bodies_takes_first():
+def test_segment_duplicate_sections_kept_bodies_joins_them():
     text = "PLAN\n\nfirst\n\nPLAN\n\nsecond\n"
     note = segment_note(text)
     assert len(note.sections) == 2
-    assert note.bodies()[Section.PLAN] == "first"
+    assert note.bodies()[Section.PLAN] == "first\n\nsecond"
+    # In note order across other sections; an empty body adds nothing.
+    note = segment_note("PLAN\n\nfirst\nline\n\nRESULTS\n\nxray\n\nPLAN\n\nPLAN\nthird\n")
+    assert note.bodies() == {Section.PLAN: "first\nline\n\nthird", Section.RESULTS: "xray"}
+    assert segment_note("PLAN\n\nPLAN\n").bodies() == {Section.PLAN: ""}
 
 
 def test_segment_empty_text():
