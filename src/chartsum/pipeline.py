@@ -369,12 +369,14 @@ def _section_wise(
 
 def run_approach(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) -> PredictionSet:
     """Train cfg.approach on train_corpus and summarize every eval_corpus encounter."""
-    encounters = [*train_corpus, *eval_corpus]
-    dialogues = [(e.id, e.dialogue) for e in encounters]
-    n_train = len(train_corpus)
+    labeled = train_corpus.labeled()
+    n_labeled = len(labeled)
+    # The labeled train dialogues, the only ones a model trains from, then the eval ones.
+    dialogues = [(e.id, e.dialogue) for e in (*labeled, *eval_corpus)]
     extra: dict[str, str] = {}
     if cfg.approach == "section-wise":
-        texts = _section_wise(cfg.backend, cfg.seed, train_corpus, eval_corpus, dialogues[n_train:])
+        eval_dialogues = dialogues[n_labeled:]
+        texts = _section_wise(cfg.backend, cfg.seed, train_corpus, eval_corpus, eval_dialogues)
     else:
         # One whole-note slot over the dialogues (single), or over their
         # section-wise notes (multi-layer stage 2).
@@ -385,13 +387,13 @@ def run_approach(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig)
             stage1_cfg = replace(cfg, approach="section-wise", stage2=None)
             extra = {
                 "stage1_config_hash": config_hash(stage1_cfg),
-                "stage1_empty_train": str(sources[:n_train].count("")),
-                "stage1_empty_eval": str(sources[n_train:].count("")),
+                "stage1_empty_train": str(sources[:n_labeled].count("")),
+                "stage1_empty_eval": str(sources[n_labeled:].count("")),
             }
-        pairs = ((source, e.note) for e, source in zip(train_corpus, sources) if e.note is not None)
+        pairs = zip(sources[:n_labeled], (e.note for e in labeled))
         # Only oracle reads the references; an eval note overrides a train note of the same id.
-        references = ((e.id, e.note) for e in encounters if e.note is not None)
-        inputs = list(zip(eval_corpus.ids(), sources[n_train:]))
+        references = ((e.id, e.note) for e in (*labeled, *eval_corpus) if e.note is not None)
+        inputs = list(zip(eval_corpus.ids(), sources[n_labeled:]))
         (texts,) = _fill_slots(backend, [(seed, pairs, references)], inputs)
     return PredictionSet(
         approach=cfg.approach,

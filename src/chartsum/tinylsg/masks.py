@@ -1,9 +1,18 @@
-"""Boolean attention masks: block-local + strided-sparse + global-token pattern."""
+"""Boolean attention masks: block-local + strided-sparse + global-token pattern.
+
+The additive biases the model reads are corners of shared tables: every mask
+here allows (q, k) by a rule on q and k alone, so the mask over n tokens is
+the top-left n x n corner of the mask over any longer sequence. `causal_bias`
+and `LsgLayout.dense_bias` slice one read-only table each (one per
+`LsgConfig` for the latter). A sequence longer than the table rebuilds it at
+twice its length or more, so the process keeps one bias table per kind rather
+than one bias per length.
+"""
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +75,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=128)
+# The bias tables `_bias_corner` slices, keyed by None for the causal mask and
+# by the LsgConfig for `lsg_mask`.
+_BIAS_TABLES: dict[LsgConfig | None, np.ndarray] = {}
+
+
+def _bias_corner(seq_len: int, cfg: LsgConfig | None) -> np.ndarray:
+    """Read-only top-left seq_len x seq_len corner of the causal (cfg None) or LSG bias table."""
+    _check_seq_len(seq_len)
+    table = _BIAS_TABLES.get(cfg)
+    if table is None or len(table) < seq_len:
+        size = max(seq_len, 2 * len(table)) if table is not None else seq_len
+        mask = causal_mask(size) if cfg is None else lsg_mask(size, cfg)
+        table = _BIAS_TABLES[cfg] = _read_only(mask_to_bias(mask))
+    return table[:seq_len, :seq_len]
+
+
 def causal_bias(seq_len: int) -> np.ndarray:
-    """Read-only additive bias of `causal_mask(seq_len)`, shared by every caller."""
-    return _read_only(mask_to_bias(causal_mask(seq_len)))
+    """Additive bias of `causal_mask(seq_len)`: a read-only corner of one shared table."""
+    return _bias_corner(seq_len, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +110,28 @@ class LsgLayout:
 
     `blocked` is the size rule: the blocked kernel runs only when it computes
     at most half of the n * n dense scores. Otherwise attention is dense with
-    `dense_bias`, the bias of `lsg_mask` (None when `blocked`).
+    `dense_bias`, the bias of `lsg_mask(n, cfg)` (None when `blocked`).
     """
 
     n: int
-    block_size: int
-    radius: int
+    cfg: LsgConfig
     num_global: int
     extra: np.ndarray
     bias: np.ndarray
-    dense_bias: np.ndarray | None
+
+    @property
+    def block_size(self) -> int:
+        return self.cfg.block_size
+
+    @property
+    def radius(self) -> int:
+        return self.cfg.local_radius
+
+    @property
+    def dense_bias(self) -> np.ndarray | None:
+        """A read-only corner of the config's shared table, sliced per call so that a
+        cached layout never keeps an outgrown table alive."""
+        return None if self.blocked else _bias_corner(self.n, self.cfg)
 
     @property
     def n_blocks(self) -> int:
@@ -129,15 +165,10 @@ def lsg_layout(seq_len: int, cfg: LsgConfig) -> LsgLayout:
     local_keys = (blocks - radius) * block + np.arange((2 * radius + 1) * block)
     local_ok = (local_keys >= 0) & (local_keys < seq_len)
     extra_ok = np.abs(extra // block - blocks) > radius
-    layout = LsgLayout(
+    return LsgLayout(
         n=seq_len,
-        block_size=block,
-        radius=radius,
+        cfg=cfg,
         num_global=num_global,
         extra=_read_only(extra),
         bias=_read_only(mask_to_bias(np.hstack([local_ok, extra_ok]))[:, None, :]),
-        dense_bias=None,
     )
-    if layout.blocked:
-        return layout
-    return replace(layout, dense_bias=_read_only(mask_to_bias(lsg_mask(seq_len, cfg))))

@@ -7,6 +7,15 @@ The decoder is causally masked; cross-attention is unmasked. One decoder
 forward, `_decode`, serves teacher forcing and cached greedy decoding alike.
 Everything runs in double precision so analytic gradients can be checked
 against central finite differences.
+
+Each forward returns a backward cache per sublayer, and a training step keeps
+every cache alive until its backward pass, so a cache holds only what cannot
+be recomputed bit for bit. A layer norm keeps (x_hat, inv_std); its output is
+recomputed from them (`_ln_output`), so no attention or feed-forward cache
+keeps a copy of its normed input. A feed-forward cache keeps the GELU's input
+and tanh term, not its output. An attention cache keeps the projected heads,
+the attention weights and the merged heads; its backward pass computes the
+score gradient in place and frees the weights once used.
 """
 
 from __future__ import annotations
@@ -137,11 +146,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _attend(params, prefix: str, x_q, x_kv, kh, vh, bias, n_heads: int):
+def _attend(params, prefix: str, x_q, kh, vh, bias, n_heads: int):
     """Attention of x_q's queries over keys/values already split into heads.
 
     `bias` is an additive (n_q, n_kv) mask, or None for unmasked attention.
-    `x_kv`, which kh and vh were projected from, is kept for the backward pass.
+    The cache holds neither input: the backward pass is handed them again.
     """
     qh = _split_heads(x_q @ params[f"{prefix}.wq"], n_heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
@@ -150,24 +159,41 @@ def _attend(params, prefix: str, x_q, x_kv, kh, vh, bias, n_heads: int):
         scores += bias[None, :, :]
     probs = _softmax_rows(scores)
     merged = _merge_heads(probs @ vh)
-    return merged @ params[f"{prefix}.wo"], (x_q, x_kv, qh, kh, vh, probs, merged, scale)
+    return merged @ params[f"{prefix}.wo"], [qh, kh, vh, probs, merged, scale]
 
 
 def _mha_forward(params, prefix: str, x_q, x_kv, bias, n_heads: int):
     kh = _split_heads(x_kv @ params[f"{prefix}.wk"], n_heads)
     vh = _split_heads(x_kv @ params[f"{prefix}.wv"], n_heads)
-    return _attend(params, prefix, x_q, x_kv, kh, vh, bias, n_heads)
+    return _attend(params, prefix, x_q, kh, vh, bias, n_heads)
 
 
-def _mha_backward(params, prefix: str, cache, d_out, grads):
-    x_q, x_kv, qh, kh, vh, probs, merged, scale = cache
+def _softmax_backward(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """In place: the gradient w.r.t. softmax outputs `probs` becomes the gradient
+    w.r.t. their inputs, `probs * (d_probs - rowsum(d_probs * probs))`; returned."""
+    d_probs -= _row_dot(d_probs, probs)
+    d_probs *= probs
+    return d_probs
+
+
+def _mha_backward(params, prefix: str, x_q, x_kv, cache, d_out, grads):
+    """Backward of `_mha_forward(params, prefix, x_q, x_kv, ...)`; returns (d x_q, d x_kv).
+
+    Consumes `cache`: it is emptied, and the attention weights freed once used.
+    """
+    qh, kh, vh, probs, merged, scale = cache
+    cache.clear()
     grads[f"{prefix}.wo"] += merged.T @ d_out
+    del merged
     d_oh = _split_heads(d_out @ params[f"{prefix}.wo"].T, qh.shape[0])
-    d_probs = d_oh @ vh.transpose(0, 2, 1)
     d_vh = probs.transpose(0, 2, 1) @ d_oh
-    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-    d_qh = d_scores @ kh * scale
-    d_kh = d_scores.transpose(0, 2, 1) @ qh * scale
+    d_scores = _softmax_backward(d_oh @ vh.transpose(0, 2, 1), probs)
+    del probs, d_oh
+    d_qh = d_scores @ kh
+    d_qh *= scale
+    d_kh = d_scores.transpose(0, 2, 1) @ qh
+    d_kh *= scale
+    del d_scores
     return _projections_backward(params, prefix, x_q, x_kv, d_qh, d_kh, d_vh, grads)
 
 
@@ -243,17 +269,18 @@ def _lsg_attention_forward(params, prefix: str, x, layout: LsgLayout, n_heads: i
     global_probs = _softmax_rows(qh[:, :g] @ kh.transpose(0, 2, 1) * scale)
     out[:, :g] = global_probs @ vh
     merged = _merge_heads(out)
-    cache = (x, layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale)
+    cache = (layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale)
     return merged @ params[f"{prefix}.wo"], cache
 
 
-def _lsg_attention_backward(params, prefix: str, cache, d_out, grads):
-    """Backward of `_lsg_attention_forward`; returns (d x, d x) like `_mha_backward`.
+def _lsg_attention_backward(params, prefix: str, x, cache, d_out, grads):
+    """Backward of `_lsg_attention_forward(params, prefix, x, ...)`; returns (d x, d x)
+    like `_mha_backward`.
 
     The local key/value gradients are scattered back with one slice add per
     window offset; the extra keys are distinct, so one indexed add each.
     """
-    x, layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale = cache
+    layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale = cache
     n, g, w, block = layout.n, layout.num_global, layout.window, layout.block_size
     pad = layout.radius * block
     h, rows, dh = q_rows.shape
@@ -268,8 +295,7 @@ def _lsg_attention_backward(params, prefix: str, cache, d_out, grads):
     d_blocks = _by_block(d_scores, layout)
     np.matmul(_by_block(d_rows, layout), v_win.transpose(0, 1, 3, 2), out=d_blocks[..., :w])
     np.matmul(d_rows, v_extra.transpose(0, 2, 1), out=d_scores[..., w:])
-    d_scores -= _row_dot(d_scores, probs)
-    d_scores *= probs
+    _softmax_backward(d_scores, probs)
     d_scores *= scale
     d_local, d_extra = d_blocks[..., :w], d_scores[..., w:]
 
@@ -292,8 +318,7 @@ def _lsg_attention_backward(params, prefix: str, cache, d_out, grads):
     d_global_out = d_oh[:, :g]
     d_vh += global_probs.transpose(0, 2, 1) @ d_global_out
     d_global = d_global_out @ vh.transpose(0, 2, 1)
-    d_global -= _row_dot(d_global, global_probs)
-    d_global *= global_probs
+    _softmax_backward(d_global, global_probs)
     d_global *= scale
     d_qh[:, :g] += d_global @ kh
     d_kh += d_global.transpose(0, 2, 1) @ qh[:, :g]
@@ -306,12 +331,18 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
 
 
 def _ln_forward(params, prefix: str, x):
+    """Layer norm of x and its cache (x_hat, inv_std); `_ln_output` recomputes the
+    output from the cache bit for bit, so no other cache keeps a copy of it."""
     mean = _row_mean(x)
     centered = x - mean
     var = _row_mean(centered**2)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    x_hat = centered * inv_std
-    return params[f"{prefix}.g"] * x_hat + params[f"{prefix}.b"], (x_hat, inv_std)
+    cache = (centered * inv_std, inv_std)
+    return _ln_output(params, prefix, cache), cache
+
+
+def _ln_output(params, prefix: str, cache):
+    return params[f"{prefix}.g"] * cache[0] + params[f"{prefix}.b"]
 
 
 def _ln_backward(params, prefix: str, cache, d_out, grads):
@@ -324,7 +355,12 @@ def _ln_backward(params, prefix: str, cache, d_out, grads):
 
 def _gelu(x):
     t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    return _gelu_from_tanh(x, t), t
+
+
+def _gelu_from_tanh(x, t):
+    """GELU of x given its tanh term t from `_gelu`."""
+    return 0.5 * x * (1.0 + t)
 
 
 def _gelu_grad(x, t):
@@ -332,15 +368,20 @@ def _gelu_grad(x, t):
 
 
 def _ff_forward(params, prefix: str, x):
+    """The cache holds the GELU's input and tanh term, neither x nor the GELU's
+    output: the backward pass is handed x again and recomputes the output with
+    `_gelu`'s own expression, bit for bit."""
     pre = x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
     hidden, t = _gelu(pre)
     out = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-    return out, (x, pre, t, hidden)
+    return out, (pre, t)
 
 
-def _ff_backward(params, prefix: str, cache, d_out, grads):
-    x, pre, t, hidden = cache
+def _ff_backward(params, prefix: str, x, cache, d_out, grads):
+    pre, t = cache
+    hidden = _gelu_from_tanh(pre, t)
     grads[f"{prefix}.w2"] += hidden.T @ d_out
+    del hidden
     grads[f"{prefix}.b2"] += d_out.sum(axis=0)
     d_pre = (d_out @ params[f"{prefix}.w2"].T) * _gelu_grad(pre, t)
     grads[f"{prefix}.w1"] += x.T @ d_pre
@@ -389,16 +430,23 @@ def _encode(params, src: Sequence[int], cfg: ModelConfig, lsg: LsgConfig):
 
 
 def _encode_backward(params, cache, d_out, grads):
-    """Consumes `cache`: each layer's entry is popped, and so freed, once its backward is done."""
+    """Consumes `cache`: each layer's entry is popped, and so freed, once its backward is done.
+
+    Each sublayer's input, a layer-norm output, is recomputed from that norm's cache.
+    """
     ids, blocked, layers, ln_final = cache
-    attn_backward = _lsg_attention_backward if blocked else _mha_backward
     d_x = _ln_backward(params, "enc.norm", ln_final, d_out, grads)
     for i in range(len(layers) - 1, -1, -1):
         p = f"enc.{i}"
         ln1, attn, ln2, ff = layers.pop()
-        d_normed2 = _ff_backward(params, f"{p}.ff", ff, d_x, grads)
+        normed2 = _ln_output(params, f"{p}.ln2", ln2)
+        d_normed2 = _ff_backward(params, f"{p}.ff", normed2, ff, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln2", ln2, d_normed2, grads)
-        d_q, d_kv = attn_backward(params, f"{p}.attn", attn, d_x, grads)
+        normed1 = _ln_output(params, f"{p}.ln1", ln1)
+        if blocked:
+            d_q, d_kv = _lsg_attention_backward(params, f"{p}.attn", normed1, attn, d_x, grads)
+        else:
+            d_q, d_kv = _mha_backward(params, f"{p}.attn", normed1, normed1, attn, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln1", ln1, d_q + d_kv, grads)
     np.add.at(grads["tok_emb"], ids, d_x)
 
@@ -449,14 +497,10 @@ def _decode(params, state: DecodeState, tokens: Sequence[int], cfg: ModelConfig)
             self_k = np.concatenate([cached_k, self_k], axis=1)
             self_v = np.concatenate([cached_v, self_v], axis=1)
         state.self_kv[i] = (self_k, self_v)
-        self_out, self_attn = _attend(
-            params, f"{p}.self", normed1, normed1, self_k, self_v, self_bias, h
-        )
+        self_out, self_attn = _attend(params, f"{p}.self", normed1, self_k, self_v, self_bias, h)
         x = x + self_out
         normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
-        cross_out, cross_attn = _attend(
-            params, f"{p}.cross", normed2, state.enc_out, cross_k, cross_v, None, h
-        )
+        cross_out, cross_attn = _attend(params, f"{p}.cross", normed2, cross_k, cross_v, None, h)
         x = x + cross_out
         normed3, ln3 = _ln_forward(params, f"{p}.ln3", x)
         ff_out, ff = _ff_forward(params, f"{p}.ff", normed3)
@@ -465,28 +509,31 @@ def _decode(params, state: DecodeState, tokens: Sequence[int], cfg: ModelConfig)
     state.length += len(ids)
     normed, ln_final = _ln_forward(params, "dec.norm", x)
     logits = normed @ params["out.w"] + params["out.b"]
-    return logits, (ids, layers, ln_final, normed)
+    return logits, (ids, layers, ln_final, state.enc_out)
 
 
 def _decode_backward(params, cache, d_logits, grads):
     """Returns the gradient w.r.t. the encoder output (summed over cross-attentions).
 
-    Consumes `cache` like `_encode_backward`.
+    Consumes `cache` like `_encode_backward`, and recomputes layer-norm outputs alike.
     """
-    ids, layers, ln_final, normed = cache
-    grads["out.w"] += normed.T @ d_logits
+    ids, layers, ln_final, enc_out = cache
+    grads["out.w"] += _ln_output(params, "dec.norm", ln_final).T @ d_logits
     grads["out.b"] += d_logits.sum(axis=0)
     d_x = _ln_backward(params, "dec.norm", ln_final, d_logits @ params["out.w"].T, grads)
     d_enc = None
     for i in range(len(layers) - 1, -1, -1):
         p = f"dec.{i}"
         ln1, self_attn, ln2, cross_attn, ln3, ff = layers.pop()
-        d_normed3 = _ff_backward(params, f"{p}.ff", ff, d_x, grads)
+        normed3 = _ln_output(params, f"{p}.ln3", ln3)
+        d_normed3 = _ff_backward(params, f"{p}.ff", normed3, ff, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln3", ln3, d_normed3, grads)
-        d_q, d_kv = _mha_backward(params, f"{p}.cross", cross_attn, d_x, grads)
+        normed2 = _ln_output(params, f"{p}.ln2", ln2)
+        d_q, d_kv = _mha_backward(params, f"{p}.cross", normed2, enc_out, cross_attn, d_x, grads)
         d_enc = d_kv if d_enc is None else d_enc + d_kv
         d_x = d_x + _ln_backward(params, f"{p}.ln2", ln2, d_q, grads)
-        d_q, d_kv = _mha_backward(params, f"{p}.self", self_attn, d_x, grads)
+        normed1 = _ln_output(params, f"{p}.ln1", ln1)
+        d_q, d_kv = _mha_backward(params, f"{p}.self", normed1, normed1, self_attn, d_x, grads)
         d_x = d_x + _ln_backward(params, f"{p}.ln1", ln1, d_q + d_kv, grads)
     np.add.at(grads["tok_emb"], ids, d_x)
     return d_enc

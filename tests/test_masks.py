@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -220,12 +222,44 @@ def test_mask_to_bias():
     assert np.isneginf(bias[0, 1]) and np.isneginf(bias[1, 0])
 
 
-def test_causal_bias_is_cached_and_read_only():
-    bias = causal_bias(5)
-    assert causal_bias(5) is bias
-    assert np.array_equal(bias, mask_to_bias(causal_mask(5)))
+def shuffled_lengths(seed, top=300):
+    lengths = list(range(1, top + 1))
+    random.Random(seed).shuffle(lengths)
+    return lengths
+
+
+def test_causal_bias_is_a_read_only_corner_of_one_table():
+    lengths = shuffled_lengths(0)
+    for n in lengths:
+        bias = causal_bias(n)
+        assert np.array_equal(bias, mask_to_bias(causal_mask(n))), n
+        with pytest.raises(ValueError):
+            bias[0, 0] = 1.0
+    # Once the table has grown past every length, all results slice that one table.
+    table = causal_bias(max(lengths)).base
+    assert table is not None and all(causal_bias(n).base is table for n in lengths)
     with pytest.raises(ValueError):
-        bias[0, 1] = 0.0
+        causal_bias(0)
+
+
+@pytest.mark.parametrize("cfg", [LsgConfig(), LsgConfig(block_size=64, sparsity_stride=8)],
+                         ids=["default", "wide-blocks"])
+def test_dense_bias_is_a_read_only_corner_of_one_table_per_config(cfg):
+    lengths = shuffled_lengths(1)
+    dense = [n for n in lengths if not lsg_layout(n, cfg).blocked]
+    assert len(dense) > 100
+    for n in lengths:
+        bias = lsg_layout(n, cfg).dense_bias
+        if n not in dense:
+            assert bias is None
+            continue
+        assert np.array_equal(bias, mask_to_bias(lsg_mask(n, cfg))), n
+        with pytest.raises(ValueError):
+            bias[0, 0] = 1.0
+    table = lsg_layout(max(dense), cfg).dense_bias.base
+    assert table is not None
+    assert all(lsg_layout(n, cfg).dense_bias.base is table for n in dense)
+    assert table is not causal_bias(1).base
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_multi_head_attend_is_per_head_reference_attention(n_heads, masked):
     x_q, x_kv = rng.normal(size=(n_q, d)), rng.normal(size=(n_kv, d))
     k, v = x_kv @ params["a.wk"], x_kv @ params["a.wv"]
     mask = lsg_mask(n_kv, LsgConfig(block_size=2, num_global=1))[:n_q] if masked else None
-    got, _ = _attend(params, "a", x_q, x_kv, _split_heads(k, n_heads), _split_heads(v, n_heads),
+    got, _ = _attend(params, "a", x_q, _split_heads(k, n_heads), _split_heads(v, n_heads),
                      None if mask is None else mask_to_bias(mask), n_heads)
     q, dh = x_q @ params["a.wq"], d // n_heads
     full = np.ones((n_q, n_kv), dtype=bool) if mask is None else mask
@@ -320,8 +321,8 @@ def test_attend_without_bias_equals_zero_bias():
     rng = np.random.default_rng(3)
     params = {f"a.{w}": rng.normal(size=(4, 4)) for w in ("wq", "wk", "wv", "wo")}
     x_q, kh, vh = rng.normal(size=(3, 4)), rng.normal(size=(2, 6, 2)), rng.normal(size=(2, 6, 2))
-    plain, _ = _attend(params, "a", x_q, None, kh, vh, None, 2)
-    zero, _ = _attend(params, "a", x_q, None, kh, vh, np.zeros((3, 6)), 2)
+    plain, _ = _attend(params, "a", x_q, kh, vh, None, 2)
+    zero, _ = _attend(params, "a", x_q, kh, vh, np.zeros((3, 6)), 2)
     assert np.array_equal(plain, zero)
 
 
@@ -555,8 +556,8 @@ def blocked_vs_dense(n, cfg, d, n_heads, seed):
     want, dense_cache = _mha_forward(params, "a", x, x, bias, n_heads)
     got, cache = _lsg_attention_forward(params, "a", x, lsg_layout(n, cfg), n_heads)
     want_grads, got_grads = zero_grads(params), zero_grads(params)
-    want_dx = sum(_mha_backward(params, "a", dense_cache, d_out, want_grads))
-    got_dx = sum(_lsg_attention_backward(params, "a", cache, d_out, got_grads))
+    want_dx = sum(_mha_backward(params, "a", x, x, dense_cache, d_out, want_grads))
+    got_dx = sum(_lsg_attention_backward(params, "a", x, cache, d_out, got_grads))
     diffs = [got - want, got_dx - want_dx] + [got_grads[k] - want_grads[k] for k in params]
     return max(float(np.max(np.abs(diff))) for diff in diffs)
 
@@ -635,6 +636,37 @@ def test_loss_and_grads_frees_the_decoder_before_the_encoder_backward(monkeypatc
     assert len(states) == len(logits) == 1
     assert seen == [("decoder layers left", 0), ("state alive", False), ("logits alive", False),
                     ("encoder layers left", 0)]
+
+
+# tracemalloc peak, in bytes, of one loss_and_grads call per (source, target)
+# length, default ModelConfig and LsgConfig, 405-token vocabulary: a few
+# percent above the measured 16,609,054 and 1,638,986 bytes. The first pair
+# trains at the input cap (blocked encoder) and peaks in the decoder's
+# cross-attention backward; the second is a short dialogue (dense encoder).
+STEP_PEAK_BOUNDS = {(512, 125): 17_200_000, (75, 6): 1_700_000}
+
+
+@pytest.mark.parametrize("n_src, n_tgt", list(STEP_PEAK_BOUNDS))
+def test_loss_and_grads_peak_memory(n_src, n_tgt):
+    """What one training example keeps alive stays bounded (counts bytes, not time).
+
+    A warm-up call first fills the shared tables (bias tables, positional
+    encodings, cached layouts), so the traced call allocates only its own work.
+    """
+    vocab = Vocab(RESERVED_TOKENS + tuple(f"w{i}" for i in range(400)))
+    model = init_model(ModelConfig(), vocab, seed=0)
+    rng = np.random.default_rng(0)
+    src = [int(t) for t in rng.integers(len(RESERVED_TOKENS), vocab.size, n_src)]
+    tgt = [int(t) for t in rng.integers(len(RESERVED_TOKENS), vocab.size, n_tgt)]
+    grads = zero_grads(model.params)
+    loss_and_grads(model, src, tgt, LsgConfig(), grads)
+    tracemalloc.start()
+    try:
+        loss_and_grads(model, src, tgt, LsgConfig(), grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < STEP_PEAK_BOUNDS[n_src, n_tgt]
 
 
 # ---------------------------------------------------------------------------

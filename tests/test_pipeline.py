@@ -464,7 +464,7 @@ def fresh_summarizer(backend):
 def observed_sections(corpus):
     found = {
         sec.id
-        for e in corpus
+        for e in corpus.labeled()
         for sec in segment_note(e.note).sections
         if isinstance(sec.id, Section)
     }
@@ -487,7 +487,7 @@ def ref_section_wise(train_corpus, corpus, backend):
 
 def ref_multi_layer(train_corpus, eval_corpus, backend, stage2):
     """Entries and stage-1 empty counts of a multi-layer run built from the reference."""
-    stage1_train = ref_section_wise(train_corpus, train_corpus, backend)
+    stage1_train = ref_section_wise(train_corpus, train_corpus.labeled(), backend)
     stage1_eval = ref_section_wise(train_corpus, eval_corpus, backend)
     entries = {eid: fresh_summarizer(stage2).summarize(text) for eid, text in stage1_eval.items()}
     empty = {
@@ -580,6 +580,28 @@ def test_approach3_extractive_stage1_extracts_each_dialogue_once(extraction_call
         run_approach(train_c, eval_c, cfg)
         assert len(extraction_calls["summarize"]) == (len(train_c) + len(eval_c)) * slots
         assert extraction_calls["split_sentences"] == distinct_dialogues(train_c, eval_c)
+
+
+def test_approach3_stage1_summarizes_no_unlabeled_train_dialogue(extraction_calls):
+    """Stage 1 runs over the labeled train dialogues and the eval ones, and counts
+    empty stage-1 notes over the labeled train dialogues only."""
+    labeled = synth_corpus(4)
+    # An empty unlabeled dialogue would make an empty stage-1 note if it were summarized.
+    unlabeled = [replace(e, id=f"u-{e.id}", note=None) for e in synth_corpus(2, start=10)]
+    unlabeled.append(Encounter(id="u-empty", dialogue=""))
+    mixed = [e for pair in zip(labeled, unlabeled) for e in pair] + list(labeled)[len(unlabeled):]
+    train_c = Corpus(encounters=tuple(mixed))
+    eval_c = synth_corpus(2, start=4)
+    cfg = ApproachConfig(approach="multi-layer", backend=EXTRACTIVE, stage2=IDENTITY)
+    preds = run_approach(train_c, eval_c, cfg)
+    unlabeled_dialogues = {e.dialogue for e in unlabeled}
+    assert len(unlabeled_dialogues) == 3
+    assert not unlabeled_dialogues & set(extraction_calls["summarize"])
+    assert extraction_calls["split_sentences"] == distinct_dialogues(labeled, eval_c)
+    entries, empty = ref_multi_layer(train_c, eval_c, EXTRACTIVE, IDENTITY)
+    assert preds.entries == entries
+    assert {key: preds.extra[key] for key in empty} == empty
+    assert preds.extra["stage1_empty_train"] == "0"
 
 
 TINY = BackendSpec(

@@ -6,6 +6,7 @@ parameter, with fresh gradient arrays per batch and Adam written out per array.
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 
@@ -147,6 +148,20 @@ def test_train_is_bitwise_the_per_array_reference(batch_size, epochs, lr):
     want, want_history = ref_train(make_model(), PAIRS, tc, LSG)
     assert history == want_history
     assert list(trained.params) == list(want.params)
+    for name, value in want.params.items():
+        assert np.array_equal(trained.params[name], value), name
+
+
+def test_chunked_adam_is_bitwise_the_per_array_reference(monkeypatch):
+    """A small chunk cuts the tiny model's buffers into several chunks and a ragged last one."""
+    chunk = 1000
+    size = make_model().num_params
+    assert size > 3 * chunk and size % chunk
+    monkeypatch.setattr(importlib.import_module("chartsum.tinylsg.train"), "_ADAM_CHUNK", chunk)
+    tc = TrainConfig(initial_lr=3e-3, epochs=2, batch_size=2, seed=7)
+    trained, history = train(make_model(), PAIRS, tc, LSG)
+    want, want_history = ref_train(make_model(), PAIRS, tc, LSG)
+    assert history == want_history
     for name, value in want.params.items():
         assert np.array_equal(trained.params[name], value), name
 
