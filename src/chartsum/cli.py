@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (
     APPROACH_TAGS,
+    CANONICAL_COLUMNS,
     MalformedFile,
     PredictionSet,
     decode_utf8,
@@ -110,12 +111,18 @@ def _write_output(text: str, out: str | Path | None) -> None:
 
 
 def _parse_columns(spec: str) -> dict[str, str]:
+    """`canonical=actual` pairs; each canonical name is a corpus column named at most once."""
     columns = {}
     for item in spec.split(","):
-        canonical, sep, actual = item.partition("=")
-        if not sep or not canonical.strip() or not actual.strip():
+        canonical, sep, actual = (part.strip() for part in item.partition("="))
+        if not sep or not canonical or not actual:
             raise argparse.ArgumentTypeError(f"expects canonical=actual pairs, got {item!r}")
-        columns[canonical.strip()] = actual.strip()
+        if canonical not in CANONICAL_COLUMNS:
+            raise argparse.ArgumentTypeError(f"unknown canonical column {canonical!r} "
+                                             f"(expected one of {', '.join(CANONICAL_COLUMNS)})")
+        if canonical in columns:
+            raise argparse.ArgumentTypeError(f"column {canonical!r} is named twice")
+        columns[canonical] = actual
     return columns
 
 

@@ -46,7 +46,6 @@ from .sections import (
     Section,
     UnknownSection,
     assemble_note,
-    division_of,
     segment_note,
 )
 
@@ -427,7 +426,7 @@ def _division_texts(note: ChartNote) -> tuple[dict[Division, str], int]:
         if isinstance(sec.id, UnknownSection):
             unknown += 1
             continue
-        buckets.setdefault(division_of(sec.id), []).append(sec.body)
+        buckets.setdefault(sec.id.division, []).append(sec.body)
     return {div: "\n".join(parts) for div, parts in buckets.items()}, unknown
 
 

@@ -1,4 +1,10 @@
-"""Chart-note segmentation: header recognition, alias normalization, reassembly."""
+"""Chart-note sections: the known-section table, segmentation and reassembly.
+
+`Section` is the one table of known sections: its members are in canonical order
+(`SECTION_ORDER`, which fixes slot order and slot seeds), and each carries the
+header `assemble_note` writes and the `Division` it is scored in. A header with
+no alias becomes an `UnknownSection`, which keeps its raw text and has no division.
+"""
 
 from __future__ import annotations
 
@@ -15,17 +21,44 @@ from .corpus import decode_utf8
 from .errors import ChartsumError
 
 
+class Division(Enum):
+    SUBJECTIVE = "Subjective"
+    EXAM = "Exam"
+    RESULTS = "Results"
+    ASSESSMENT_AND_PLAN = "AssessmentAndPlan"
+
+
 class Section(Enum):
-    CC = "CC"
-    HPI = "HPI"
-    ROS = "ROS"
-    MEDICATIONS = "MEDICATIONS"
-    ALLERGIES = "ALLERGIES"
-    PE = "PE"
-    RESULTS = "RESULTS"
-    ASSESSMENT = "ASSESSMENT"
-    PLAN = "PLAN"
-    ASSESSMENT_AND_PLAN = "ASSESSMENT_AND_PLAN"
+    """A known section: its value (its name), display header and scoring division.
+
+    Each header must resolve back to its section through the default alias table.
+    """
+
+    header: str
+    division: Division
+
+    def __new__(cls, value: str, header: str, division: Division) -> Section:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.header = header
+        member.division = division
+        return member
+
+    CC = "CC", "CHIEF COMPLAINT", Division.SUBJECTIVE
+    HPI = "HPI", "HISTORY OF PRESENT ILLNESS", Division.SUBJECTIVE
+    ROS = "ROS", "REVIEW OF SYSTEMS", Division.SUBJECTIVE
+    MEDICATIONS = "MEDICATIONS", "MEDICATIONS", Division.SUBJECTIVE
+    ALLERGIES = "ALLERGIES", "ALLERGIES", Division.SUBJECTIVE
+    PE = "PE", "PHYSICAL EXAM", Division.EXAM
+    RESULTS = "RESULTS", "RESULTS", Division.RESULTS
+    ASSESSMENT = "ASSESSMENT", "ASSESSMENT", Division.ASSESSMENT_AND_PLAN
+    PLAN = "PLAN", "PLAN", Division.ASSESSMENT_AND_PLAN
+    ASSESSMENT_AND_PLAN = (
+        "ASSESSMENT_AND_PLAN", "ASSESSMENT AND PLAN", Division.ASSESSMENT_AND_PLAN
+    )
+
+
+SECTION_ORDER: tuple[Section, ...] = tuple(Section)
 
 
 @dataclass(frozen=True)
@@ -37,67 +70,8 @@ class UnknownSection:
 
 SectionId = Union[Section, UnknownSection]
 
-# Display headers emitted by assemble_note; each one must resolve back to its
-# Section through the default alias table.
-CANONICAL_HEADERS: dict[Section, str] = {
-    Section.CC: "CHIEF COMPLAINT",
-    Section.HPI: "HISTORY OF PRESENT ILLNESS",
-    Section.ROS: "REVIEW OF SYSTEMS",
-    Section.MEDICATIONS: "MEDICATIONS",
-    Section.ALLERGIES: "ALLERGIES",
-    Section.PE: "PHYSICAL EXAM",
-    Section.RESULTS: "RESULTS",
-    Section.ASSESSMENT: "ASSESSMENT",
-    Section.PLAN: "PLAN",
-    Section.ASSESSMENT_AND_PLAN: "ASSESSMENT AND PLAN",
-}
 
-SECTION_ORDER: tuple[Section, ...] = (
-    Section.CC,
-    Section.HPI,
-    Section.ROS,
-    Section.MEDICATIONS,
-    Section.ALLERGIES,
-    Section.PE,
-    Section.RESULTS,
-    Section.ASSESSMENT,
-    Section.PLAN,
-    Section.ASSESSMENT_AND_PLAN,
-)
-
-
-class Division(Enum):
-    SUBJECTIVE = "Subjective"
-    EXAM = "Exam"
-    RESULTS = "Results"
-    ASSESSMENT_AND_PLAN = "AssessmentAndPlan"
-
-
-_DIVISION_OF: dict[Section, Division] = {
-    Section.CC: Division.SUBJECTIVE,
-    Section.HPI: Division.SUBJECTIVE,
-    Section.ROS: Division.SUBJECTIVE,
-    Section.MEDICATIONS: Division.SUBJECTIVE,
-    Section.ALLERGIES: Division.SUBJECTIVE,
-    Section.PE: Division.EXAM,
-    Section.RESULTS: Division.RESULTS,
-    Section.ASSESSMENT: Division.ASSESSMENT_AND_PLAN,
-    Section.PLAN: Division.ASSESSMENT_AND_PLAN,
-    Section.ASSESSMENT_AND_PLAN: Division.ASSESSMENT_AND_PLAN,
-}
-
-
-class SectionError(ChartsumError):
-    pass
-
-
-class UnmappedSection(SectionError):
-    def __init__(self, section: SectionId):
-        super().__init__(f"no division for section {section!r}")
-        self.section = section
-
-
-class AliasTableError(SectionError):
+class AliasTableError(ChartsumError):
     pass
 
 
@@ -249,7 +223,7 @@ def segment_note(text: str) -> ChartNote:
 
 
 def canonical_header(section: SectionId) -> str:
-    return section.raw if isinstance(section, UnknownSection) else CANONICAL_HEADERS[section]
+    return section.raw if isinstance(section, UnknownSection) else section.header
 
 
 def assemble_note(note: ChartNote) -> str:
@@ -261,9 +235,3 @@ def assemble_note(note: ChartNote) -> str:
         parts.extend([canonical_header(sec.id), "", sec.body, ""])
     return "\n".join(parts)
 
-
-def division_of(section: SectionId) -> Division:
-    """Map a known section to its scoring division; UnknownSection has none."""
-    if isinstance(section, UnknownSection):
-        raise UnmappedSection(section)
-    return _DIVISION_OF[section]

@@ -1,14 +1,7 @@
 """Desk-scale encoder-decoder transformer with local/sparse/global encoder attention."""
 
 from ..config import LsgConfig, ModelConfig, TrainConfig
-from .masks import (
-    causal_mask,
-    global_mask,
-    lsg_mask,
-    local_mask,
-    mask_density,
-    sparse_mask,
-)
+from .masks import lsg_mask, mask_density
 from .vocab import (
     BOS_ID,
     EOS_ID,
@@ -33,12 +26,8 @@ from .checkpoint import Checkpoint, MalformedCheckpoint, load_checkpoint, save_m
 
 __all__ = [
     "LsgConfig",
-    "causal_mask",
-    "global_mask",
     "lsg_mask",
-    "local_mask",
     "mask_density",
-    "sparse_mask",
     "BOS_ID",
     "EOS_ID",
     "GLOBAL_ID",

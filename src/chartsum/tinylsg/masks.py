@@ -1,18 +1,21 @@
-"""Boolean attention masks: block-local + strided-sparse + global-token pattern.
+"""Attention patterns: the local/sparse/global encoder mask and the causal decoder mask.
 
-The additive biases the model reads are corners of shared tables: every mask
-here allows (q, k) by a rule on q and k alone, so the mask over n tokens is
-the top-left n x n corner of the mask over any longer sequence. `causal_bias`
-and `LsgLayout.dense_bias` slice one read-only table each (one per
-`LsgConfig` for the latter). A sequence longer than the table rebuilds it at
-twice its length or more, so the process keeps one bias table per kind rather
-than one bias per length.
+`lsg_mask` unions three rules: local (the query's and key's blocks of
+`block_size` tokens are at most `local_radius` blocks apart), sparse (the key
+is num_global + i * sparsity_stride; stride 0 disables) and global (the query
+or the key is one of the first `num_global` positions). `lsg_layout` lays it
+out block by block for the block-sparse kernel.
+
+Both masks allow (q, k) by a rule on q and k alone, so the bias the model reads
+over n tokens is the top-left n x n corner of one read-only table per mask (per
+`LsgConfig` for `lsg_mask`), not one bias per length; see `_grown_table`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,40 +27,17 @@ def _check_seq_len(seq_len: int) -> None:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
 
 
-def local_mask(seq_len: int, cfg: LsgConfig) -> np.ndarray:
-    """Allow (q, k) whose size-`block_size` blocks are within `local_radius` of each other."""
-    _check_seq_len(seq_len)
-    blocks = np.arange(seq_len) // cfg.block_size
-    return np.abs(blocks[:, None] - blocks[None, :]) <= cfg.local_radius
-
-
-def sparse_mask(seq_len: int, cfg: LsgConfig) -> np.ndarray:
-    """Allow every key at num_global + i*stride for all queries; stride 0 disables."""
-    _check_seq_len(seq_len)
-    if cfg.sparsity_stride == 0:
-        return np.zeros((seq_len, seq_len), dtype=bool)
-    keys = np.arange(seq_len)
-    strided = (keys >= cfg.num_global) & ((keys - cfg.num_global) % cfg.sparsity_stride == 0)
-    return np.broadcast_to(strided[None, :], (seq_len, seq_len)).copy()
-
-
-def global_mask(seq_len: int, cfg: LsgConfig) -> np.ndarray:
-    """Allow any pair where the query or the key is a global position."""
+def lsg_mask(seq_len: int, cfg: LsgConfig) -> np.ndarray:
+    """(seq_len, seq_len) bool mask: the union of the local, sparse and global rules."""
     _check_seq_len(seq_len)
     positions = np.arange(seq_len)
+    blocks = positions // cfg.block_size
     is_global = positions < cfg.num_global
-    return is_global[:, None] | is_global[None, :]
-
-
-def lsg_mask(seq_len: int, cfg: LsgConfig) -> np.ndarray:
-    """Union of the local, sparse, and global components."""
-    return local_mask(seq_len, cfg) | sparse_mask(seq_len, cfg) | global_mask(seq_len, cfg)
-
-
-def causal_mask(seq_len: int) -> np.ndarray:
-    """Allow each query to see itself and earlier positions only."""
-    _check_seq_len(seq_len)
-    return np.tril(np.ones((seq_len, seq_len), dtype=bool))
+    open_keys = is_global.copy()
+    if cfg.sparsity_stride:
+        open_keys |= (positions - cfg.num_global) % cfg.sparsity_stride == 0
+    local = np.abs(blocks[:, None] - blocks[None, :]) <= cfg.local_radius
+    return local | is_global[:, None] | open_keys[None, :]
 
 
 def mask_density(mask: np.ndarray) -> float:
@@ -75,24 +55,33 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# The bias tables `_bias_corner` slices, keyed by None for the causal mask and
-# by the LsgConfig for `lsg_mask`.
+def _grown_table(tables: dict, key, size: int, build: Callable) -> np.ndarray:
+    """`tables[key]`, read-only. A missing or shorter table is rebuilt by `build(rows, key)`
+    at `size` rows, or at twice its old length if more, so rebuilds stay logarithmic in size."""
+    table = tables.get(key)
+    if table is None or len(table) < size:
+        rows = size if table is None else max(size, 2 * len(table))
+        table = tables[key] = _read_only(build(rows, key))
+    return table
+
+
+def _bias_table(size: int, cfg: LsgConfig | None) -> np.ndarray:
+    """Additive bias of the causal mask (cfg None) or of `lsg_mask(size, cfg)`."""
+    return mask_to_bias(np.tri(size, dtype=bool) if cfg is None else lsg_mask(size, cfg))
+
+
+# Bias tables of the causal mask (key None) and of `lsg_mask` (keyed by its LsgConfig).
 _BIAS_TABLES: dict[LsgConfig | None, np.ndarray] = {}
 
 
 def _bias_corner(seq_len: int, cfg: LsgConfig | None) -> np.ndarray:
     """Read-only top-left seq_len x seq_len corner of the causal (cfg None) or LSG bias table."""
     _check_seq_len(seq_len)
-    table = _BIAS_TABLES.get(cfg)
-    if table is None or len(table) < seq_len:
-        size = max(seq_len, 2 * len(table)) if table is not None else seq_len
-        mask = causal_mask(size) if cfg is None else lsg_mask(size, cfg)
-        table = _BIAS_TABLES[cfg] = _read_only(mask_to_bias(mask))
-    return table[:seq_len, :seq_len]
+    return _grown_table(_BIAS_TABLES, cfg, seq_len, _bias_table)[:seq_len, :seq_len]
 
 
 def causal_bias(seq_len: int) -> np.ndarray:
-    """Additive bias of `causal_mask(seq_len)`: a read-only corner of one shared table."""
+    """Causal additive bias: 0 where key <= query, else -inf; a read-only corner of one table."""
     return _bias_corner(seq_len, None)
 
 

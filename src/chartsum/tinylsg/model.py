@@ -28,7 +28,7 @@ import numpy as np
 
 from ..config import LsgConfig, ModelConfig
 from ..errors import ChartsumError
-from .masks import LsgLayout, causal_bias, lsg_layout
+from .masks import LsgLayout, _grown_table, causal_bias, lsg_layout
 from .vocab import BOS_ID, EOS_ID, GLOBAL_ID, UNK_ID, Vocab
 
 _LN_EPS = 1e-5
@@ -102,8 +102,18 @@ def init_model(cfg: ModelConfig, vocab: Vocab, seed: int, init_scale: float = 0.
     return TinyModel(config=cfg, vocab=vocab, params=params)
 
 
-# One read-only table of encodings per model width, rebuilt at twice the size
-# when a position past its end is asked for.
+def _sinusoid_table(size: int, d: int) -> np.ndarray:
+    """Sinusoidal encodings of positions 0 .. size-1 at width d."""
+    positions = np.arange(size, dtype=np.float64)[:, None]
+    freqs = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
+    angles = positions * freqs[None, :]
+    table = np.empty((size, d))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)
+    return table
+
+
+# One read-only table of encodings per model width.
 _PE_TABLES: dict[int, np.ndarray] = {}
 
 
@@ -113,19 +123,7 @@ def positional_encoding(n: int, d: int, start: int = 0) -> np.ndarray:
     A slice of the table for width d. Every entry depends only on its position
     and column, so the slice equals the encodings computed for that range alone.
     """
-    end = start + n
-    table = _PE_TABLES.get(d)
-    if table is None or len(table) < end:
-        size = max(end, 2 * len(table)) if table is not None else end
-        positions = np.arange(size, dtype=np.float64)[:, None]
-        freqs = np.exp(-math.log(10000.0) * np.arange(0, d, 2, dtype=np.float64) / d)
-        angles = positions * freqs[None, :]
-        table = np.empty((size, d))
-        table[:, 0::2] = np.sin(angles)
-        table[:, 1::2] = np.cos(angles)
-        table.flags.writeable = False
-        _PE_TABLES[d] = table
-    return table[start:end]
+    return _grown_table(_PE_TABLES, d, start + n, _sinusoid_table)[start:start + n]
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

@@ -89,6 +89,31 @@ def test_bad_columns_spec_is_a_validation_error(corpus_csv, capsys):
     assert "canonical=actual" in capsys.readouterr().err
 
 
+# Every subcommand that takes --columns, with inputs that do not exist: a bad
+# --columns must be reported before any file is opened.
+COLUMNS_COMMANDS = {
+    "train": ["train", "--train", "missing.csv", "--checkpoint", "model.json", "--seed", "0"],
+    "predict": ["predict", "--checkpoint", "missing.json", "--eval", "missing.csv"],
+    "score": ["score", "--candidates", "missing.json", "--references", "missing.csv"],
+    "run": ["run", "--approach", "single", "--train", "missing.csv", "--eval", "missing.csv",
+            "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COLUMNS_COMMANDS))
+@pytest.mark.parametrize("spec,message", [
+    ("foo=bar", "unknown canonical column 'foo'"),
+    ("id=id,id=dialogue", "column 'id' is named twice"),
+    ("note=a, note =b", "column 'note' is named twice"),
+], ids=["unknown", "repeated", "repeated-spaced"])
+def test_columns_are_validated_at_parse_time(command, spec, message, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*COLUMNS_COMMANDS[command], "--columns", spec]) == 1
+    assert f"argument --columns: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_malformed_prediction_file_is_a_runtime_error(tmp_path, corpus_csv):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

@@ -5,7 +5,8 @@ Every name a package module imports is read in that module or listed in its
 package. numpy and `chartsum.tinylsg` load only for commands that train or
 decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
 Input files are decoded and parsed as JSON in one place each, and indented
-JSON output is rendered in one place.
+JSON output is rendered in one place. Every `from chartsum... import` that
+README.md shows imports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -422,4 +424,55 @@ def test_reader_call_check_flags_what_it_should():
         "line 13: path.read_text(encoding='utf-8')",
         "line 16: json.dumps(x, indent=2)",
         "line 19: json.loads(text)",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# every import README.md shows works
+# ---------------------------------------------------------------------------
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def readme_imports(markdown: str) -> list[str]:
+    """Each `from chartsum... import name` of a Python code block, as a one-name import."""
+    blocks = re.findall(r"^```python\n(.*?)^```", markdown, flags=re.MULTILINE | re.DOTALL)
+    return [
+        f"from {node.module} import {alias.name}"
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chartsum"
+        for alias in node.names
+    ]
+
+
+def test_every_readme_import_imports():
+    statements = readme_imports(README.read_text(encoding="utf-8"))
+    assert statements
+    failed = []
+    for statement in statements:
+        try:
+            exec(statement, {})
+        except ImportError as exc:
+            failed.append(f"{statement}: {exc}")
+    assert failed == []
+
+
+def test_readme_import_check_reads_what_it_should():
+    markdown = (
+        "```sh\n"
+        "python -c 'from chartsum import cli'\n"
+        "```\n"
+        "```python\n"
+        "import chartsum\n"
+        "from chartsum.tinylsg import (\n"
+        "    LsgConfig,\n"
+        "    lsg_mask as mask,\n"
+        ")\n"
+        "from numpy import array\n"
+        "```\n"
+    )
+    assert readme_imports(markdown) == [
+        "from chartsum.tinylsg import LsgConfig",
+        "from chartsum.tinylsg import lsg_mask",
     ]

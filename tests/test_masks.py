@@ -10,14 +10,10 @@ import pytest
 from chartsum.tinylsg.masks import (
     LsgConfig,
     causal_bias,
-    causal_mask,
-    global_mask,
-    local_mask,
     lsg_layout,
     lsg_mask,
     mask_density,
     mask_to_bias,
-    sparse_mask,
 )
 
 # The configurations of acceptance criterion 3: seq_len 1-32 x block x stride x global.
@@ -60,6 +56,14 @@ def ref_global(seq_len, n_global):
     return m
 
 
+def ref_causal(seq_len):
+    m = np.zeros((seq_len, seq_len), dtype=bool)
+    for q in range(seq_len):
+        for k in range(seq_len):
+            m[q, k] = k <= q
+    return m
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -86,12 +90,11 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_masks_reject_nonpositive_seq_len():
-    cfg = LsgConfig()
-    for fn in (local_mask, sparse_mask, global_mask, lsg_mask):
+    for seq_len in (0, -1):
         with pytest.raises(ValueError):
-            fn(0, cfg)
-    with pytest.raises(ValueError):
-        causal_mask(0)
+            lsg_mask(seq_len, LsgConfig())
+        with pytest.raises(ValueError):
+            causal_bias(seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_worked_example_row_zero_sees_everything():
 
 
 # ---------------------------------------------------------------------------
-# Components vs references, exhaustively over a small grid
+# Each rule vs its reference, exhaustively over a small grid
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seq_len", [1, 2, 5, 8, 13])
@@ -123,27 +126,39 @@ def test_worked_example_row_zero_sees_everything():
 @pytest.mark.parametrize("stride", [0, 2, 3])
 @pytest.mark.parametrize("n_global", [0, 1, 2])
 def test_components_match_references(seq_len, block, stride, n_global):
-    cfg = LsgConfig(
-        block_size=block,
-        sparsity_stride=stride,
-        num_global=n_global,
-        max_input_tokens=64,
-        local_radius=1,
+    """lsg_mask is the union of the references; with the other rules switched off
+    (radius 0 and block 1 leave only the diagonal), each reference alone."""
+    def mask(**kwargs):
+        return lsg_mask(seq_len, LsgConfig(max_input_tokens=64, **kwargs))
+
+    local = ref_local(seq_len, block, 1)
+    sparse = ref_sparse(seq_len, stride, n_global)
+    glob = ref_global(seq_len, n_global)
+    diagonal = np.eye(seq_len, dtype=bool)
+    assert np.array_equal(
+        mask(block_size=block, sparsity_stride=stride, num_global=n_global, local_radius=1),
+        local | sparse | glob,
     )
-    assert np.array_equal(local_mask(seq_len, cfg), ref_local(seq_len, block, 1))
-    assert np.array_equal(sparse_mask(seq_len, cfg), ref_sparse(seq_len, stride, n_global))
-    assert np.array_equal(global_mask(seq_len, cfg), ref_global(seq_len, n_global))
-    combined = ref_local(seq_len, block, 1) | ref_sparse(seq_len, stride, n_global) | ref_global(
-        seq_len, n_global
+    assert np.array_equal(mask(block_size=block, sparsity_stride=0, num_global=0), local)
+    assert np.array_equal(
+        mask(block_size=1, sparsity_stride=stride, num_global=n_global, local_radius=0),
+        diagonal | sparse | glob,
     )
-    assert np.array_equal(lsg_mask(seq_len, cfg), combined)
+    assert np.array_equal(
+        mask(block_size=1, sparsity_stride=0, num_global=n_global, local_radius=0),
+        diagonal | glob,
+    )
 
 
 def test_local_radius_zero_and_two():
     cfg0 = LsgConfig(block_size=2, local_radius=0, sparsity_stride=0, num_global=0)
-    assert np.array_equal(local_mask(6, cfg0), ref_local(6, 2, 0))
+    assert np.array_equal(lsg_mask(6, cfg0), ref_local(6, 2, 0))
     cfg2 = LsgConfig(block_size=2, local_radius=2, sparsity_stride=0, num_global=0)
-    assert np.array_equal(local_mask(6, cfg2), ref_local(6, 2, 2))
+    assert np.array_equal(lsg_mask(6, cfg2), ref_local(6, 2, 2))
+    cfg2_all = LsgConfig(block_size=2, local_radius=2, sparsity_stride=3, num_global=1)
+    assert np.array_equal(
+        lsg_mask(11, cfg2_all), ref_local(11, 2, 2) | ref_sparse(11, 3, 1) | ref_global(11, 1)
+    )
 
 
 def test_block_covering_sequence_gives_full_attention():
@@ -152,9 +167,11 @@ def test_block_covering_sequence_gives_full_attention():
 
 
 def test_sparse_stride_one_allows_all_nonglobal_columns():
-    cfg = LsgConfig(block_size=4, sparsity_stride=1, num_global=2, max_input_tokens=64)
-    m = sparse_mask(6, cfg)
-    assert np.array_equal(m[0], np.array([False, False, True, True, True, True]))
+    cfg = LsgConfig(block_size=1, local_radius=0, sparsity_stride=1, num_global=2,
+                    max_input_tokens=64)
+    m = lsg_mask(6, cfg)
+    assert np.array_equal(m, ref_sparse(6, 1, 2) | ref_global(6, 2))
+    assert m[2:, 2:].all()
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +188,13 @@ def test_every_row_has_an_allowed_key():
 
 
 def test_local_and_global_components_are_symmetric():
-    cfg = LsgConfig(block_size=3, sparsity_stride=2, num_global=2, max_input_tokens=64)
-    lm = local_mask(11, cfg)
-    gm = global_mask(11, cfg)
-    assert np.array_equal(lm, lm.T)
-    assert np.array_equal(gm, gm.T)
+    """Without sparse links the mask is local | global, so it is symmetric; with them it is not."""
+    cfg = LsgConfig(block_size=3, sparsity_stride=0, num_global=2, max_input_tokens=64)
+    m = lsg_mask(11, cfg)
+    assert np.array_equal(m, m.T)
+    strided = lsg_mask(11, LsgConfig(block_size=3, sparsity_stride=2, num_global=2,
+                                     max_input_tokens=64))
+    assert not np.array_equal(strided, strided.T)
 
 
 def test_diagonal_always_allowed():
@@ -193,10 +212,11 @@ def test_two_hop_reachability_with_global_token():
 
 
 def test_causal_mask():
-    m = causal_mask(4)
+    bias = causal_bias(4)
     for q in range(4):
         for k in range(4):
-            assert m[q, k] == (k <= q)
+            assert (bias[q, k] == 0.0) == (k <= q)
+            assert (bias[q, k] == -np.inf) == (k > q)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +250,12 @@ def shuffled_lengths(seed, top=300):
 
 def test_causal_bias_is_a_read_only_corner_of_one_table():
     lengths = shuffled_lengths(0)
+    # The reference allows (q, k) by a rule on q and k alone, so its corners are
+    # the references of the shorter lengths.
+    want = mask_to_bias(ref_causal(max(lengths)))
     for n in lengths:
         bias = causal_bias(n)
-        assert np.array_equal(bias, mask_to_bias(causal_mask(n))), n
+        assert np.array_equal(bias, want[:n, :n]), n
         with pytest.raises(ValueError):
             bias[0, 0] = 1.0
     # Once the table has grown past every length, all results slice that one table.

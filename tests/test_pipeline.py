@@ -48,7 +48,6 @@ from chartsum.sections import (
     NoteSection,
     Section,
     assemble_note,
-    division_of,
     segment_note,
 )
 from chartsum.tinylsg import LsgConfig, ModelConfig, TrainConfig
@@ -433,7 +432,7 @@ def division_bodies(text):
     buckets = {}
     for sec in segment_note(text).sections:
         if isinstance(sec.id, Section):
-            buckets.setdefault(division_of(sec.id), []).append(sec.body)
+            buckets.setdefault(sec.id.division, []).append(sec.body)
     return {div: "\n".join(parts) for div, parts in buckets.items()}
 
 

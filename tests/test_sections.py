@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from chartsum import sections
 from chartsum.sections import (
-    CANONICAL_HEADERS,
     SECTION_ORDER,
     AliasTableError,
     ChartNote,
@@ -19,12 +18,10 @@ from chartsum.sections import (
     NoteSection,
     Section,
     UnknownSection,
-    UnmappedSection,
     assemble_note,
     canonical_header,
     canonical_key,
     default_alias_table,
-    division_of,
     is_header_line,
     load_alias_table,
     normalize_header,
@@ -75,9 +72,9 @@ def test_default_alias_table_covers_common_aliases():
 
 
 def test_every_canonical_header_resolves_to_its_section():
-    for section, header in CANONICAL_HEADERS.items():
-        assert normalize_header(header) is section
-        assert is_header_line(header)
+    for section in Section:
+        assert normalize_header(section.header) is section
+        assert is_header_line(section.header)
 
 
 def test_load_alias_table_parsing(tmp_path):
@@ -336,7 +333,7 @@ def test_assemble_keeps_source_order():
 
 def test_canonical_header_for_unknown_uses_raw():
     assert canonical_header(UnknownSection("COURSE")) == "COURSE"
-    assert canonical_header(Section.PE) == "PHYSICAL EXAM"
+    assert canonical_header(Section.PE) == Section.PE.header == "PHYSICAL EXAM"
 
 
 # ---------------------------------------------------------------------------
@@ -380,33 +377,23 @@ def test_safe_words_never_form_headers():
 
 
 # ---------------------------------------------------------------------------
-# Divisions
+# The section table
 # ---------------------------------------------------------------------------
 
-def test_division_totality_and_assignments():
-    expected = {
-        Section.CC: Division.SUBJECTIVE,
-        Section.HPI: Division.SUBJECTIVE,
-        Section.ROS: Division.SUBJECTIVE,
-        Section.MEDICATIONS: Division.SUBJECTIVE,
-        Section.ALLERGIES: Division.SUBJECTIVE,
-        Section.PE: Division.EXAM,
-        Section.RESULTS: Division.RESULTS,
-        Section.ASSESSMENT: Division.ASSESSMENT_AND_PLAN,
-        Section.PLAN: Division.ASSESSMENT_AND_PLAN,
-        Section.ASSESSMENT_AND_PLAN: Division.ASSESSMENT_AND_PLAN,
-    }
-    for section in Section:
-        assert division_of(section) is expected[section]
-
-
-def test_division_of_unknown_raises():
-    with pytest.raises(UnmappedSection):
-        division_of(UnknownSection("COURSE"))
-
-
-def test_section_order_covers_every_section_once():
-    assert sorted(SECTION_ORDER, key=lambda s: s.value) == sorted(
-        Section, key=lambda s: s.value
-    )
-    assert len(set(SECTION_ORDER)) == len(SECTION_ORDER)
+def test_section_table_in_canonical_order():
+    """Order fixes slot order and slot seeds; each section keeps its value, header and division."""
+    assert SECTION_ORDER == tuple(Section)
+    assert [(s.value, s.header, s.division) for s in SECTION_ORDER] == [
+        ("CC", "CHIEF COMPLAINT", Division.SUBJECTIVE),
+        ("HPI", "HISTORY OF PRESENT ILLNESS", Division.SUBJECTIVE),
+        ("ROS", "REVIEW OF SYSTEMS", Division.SUBJECTIVE),
+        ("MEDICATIONS", "MEDICATIONS", Division.SUBJECTIVE),
+        ("ALLERGIES", "ALLERGIES", Division.SUBJECTIVE),
+        ("PE", "PHYSICAL EXAM", Division.EXAM),
+        ("RESULTS", "RESULTS", Division.RESULTS),
+        ("ASSESSMENT", "ASSESSMENT", Division.ASSESSMENT_AND_PLAN),
+        ("PLAN", "PLAN", Division.ASSESSMENT_AND_PLAN),
+        ("ASSESSMENT_AND_PLAN", "ASSESSMENT AND PLAN", Division.ASSESSMENT_AND_PLAN),
+    ]
+    assert all(Section(s.value) is Section[s.value] is s for s in Section)
+    assert not hasattr(UnknownSection("COURSE"), "division")
