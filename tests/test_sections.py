@@ -380,6 +380,30 @@ def test_safe_words_never_form_headers():
 # The section table
 # ---------------------------------------------------------------------------
 
+def test_division_totality_and_assignments():
+    expected = {
+        Section.CC: Division.SUBJECTIVE,
+        Section.HPI: Division.SUBJECTIVE,
+        Section.ROS: Division.SUBJECTIVE,
+        Section.MEDICATIONS: Division.SUBJECTIVE,
+        Section.ALLERGIES: Division.SUBJECTIVE,
+        Section.PE: Division.EXAM,
+        Section.RESULTS: Division.RESULTS,
+        Section.ASSESSMENT: Division.ASSESSMENT_AND_PLAN,
+        Section.PLAN: Division.ASSESSMENT_AND_PLAN,
+        Section.ASSESSMENT_AND_PLAN: Division.ASSESSMENT_AND_PLAN,
+    }
+    for section in Section:
+        assert section.division is expected[section]
+
+
+def test_section_order_covers_every_section_once():
+    assert sorted(SECTION_ORDER, key=lambda s: s.value) == sorted(
+        Section, key=lambda s: s.value
+    )
+    assert len(set(SECTION_ORDER)) == len(SECTION_ORDER)
+
+
 def test_section_table_in_canonical_order():
     """Order fixes slot order and slot seeds; each section keeps its value, header and division."""
     assert SECTION_ORDER == tuple(Section)
