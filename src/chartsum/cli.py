@@ -8,6 +8,7 @@ the requested output path.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -108,6 +109,22 @@ def _write_output(text: str, out: str | Path | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _check_writable(path: str | Path) -> None:
+    """Raise the OSError that writing a file at `path` would end with, before the work
+    that makes its contents: a directory, a missing or non-directory parent, no access."""
+    path = Path(path)
+    parent = path.parent
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(path if path.exists() else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _parse_columns(spec: str) -> dict[str, str]:
@@ -228,6 +245,7 @@ def _cmd_train(args) -> int:
     from .tinylsg.train import NonFiniteDecode, summarize_ids
 
     backend = _backend_from_args(args)
+    _check_writable(args.checkpoint)
     corpus = load_corpus(args.train, args.columns)
     pairs = [(e.dialogue, e.note) for e in corpus.labeled()]
     if not pairs:
@@ -250,6 +268,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     from .tinylsg import load_checkpoint
 
+    if args.out is not None:
+        _check_writable(args.out)
     checkpoint = load_checkpoint(args.checkpoint)
     summarizer = TinyLsgSummarizer(
         checkpoint.model, checkpoint.lsg, checkpoint.max_summary_tokens

@@ -20,6 +20,10 @@ JSONL_SUFFIXES = (".jsonl", ".ndjson")
 # The three pipeline architectures; PredictionSet.approach is one of them.
 APPROACH_TAGS = ("single", "section-wise", "multi-layer")
 
+# Every input text is read as UTF-8 that may start with one byte-order mark, which
+# is dropped; outputs are written as plain "utf-8", without one.
+TEXT_ENCODING = "utf-8-sig"
+
 
 class CorpusError(ChartsumError):
     pass
@@ -78,9 +82,10 @@ def typed(mapping: Mapping, key: str, kind, where: str = ""):
 
 
 def decode_utf8(data: bytes, name: str | Path, error: type[ChartsumError] = MalformedFile) -> str:
-    """`data` decoded strictly as UTF-8; `name` names its source in the error raised."""
+    """`data` decoded strictly as UTF-8, less one leading byte-order mark; `name` names its
+    source in the error raised."""
     try:
-        return data.decode("utf-8")
+        return data.decode(TEXT_ENCODING)
     except UnicodeDecodeError as exc:
         raise error(f"{name}: not UTF-8 text ({exc})") from exc
 
@@ -178,7 +183,7 @@ def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> C
 def _load_csv(path: Path, cols: dict[str, str]) -> list[Encounter]:
     encounters: list[Encounter] = []
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MalformedFile(f"{path}: empty file, expected a header row")
@@ -197,7 +202,7 @@ def _load_csv(path: Path, cols: dict[str, str]) -> list[Encounter]:
 def _load_jsonl(path: Path, cols: dict[str, str]) -> list[Encounter]:
     encounters: list[Encounter] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=TEXT_ENCODING) as fh:
         row_num = 0
         for line in fh:
             if not line.strip():

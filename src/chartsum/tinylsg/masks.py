@@ -92,10 +92,12 @@ class LsgLayout:
     Queries are cut into `n_blocks` blocks of `block_size`. Query block b reads
     `window` local keys, those of blocks b - radius .. b + radius (key slot w
     is position (b - radius) * block_size + w), then the shared `extra` keys:
-    the global prefix and every stride-th key. `bias` (n_blocks, 1, window +
-    len(extra)) is 0 or -inf per block and key slot; it masks local slots
-    outside 0..n-1 and every extra key inside the block's own window, so no key
-    is counted twice. The first `num_global` query rows attend to all n keys.
+    the global prefix and every stride-th key. `masked` (n_blocks, 1, window +
+    len(extra)) is a bool per block and key slot, True where the slot's score is
+    set to -inf: local slots outside 0..n-1 and every extra key inside the
+    block's own window, so no key is counted twice. It is a bool, not a float64
+    0/-inf bias, since `lsg_layout` keeps one layout per cached length. The first
+    `num_global` query rows attend to all n keys.
 
     `blocked` is the size rule: the blocked kernel runs only when it computes
     at most half of the n * n dense scores. Otherwise attention is dense with
@@ -106,7 +108,7 @@ class LsgLayout:
     cfg: LsgConfig
     num_global: int
     extra: np.ndarray
-    bias: np.ndarray
+    masked: np.ndarray
 
     @property
     def block_size(self) -> int:
@@ -152,12 +154,12 @@ def lsg_layout(seq_len: int, cfg: LsgConfig) -> LsgLayout:
     extra = np.array([*range(num_global), *strided], dtype=np.intp)
     blocks = np.arange(n_blocks)[:, None]
     local_keys = (blocks - radius) * block + np.arange((2 * radius + 1) * block)
-    local_ok = (local_keys >= 0) & (local_keys < seq_len)
-    extra_ok = np.abs(extra // block - blocks) > radius
+    local_out = (local_keys < 0) | (local_keys >= seq_len)
+    extra_in_window = np.abs(extra // block - blocks) <= radius
     return LsgLayout(
         n=seq_len,
         cfg=cfg,
         num_global=num_global,
         extra=_read_only(extra),
-        bias=_read_only(mask_to_bias(np.hstack([local_ok, extra_ok]))[:, None, :]),
+        masked=_read_only(np.hstack([local_out, extra_in_window])[:, None, :]),
     )

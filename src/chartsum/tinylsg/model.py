@@ -13,9 +13,13 @@ every cache alive until its backward pass, so a cache holds only what cannot
 be recomputed bit for bit. A layer norm keeps (x_hat, inv_std); its output is
 recomputed from them (`_ln_output`), so no attention or feed-forward cache
 keeps a copy of its normed input. A feed-forward cache keeps the GELU's input
-and tanh term, not its output. An attention cache keeps the projected heads,
-the attention weights and the merged heads; its backward pass computes the
-score gradient in place and frees the weights once used.
+alone: the forward computes the GELU in place, and the backward rebuilds its
+tanh term with the forward's own expression. An attention cache keeps the
+projected heads, the attention weights and the merged heads; the blocked
+kernel's cache keeps the padded keys and values, from which its backward
+gathers the extra (global and strided) keys again, and it applies the layout's
+boolean mask rather than adding a bias. A backward pass computes the score
+gradient in place and frees the weights once used.
 """
 
 from __future__ import annotations
@@ -250,24 +254,23 @@ def _lsg_attention_forward(params, prefix: str, x, layout: LsgLayout, n_heads: i
     kh, vh = k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
     kh[:] = _split_heads(x @ params[f"{prefix}.wk"], n_heads)
     vh[:] = _split_heads(x @ params[f"{prefix}.wv"], n_heads)
-    k_extra, v_extra = kh[:, layout.extra], vh[:, layout.extra]
 
     # One row per (head, query): the window's local scores, then the extra keys'.
     scores = np.empty((h, rows, w + len(layout.extra)))
     blocks = _by_block(scores, layout)
     np.matmul(_by_block(q_rows, layout), _windows(k_pad, layout).transpose(0, 1, 3, 2),
               out=blocks[..., :w])
-    np.matmul(q_rows, k_extra.transpose(0, 2, 1), out=scores[..., w:])
+    np.matmul(q_rows, kh[:, layout.extra].transpose(0, 2, 1), out=scores[..., w:])
     scores *= scale
-    blocks += layout.bias
+    np.copyto(blocks, -np.inf, where=layout.masked)
     probs = _softmax_rows(scores)
     out = (_by_block(probs, layout)[..., :w] @ _windows(v_pad, layout)).reshape(h, rows, dh)
-    out += probs[..., w:] @ v_extra
+    out += probs[..., w:] @ vh[:, layout.extra]
     out = out[:, :n]
     global_probs = _softmax_rows(qh[:, :g] @ kh.transpose(0, 2, 1) * scale)
     out[:, :g] = global_probs @ vh
     merged = _merge_heads(out)
-    cache = (layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale)
+    cache = (layout, q_rows, k_pad, v_pad, probs, global_probs, merged, scale)
     return merged @ params[f"{prefix}.wo"], cache
 
 
@@ -276,12 +279,14 @@ def _lsg_attention_backward(params, prefix: str, x, cache, d_out, grads):
     like `_mha_backward`.
 
     The local key/value gradients are scattered back with one slice add per
-    window offset; the extra keys are distinct, so one indexed add each.
+    window offset; the extra keys are distinct, so one indexed add each. The extra
+    keys and values are gathered again from the padded ones rather than cached.
     """
-    layout, q_rows, k_pad, v_pad, k_extra, v_extra, probs, global_probs, merged, scale = cache
+    layout, q_rows, k_pad, v_pad, probs, global_probs, merged, scale = cache
     n, g, w, block = layout.n, layout.num_global, layout.window, layout.block_size
     pad = layout.radius * block
     h, rows, dh = q_rows.shape
+    qh, kh, vh = q_rows[:, :n], k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
     grads[f"{prefix}.wo"] += merged.T @ d_out
     d_oh = _split_heads(d_out @ params[f"{prefix}.wo"].T, h)
     d_rows = np.zeros((h, rows, dh))
@@ -292,13 +297,13 @@ def _lsg_attention_backward(params, prefix: str, x, cache, d_out, grads):
     d_scores = np.empty_like(probs)
     d_blocks = _by_block(d_scores, layout)
     np.matmul(_by_block(d_rows, layout), v_win.transpose(0, 1, 3, 2), out=d_blocks[..., :w])
-    np.matmul(d_rows, v_extra.transpose(0, 2, 1), out=d_scores[..., w:])
+    np.matmul(d_rows, vh[:, layout.extra].transpose(0, 2, 1), out=d_scores[..., w:])
     _softmax_backward(d_scores, probs)
     d_scores *= scale
     d_local, d_extra = d_blocks[..., :w], d_scores[..., w:]
 
     d_q = (d_local @ k_win).reshape(h, rows, dh)
-    d_q += d_extra @ k_extra
+    d_q += d_extra @ kh[:, layout.extra]
     q_blocks, d_out_blocks = _by_block(q_rows, layout), _by_block(d_rows, layout)
     d_k_pad, d_v_pad = np.zeros((2,) + k_pad.shape)
     for offset in range(0, w, block):
@@ -312,7 +317,6 @@ def _lsg_attention_backward(params, prefix: str, x, cache, d_out, grads):
     d_vh[:, layout.extra] += probs[..., w:].transpose(0, 2, 1) @ d_rows
     d_qh = d_q[:, :n]
 
-    qh, kh, vh = q_rows[:, :n], k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
     d_global_out = d_oh[:, :g]
     d_vh += global_probs.transpose(0, 2, 1) @ d_global_out
     d_global = d_global_out @ vh.transpose(0, 2, 1)
@@ -351,37 +355,56 @@ def _ln_backward(params, prefix: str, cache, d_out, grads):
     return inv_std * (d_hat - _row_mean(d_hat) - x_hat * _row_mean(d_hat * x_hat))
 
 
-def _gelu(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return _gelu_from_tanh(x, t), t
-
-
-def _gelu_from_tanh(x, t):
-    """GELU of x given its tanh term t from `_gelu`."""
-    return 0.5 * x * (1.0 + t)
-
-
-def _gelu_grad(x, t):
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+def _gelu_tanh(x):
+    """The tanh term `tanh(_GELU_C * (x + _GELU_A * x**3))` of the GELU of x, in one
+    new array with no temporary; x is not modified."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def _ff_forward(params, prefix: str, x):
-    """The cache holds the GELU's input and tanh term, neither x nor the GELU's
-    output: the backward pass is handed x again and recomputes the output with
-    `_gelu`'s own expression, bit for bit."""
-    pre = x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
-    hidden, t = _gelu(pre)
-    out = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-    return out, (pre, t)
+    """The cache holds the GELU's input alone, neither x nor the GELU's output: the
+    backward pass is handed x again and recomputes the tanh term with `_gelu_tanh`,
+    bit for bit. The GELU, `0.5 * (1 + t) * pre`, is computed in place."""
+    pre = x @ params[f"{prefix}.w1"]
+    pre += params[f"{prefix}.b1"]
+    hidden = _gelu_tanh(pre)
+    hidden += 1.0
+    hidden *= 0.5
+    hidden *= pre
+    out = hidden @ params[f"{prefix}.w2"]
+    out += params[f"{prefix}.b2"]
+    return out, (pre,)
 
 
 def _ff_backward(params, prefix: str, x, cache, d_out, grads):
-    pre, t = cache
-    hidden = _gelu_from_tanh(pre, t)
-    grads[f"{prefix}.w2"] += hidden.T @ d_out
-    del hidden
+    """The GELU's derivative, `0.5 * (1 + t) + 0.5 * pre * (1 - t**2) * _GELU_C *
+    (1 + 3 * _GELU_A * pre**2)`, is built in place in two scratch arrays."""
+    (pre,) = cache
+    t = _gelu_tanh(pre)
+    slope = t + 1.0
+    slope *= 0.5
+    scratch = np.multiply(slope, pre)
+    grads[f"{prefix}.w2"] += scratch.T @ d_out
     grads[f"{prefix}.b2"] += d_out.sum(axis=0)
-    d_pre = (d_out @ params[f"{prefix}.w2"].T) * _gelu_grad(pre, t)
+    np.multiply(pre, 0.5, out=scratch)
+    t *= t
+    np.subtract(1.0, t, out=t)
+    scratch *= t
+    scratch *= _GELU_C
+    np.multiply(pre, pre, out=t)
+    t *= 3.0 * _GELU_A
+    t += 1.0
+    scratch *= t
+    slope += scratch
+    del t, scratch
+    d_pre = d_out @ params[f"{prefix}.w2"].T
+    d_pre *= slope
+    del slope
     grads[f"{prefix}.w1"] += x.T @ d_pre
     grads[f"{prefix}.b1"] += d_pre.sum(axis=0)
     return d_pre @ params[f"{prefix}.w1"].T

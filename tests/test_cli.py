@@ -488,6 +488,13 @@ def test_split_sections_non_utf8_note_is_a_runtime_error(tmp_path, capsys):
     ]
 
 
+def test_split_sections_skips_a_leading_byte_order_mark(tmp_path, capsys):
+    src = tmp_path / "note.txt"
+    src.write_bytes(b"\xef\xbb\xbf" + NOTE.split("\n\n", 1)[1].encode())
+    assert main(["split-sections", "--in", str(src)]) == 0
+    assert capsys.readouterr().out.startswith("== CC (CHIEF COMPLAINT)\nknee pain")
+
+
 def _stdin(data: bytes) -> io.TextIOWrapper:
     """A stand-in for sys.stdin in UTF-8 mode, which decodes with surrogateescape."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
@@ -502,6 +509,12 @@ def test_split_sections_non_utf8_stdin_is_a_runtime_error(monkeypatch, capsys):
         "error: <stdin>: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 16: "
         "invalid start byte)"
     ]
+
+
+def test_split_sections_skips_a_leading_byte_order_mark_on_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(b"\xef\xbb\xbf" + NOTE.encode()))
+    assert main(["split-sections"]) == 0
+    assert capsys.readouterr().out.startswith("== PREAMBLE\nseen today")
 
 
 def test_split_sections_json_format_from_stdin(monkeypatch, capsys):
@@ -628,6 +641,28 @@ def test_train_non_finite_lr_fails_before_training(
     assert not ckpt.exists()
 
 
+def _unwritable_paths(tmp_path):
+    """Output paths that cannot be written, with the one error line each gives."""
+    (tmp_path / "afile").write_text("taken\n")
+    return [
+        (tmp_path, f"error: [Errno 21] Is a directory: '{tmp_path}'\n"),
+        (tmp_path / "missing" / "x.json",
+         f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'x.json'}'\n"),
+        (tmp_path / "afile" / "x.json",
+         f"error: [Errno 20] Not a directory: '{tmp_path / 'afile' / 'x.json'}'\n"),
+    ]
+
+
+def test_train_checks_the_checkpoint_path_before_training(
+        tmp_path, corpus_csv, capsys, monkeypatch):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    for ckpt, error in _unwritable_paths(tmp_path):
+        assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
+                     *TINY_MODEL_FLAGS]) == 2
+        # No "vocabulary ..." or epoch line: the error is the only output.
+        assert capsys.readouterr() == ("", error)
+
+
 def test_train_then_predict_round_trip(tmp_path, corpus_csv, eval_csv, capsys):
     ckpt = tmp_path / "model.json"
     code = main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt),
@@ -696,6 +731,19 @@ def test_predict_takes_mask_and_cap_from_checkpoint(tmp_path, trained_checkpoint
     summarizer = TinyLsgSummarizer(load_checkpoint(trained_checkpoint).model, lsg, 8)
     expected = {e.id: summarizer.summarize(e.dialogue) for e in load_corpus(eval_csv)}
     assert load_predictions(out).entries == expected
+
+
+def _no_summary(*args, **kwargs):
+    raise AssertionError("a summary was made")
+
+
+def test_predict_checks_the_out_path_before_summarizing(
+        tmp_path, trained_checkpoint, eval_csv, capsys, monkeypatch):
+    monkeypatch.setattr(TinyLsgSummarizer, "summarize", _no_summary)
+    capsys.readouterr()
+    for out, error in _unwritable_paths(tmp_path):
+        assert _predict(trained_checkpoint, eval_csv, out) == 2
+        assert capsys.readouterr() == ("", error)
 
 
 # Each given with the value the checkpoint records.

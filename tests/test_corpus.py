@@ -17,6 +17,7 @@ from chartsum.corpus import (
     json_text,
     load_corpus,
     load_predictions,
+    read_json,
     save_corpus,
     save_predictions,
     split_corpus,
@@ -100,6 +101,21 @@ def test_load_non_utf8_corpus_is_malformed(tmp_path, format):
                   else b'{"id": "e1", "dialogue": "caf\xe9"}\n')
     with pytest.raises(MalformedFile, match="not UTF-8 text"):
         load_corpus(p)
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_load_corpus_skips_a_leading_byte_order_mark(tmp_path, format):
+    p = tmp_path / f"c.{format}"
+    body = ("id,dialogue,note\ne1,hi,CC\n" if format == "csv"
+            else '{"id": "e1", "dialogue": "hi", "note": "CC"}\n')
+    p.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    assert load_corpus(p).encounters == (Encounter(id="e1", dialogue="hi", note="CC"),)
+
+
+def test_read_json_skips_a_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "v.json"
+    p.write_bytes(b'\xef\xbb\xbf{"a": 1}')
+    assert read_json(p, "test value") == {"a": 1}
 
 
 def test_load_csv_field_over_the_size_limit_is_malformed(tmp_path):

@@ -297,7 +297,7 @@ def layout_mask(layout):
     n, block = layout.n, layout.block_size
     allowed = np.zeros((n, n), dtype=bool)
     allowed[: layout.num_global] = True
-    open_slots = np.isfinite(layout.bias[:, 0, :])
+    open_slots = ~layout.masked[:, 0, :]
     for q in range(layout.num_global, n):
         b = q // block
         for slot in np.flatnonzero(open_slots[b]):
@@ -316,7 +316,8 @@ def test_lsg_layout_reproduces_lsg_mask(radius):
         cfg = LsgConfig(block_size=block, sparsity_stride=stride, num_global=n_global,
                         max_input_tokens=64, local_radius=radius)
         layout = lsg_layout(seq_len, cfg)
-        assert layout.bias.shape == (layout.n_blocks, 1, layout.window + len(layout.extra))
+        assert layout.masked.shape == (layout.n_blocks, 1, layout.window + len(layout.extra))
+        assert layout.masked.dtype == bool
         assert np.array_equal(layout_mask(layout), lsg_mask(seq_len, cfg)), cfg
 
 
@@ -325,7 +326,7 @@ def test_lsg_layout_is_cached_and_read_only():
     assert lsg_layout(40, LsgConfig()) is small
     assert not small.blocked and large.blocked and large.dense_bias is None
     assert np.array_equal(small.dense_bias, mask_to_bias(lsg_mask(40, LsgConfig())))
-    for array in (small.dense_bias, large.bias, large.extra):
+    for array in (small.dense_bias, large.masked, large.extra):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
 

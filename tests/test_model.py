@@ -4,6 +4,7 @@ The full-attention comparison uses a reference encoder/decoder written here
 with plain per-position loops, sharing nothing with the library's vectorized
 implementation except the parameter dictionary. `attention` and `ref_gelu`
 are likewise references for the model's multi-head attention and GELU,
+`ref_ff_step` the out-of-place form of its feed-forward layer,
 `ref_ln_forward`/`ref_ln_backward` the `np.mean` form of its layer norm, and
 `forward` runs the library's own encoder and decoder over a whole target prefix.
 """
@@ -18,6 +19,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartsum.errors import ChartsumError
 from chartsum.tinylsg.checkpoint import (
@@ -36,8 +39,8 @@ from chartsum.tinylsg.model import (
     _attend,
     _decode,
     _encode,
-    _gelu,
-    _gelu_grad,
+    _ff_backward,
+    _ff_forward,
     _ln_backward,
     _ln_forward,
     _lsg_attention_backward,
@@ -395,8 +398,23 @@ def ref_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_A = 0.044715
+
+
+def gelu_and_tanh(x):
+    """GELU of x and its tanh term, cubing by multiplication, out of place."""
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_grad(x, t):
+    """d GELU / dx at x, given its tanh term t from `gelu_and_tanh`."""
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * GELU_C * (1.0 + 3.0 * GELU_A * (x * x))
+
+
 def test_gelu_matches_reference_cube():
-    """`_gelu` cubes by multiplication, `ref_gelu` by `**`; they differ by rounding only.
+    """`gelu_and_tanh` cubes by multiplication, `ref_gelu` by `**`; they differ by rounding only.
 
     Where GELU is tiny (x < -3) it is x * (1 + tanh(u)) with tanh(u) near -1,
     and one ulp of tanh moves it by up to ~1e-11 relative, so an absolute
@@ -404,7 +422,7 @@ def test_gelu_matches_reference_cube():
     """
     x = np.concatenate([np.linspace(-30.0, 30.0, 600_001),
                         np.random.default_rng(0).uniform(-30.0, 30.0, 100_000)])
-    got, _ = _gelu(x)
+    got, _ = gelu_and_tanh(x)
     expect = ref_gelu(x)
     assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect) + 1e-15)
 
@@ -413,8 +431,55 @@ def test_gelu_grad_matches_central_difference():
     x = np.linspace(-8.0, 8.0, 1601)
     h = 1e-5
     numeric = (ref_gelu(x + h) - ref_gelu(x - h)) / (2.0 * h)
-    analytic = _gelu_grad(x, _gelu(x)[1])
+    analytic = gelu_grad(x, gelu_and_tanh(x)[1])
     assert np.max(np.abs(analytic - numeric)) <= 1e-9
+
+
+def ref_ff_step(p, prefix, x, d_out):
+    """Feed-forward forward and backward with every GELU term a new array.
+
+    Returns (output, pre-activation, d x, grads of the four ff parameters).
+    """
+    pre = x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]
+    hidden, t = gelu_and_tanh(pre)
+    out = hidden @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
+    grads = zero_grads(p)
+    grads[f"{prefix}.w2"] += hidden.T @ d_out
+    grads[f"{prefix}.b2"] += d_out.sum(axis=0)
+    d_pre = (d_out @ p[f"{prefix}.w2"].T) * gelu_grad(pre, t)
+    grads[f"{prefix}.w1"] += x.T @ d_pre
+    grads[f"{prefix}.b1"] += d_pre.sum(axis=0)
+    return out, pre, d_pre @ p[f"{prefix}.w1"].T, grads
+
+
+def same(a, b):
+    """Equal shapes and bytes: NaN payloads and signed zeros count."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 600), d=st.integers(1, 12), f=st.integers(1, 40),
+       exponent=st.integers(-320, 300), seed=st.integers(0, 2**32 - 1))
+def test_in_place_feed_forward_is_bitwise_the_reference(rows, d, f, exponent, seed):
+    """`_ff_forward`/`_ff_backward` equal `ref_ff_step` bit for bit, from subnormal
+    to huge pre-activations, and modify neither x, the parameters nor the cache."""
+    rng = np.random.default_rng(seed)
+    p = {"ff.w1": rng.normal(0.0, 1.0, (d, f)), "ff.b1": rng.normal(0.0, 1.0, f),
+         "ff.w2": rng.normal(0.0, 1.0, (f, d)), "ff.b2": rng.normal(0.0, 1.0, d)}
+    x = rng.normal(0.0, 10.0**exponent, (rows, d))
+    d_out = rng.normal(0.0, 1.0, (rows, d))
+    inputs = {name: value.copy() for name, value in p.items()} | {"x": x.copy()}
+    with np.errstate(all="ignore"):
+        out, cache = _ff_forward(p, "ff", x)
+        cached = [a.copy() for a in cache]
+        grads = zero_grads(p)
+        d_x = _ff_backward(p, "ff", x, cache, d_out, grads)
+        want_out, want_pre, want_d_x, want_grads = ref_ff_step(p, "ff", x, d_out)
+    assert same(out, want_out) and same(d_x, want_d_x)
+    assert len(cache) == 1 and same(cache[0], want_pre)
+    assert all(same(a, b) for a, b in zip(cache, cached))
+    assert all(same(grads[name], want_grads[name]) for name in p)
+    assert all(same(value, inputs[name]) for name, value in (p | {"x": x}).items())
 
 
 def ref_ln_forward(p, prefix, x):
@@ -640,10 +705,10 @@ def test_loss_and_grads_frees_the_decoder_before_the_encoder_backward(monkeypatc
 
 # tracemalloc peak, in bytes, of one loss_and_grads call per (source, target)
 # length, default ModelConfig and LsgConfig, 405-token vocabulary: a few
-# percent above the measured 16,609,054 and 1,638,986 bytes. The first pair
+# percent above the measured 15,034,419 and 1,474,666 bytes. The first pair
 # trains at the input cap (blocked encoder) and peaks in the decoder's
 # cross-attention backward; the second is a short dialogue (dense encoder).
-STEP_PEAK_BOUNDS = {(512, 125): 17_200_000, (75, 6): 1_700_000}
+STEP_PEAK_BOUNDS = {(512, 125): 15_500_000, (75, 6): 1_520_000}
 
 
 @pytest.mark.parametrize("n_src, n_tgt", list(STEP_PEAK_BOUNDS))
@@ -666,7 +731,8 @@ def test_loss_and_grads_peak_memory(n_src, n_tgt):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < STEP_PEAK_BOUNDS[n_src, n_tgt]
+    bound = STEP_PEAK_BOUNDS[n_src, n_tgt]
+    assert peak < bound, f"peak {peak:,} B at {n_src}/{n_tgt} is not below the bound {bound:,} B"
 
 
 # ---------------------------------------------------------------------------
