@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from io import StringIO
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -85,9 +86,11 @@ def decode_utf8(data: bytes, name: str | Path, error: type[ChartsumError] = Malf
     """`data` decoded strictly as UTF-8, less one leading byte-order mark; `name` names its
     source in the error raised."""
     try:
-        return data.decode(TEXT_ENCODING)
+        # Decoded whole, so that an error names the byte's offset in `data`.
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{name}: not UTF-8 text ({exc})") from exc
+    return text.removeprefix("\ufeff")
 
 
 def parse_json(text: str, where: str | Path, what: str,
@@ -104,9 +107,53 @@ def read_json(path: str | Path, what: str, error: type[ChartsumError] = Malforme
     return parse_json(decode_utf8(Path(path).read_bytes(), path, error), path, what, error)
 
 
+# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf.
+_NON_FINITE_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def json_text(value) -> str:
-    """The one rendering of every JSON output: sorted keys, two-space indent, UTF-8 text."""
-    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    """The one rendering of every JSON output: sorted keys, two-space indent, UTF-8 text.
+
+    Equal to `json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\\n"`
+    for any value built of str-keyed dicts, lists, tuples, strings, ints, floats, bools
+    and None; any other type, or a key that is not a string, raises TypeError. json.dumps
+    is not called: with `indent` it encodes in pure Python and lists one small string per
+    token before joining them. Here each container is joined once from its items'
+    finished texts, so rendering holds about two copies of the output at most.
+    """
+
+    def render(value, indent: str) -> str:
+        # `indent` is a line feed and the current level's spaces. The commonest
+        # types of chartsum's outputs are tested first.
+        if isinstance(value, str):
+            return encode_basestring(value)
+        if isinstance(value, float):
+            text = float.__repr__(value)
+            return _NON_FINITE_SPELLINGS.get(text, text)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            # encode_basestring raises TypeError for a key that is not a string.
+            body = f",{inner}".join([f"{encode_basestring(key)}: {render(value[key], inner)}"
+                                     for key in sorted(value)])
+            return f"{{{inner}{body}{indent}}}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            body = f",{inner}".join([render(item, inner) for item in value])
+            return f"[{inner}{body}{indent}]"
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return render(value, "\n") + "\n"
 
 
 def csv_text(rows: Iterable[Sequence[str]]) -> str:
@@ -173,6 +220,10 @@ def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> C
     try:
         encounters = load(path, cols)
     except UnicodeDecodeError as exc:
+        # The text layer names a position within its read chunk; decoding the
+        # whole file again names the byte's offset in the file. The raise below is
+        # reached only if the file changed in between.
+        decode_utf8(path.read_bytes(), path)
         raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
         # For example a field over csv.field_size_limit() (128 KiB by default).

@@ -488,6 +488,15 @@ def test_split_sections_non_utf8_note_is_a_runtime_error(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_split_sections_non_utf8_note_names_the_offset_in_the_file(tmp_path, capsys, bom):
+    data = bom + b"CHIEF COMPLAINT\n\n\xff\xfe knee pain\n"
+    src = tmp_path / "note.txt"
+    src.write_bytes(data)
+    assert main(["split-sections", "--in", str(src)]) == 2
+    assert f"byte 0xff in position {data.index(0xff)}: " in capsys.readouterr().err
+
+
 def test_split_sections_skips_a_leading_byte_order_mark(tmp_path, capsys):
     src = tmp_path / "note.txt"
     src.write_bytes(b"\xef\xbb\xbf" + NOTE.split("\n\n", 1)[1].encode())

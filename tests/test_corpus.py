@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartsum.corpus import (
     CorpusTooSmall,
@@ -14,6 +18,7 @@ from chartsum.corpus import (
     MalformedFile,
     MissingColumn,
     PredictionSet,
+    decode_utf8,
     json_text,
     load_corpus,
     load_predictions,
@@ -22,6 +27,7 @@ from chartsum.corpus import (
     save_predictions,
     split_corpus,
 )
+from peakmem import traced_peak
 from synthdata import synth_corpus
 
 
@@ -103,18 +109,49 @@ def test_load_non_utf8_corpus_is_malformed(tmp_path, format):
         load_corpus(p)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+def test_decode_utf8_names_the_offset_in_the_data(bom):
+    data = bom + b"id,dialogue,note\n1,ab\xe9c"
+    with pytest.raises(MalformedFile, match=f"byte 0xe9 in position {data.index(0xe9)}: "):
+        decode_utf8(data, "c.csv")
+
+
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_load_non_utf8_corpus_names_the_offset_in_the_file(tmp_path, format, bom):
+    # Far past the text layer's first read chunk, whose positions it would report.
+    rows = range(4000)
+    if format == "csv":
+        body = b"id,dialogue\n" + b"".join(b"e%d,hello there\n" % i for i in rows)
+        body += b"bad,caf\xe9\n"
+    else:
+        body = b"".join(b'{"id": "e%d", "dialogue": "hello there"}\n' % i for i in rows)
+        body += b'{"id": "bad", "dialogue": "caf\xe9"}\n'
+    p = tmp_path / f"c.{format}"
+    p.write_bytes(bom + body)
+    offset = (bom + body).index(0xe9)
+    assert offset > 60_000
+    with pytest.raises(MalformedFile) as info:
+        load_corpus(p)
+    assert str(info.value) == (f"{p}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9 "
+                               f"in position {offset}: invalid continuation byte)")
+
+
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
 def test_load_corpus_skips_a_leading_byte_order_mark(tmp_path, format):
     p = tmp_path / f"c.{format}"
     body = ("id,dialogue,note\ne1,hi,CC\n" if format == "csv"
             else '{"id": "e1", "dialogue": "hi", "note": "CC"}\n')
-    p.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    p.write_bytes(BOM + body.encode())
     assert load_corpus(p).encounters == (Encounter(id="e1", dialogue="hi", note="CC"),)
 
 
 def test_read_json_skips_a_leading_byte_order_mark(tmp_path):
     p = tmp_path / "v.json"
-    p.write_bytes(b'\xef\xbb\xbf{"a": 1}')
+    p.write_bytes(BOM + b'{"a": 1}')
     assert read_json(p, "test value") == {"a": 1}
 
 
@@ -250,6 +287,77 @@ def test_split_fraction_bounds():
 def test_split_too_small():
     with pytest.raises(CorpusTooSmall):
         split_corpus(synth_corpus(1), 0.5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+# ---------------------------------------------------------------------------
+
+def dumps_text(value) -> str:
+    """The reference rendering json_text must equal."""
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+JSON_TEXTS = st.text() | st.text(alphabet='"\\/\x00\x01\x08\x09\x0a\x1f\x7f\u2028é日\U0001f600')
+JSON_LEAVES = (
+    st.none() | st.booleans() | JSON_TEXTS
+    | st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(JSON_TEXTS, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_json_text_equals_json_dumps(value):
+    assert json_text(value) == dumps_text(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", {1: "a"}, [{"a": {"b": {1}}}],
+                                   {"a": {2: "b"}}])
+def test_json_text_rejects_other_types_and_non_string_keys(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def report_like(n_docs: int) -> list[dict]:
+    """A value shaped like a `report.json` over n_docs documents, with seeded scores."""
+    rng = random.Random(0)
+
+    def scores():
+        return {name: {"f1": rng.random(), "precision": rng.random(), "recall": rng.random()}
+                for name in ("rouge1", "rouge2", "rougeL")}
+
+    return [{
+        "approach": "section-wise", "config_hash": "0" * 64, "seed": 0,
+        "division_average": rng.random(), "division_metric": "rouge1_f1",
+        "division_f1": {d: rng.random() for d in ("AssessmentAndPlan", "Exam", "Results",
+                                                  "Subjective")},
+        "n_documents": n_docs, "skipped_divisions": 0, "unknown_sections": 0,
+        "scores": {**scores(), "per_document": {f"eval-{i:04d}": scores()
+                                                for i in range(n_docs)}},
+    }]
+
+
+# tracemalloc peak, in bytes, of json_text on report_like(400), which renders to
+# 205,908 bytes: 3% above the measured 431,249 B (2.1x the output). json.dumps
+# with indent=2 peaked at 1,245,616 B (6.0x), building its list of chunks.
+JSON_TEXT_PEAK_BOUND = 445_000
+
+
+def test_json_text_peak_memory():
+    """Rendering holds about two copies of its output, not a chunk per token."""
+    value = report_like(400)
+    size = len(json_text(value))
+    assert size > 200_000
+    peak = traced_peak(json_text, value)
+    assert peak < JSON_TEXT_PEAK_BOUND, (
+        f"peak {peak:,} B for {size:,} B of JSON is not below the bound {JSON_TEXT_PEAK_BOUND:,} B")
 
 
 # ---------------------------------------------------------------------------

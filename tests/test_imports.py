@@ -325,7 +325,7 @@ def test_tinylsg_train_is_the_function_not_the_module():
 SHARED_READERS = {
     "json.loads": ("corpus.py", "parse_json"),
     '.decode("utf-8")': ("corpus.py", "decode_utf8"),
-    "json.dumps(indent=...)": ("corpus.py", "json_text"),
+    "indented JSON": ("corpus.py", "json_text"),
 }
 _UTF8_NAMES = {"utf-8", "utf8", "utf_8"}
 
@@ -335,17 +335,23 @@ def _reader_call(node: ast.Call) -> str | None:
 
     `json.load`/`json.loads` count as "json.loads"; `.decode()`,
     `.decode("utf-8")` (any spelling) and `.read_text(...)` count as UTF-8
-    decodes; `json.dump`/`json.dumps` with an `indent` keyword count as
-    indented-JSON renderings, and without one (compact JSON) as nothing.
+    decodes; `json.dump`/`json.dumps` with an `indent` keyword, and
+    `encode_basestring` (json's string escaper, by bare name or attribute),
+    count as indented-JSON renderings; `json.dumps` without `indent` (compact
+    JSON) counts as nothing.
     """
     func = node.func
+    if isinstance(func, ast.Name):
+        return "indented JSON" if func.id == "encode_basestring" else None
     if not isinstance(func, ast.Attribute):
         return None
+    if func.attr == "encode_basestring":
+        return "indented JSON"
     if ast.unparse(func) in ("json.load", "json.loads"):
         return "json.loads"
     if ast.unparse(func) in ("json.dump", "json.dumps"):
         indented = any(keyword.arg == "indent" for keyword in node.keywords)
-        return "json.dumps(indent=...)" if indented else None
+        return "indented JSON" if indented else None
     if func.attr == "read_text":
         return '.decode("utf-8")'
     if func.attr == "decode" and not node.keywords:
@@ -358,21 +364,23 @@ def _reader_call(node: ast.Call) -> str | None:
 
 def reader_calls(source: str, module: str) -> list[str]:
     """JSON parses, UTF-8 decodes and indented-JSON renderings made outside the
-    function SHARED_READERS allows."""
+    function SHARED_READERS allows, or a function nested in it."""
     found = []
 
-    def visit(node: ast.AST, function: str | None) -> None:
+    def visit(node: ast.AST, functions: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ImportFrom) and child.module == "json":
                 found.append(f"line {child.lineno}: {ast.unparse(child)}")
             if isinstance(child, ast.Call):
                 kind = _reader_call(child)
-                if kind is not None and SHARED_READERS[kind] != (module, function):
-                    found.append(f"line {child.lineno}: {ast.unparse(child)}")
+                if kind is not None:
+                    allowed_module, allowed_function = SHARED_READERS[kind]
+                    if allowed_module != module or allowed_function not in functions:
+                        found.append(f"line {child.lineno}: {ast.unparse(child)}")
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_function else function)
+            visit(child, functions + (child.name,) if is_function else functions)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), ())
     return found
 
 
@@ -392,7 +400,9 @@ def test_reader_call_check_flags_what_it_should():
         "def decode_utf8(data):\n"
         "    return data.decode('utf-8')\n"
         "def json_text(value):\n"
-        "    return json.dumps(value, sort_keys=True, indent=2) + '\\n'\n"
+        "    def render(item):\n"
+        "        return encode_basestring(item)\n"
+        "    return json.dumps(value, sort_keys=True, indent=2) + render(value)\n"
         "def other(path, data, ids, x):\n"
         "    json.load(open(path))\n"
         "    data.decode()\n"
@@ -402,28 +412,35 @@ def test_reader_call_check_flags_what_it_should():
         "    vocab.decode(ids)\n"
         "    json.dumps(x, indent=2)\n"
         "    json.dumps(x, sort_keys=True, separators=(',', ':'))\n"
+        "    encode_basestring(x)\n"
+        "    json.encoder.encode_basestring(x)\n"
         "    def parse_json(text):\n"
         "        return json.loads(text)\n"
     )
     assert reader_calls(source, "corpus.py") == [
         "line 2: from json import loads",
-        "line 10: json.load(open(path))",
-        "line 11: data.decode()",
-        "line 12: data.decode('UTF8')",
-        "line 13: path.read_text(encoding='utf-8')",
-        "line 16: json.dumps(x, indent=2)",
+        "line 12: json.load(open(path))",
+        "line 13: data.decode()",
+        "line 14: data.decode('UTF8')",
+        "line 15: path.read_text(encoding='utf-8')",
+        "line 18: json.dumps(x, indent=2)",
+        "line 20: encode_basestring(x)",
+        "line 21: json.encoder.encode_basestring(x)",
     ]
     assert reader_calls(source, "cli.py") == [
         "line 2: from json import loads",
         "line 4: json.loads(text)",
         "line 6: data.decode('utf-8')",
-        "line 8: json.dumps(value, sort_keys=True, indent=2)",
-        "line 10: json.load(open(path))",
-        "line 11: data.decode()",
-        "line 12: data.decode('UTF8')",
-        "line 13: path.read_text(encoding='utf-8')",
-        "line 16: json.dumps(x, indent=2)",
-        "line 19: json.loads(text)",
+        "line 9: encode_basestring(item)",
+        "line 10: json.dumps(value, sort_keys=True, indent=2)",
+        "line 12: json.load(open(path))",
+        "line 13: data.decode()",
+        "line 14: data.decode('UTF8')",
+        "line 15: path.read_text(encoding='utf-8')",
+        "line 18: json.dumps(x, indent=2)",
+        "line 20: encode_basestring(x)",
+        "line 21: json.encoder.encode_basestring(x)",
+        "line 23: json.loads(text)",
     ]
 
 

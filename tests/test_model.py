@@ -14,7 +14,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -66,6 +65,7 @@ from chartsum.tinylsg.vocab import (
     Vocab,
     build_vocab,
 )
+from peakmem import traced_peak
 from test_masks import CRITERION_3_GRID
 
 
@@ -725,12 +725,7 @@ def test_loss_and_grads_peak_memory(n_src, n_tgt):
     tgt = [int(t) for t in rng.integers(len(RESERVED_TOKENS), vocab.size, n_tgt)]
     grads = zero_grads(model.params)
     loss_and_grads(model, src, tgt, LsgConfig(), grads)
-    tracemalloc.start()
-    try:
-        loss_and_grads(model, src, tgt, LsgConfig(), grads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(loss_and_grads, model, src, tgt, LsgConfig(), grads)
     bound = STEP_PEAK_BOUNDS[n_src, n_tgt]
     assert peak < bound, f"peak {peak:,} B at {n_src}/{n_tgt} is not below the bound {bound:,} B"
 
