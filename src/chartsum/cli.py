@@ -143,6 +143,17 @@ def _parse_columns(spec: str) -> dict[str, str]:
     return columns
 
 
+def _parse_seed(text: str) -> int:
+    """A --seed value: an integer >= 0, the seeds numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--columns", type=_parse_columns, default=None,
                    help="remap corpus columns, e.g. id=encounter_id,dialogue=src,note=tgt")
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train a single dialogue-to-note model")
     p.add_argument("--train", required=True, help="training corpus file")
     p.add_argument("--checkpoint", required=True, help="where to write the trained model")
-    p.add_argument("--seed", type=int, required=True, help="random seed (required)")
+    p.add_argument("--seed", type=_parse_seed, required=True, help="random seed (required)")
     _add_corpus_flags(p)
     _add_model_flags(p)
     _add_mask_flags(p)
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summarizer filling each model slot")
     p.add_argument("--stage2-backend", default=_DEFAULT.kind, choices=BACKEND_KINDS,
                    help="second-stage backend for multi-layer runs")
-    p.add_argument("--seed", type=int, required=True, help="random seed (required)")
+    p.add_argument("--seed", type=_parse_seed, required=True, help="random seed (required)")
     p.add_argument("--extract-k", type=int, default=_DEFAULT.extract_k,
                    help="sentences kept by the extractive backend")
     p.add_argument("--out-dir", default=None,
@@ -441,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", formatter_class=fmt,
                        help="render comparison tables from saved run reports")
-    p.add_argument("--in", dest="infiles", nargs="+", required=True,
+    p.add_argument("--in", dest="infiles", nargs="+", action="extend", required=True,
                    help="run reports: report.json or `--format json` output")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",
                    help="report rendering")

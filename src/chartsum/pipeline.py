@@ -251,6 +251,8 @@ class ApproachConfig:
             raise ValueError("multi-layer runs need a stage2 backend")
         if self.approach != "multi-layer" and self.stage2 is not None:
             raise ValueError(f"only multi-layer runs take a stage2 backend, not {self.approach!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_hash(cfg) -> str:

@@ -6,9 +6,11 @@ is num_global + i * sparsity_stride; stride 0 disables) and global (the query
 or the key is one of the first `num_global` positions). `lsg_layout` lays it
 out block by block for the block-sparse kernel.
 
-Both masks allow (q, k) by a rule on q and k alone, so the bias the model reads
-over n tokens is the top-left n x n corner of one read-only table per mask (per
-`LsgConfig` for `lsg_mask`), not one bias per length; see `_grown_table`.
+The model reads every mask as a boolean "masked" array, True where a score is
+set to -inf, never as a float64 0/-inf bias. Both masks allow (q, k) by a rule
+on q and k alone, so the masked array over n tokens is the top-left n x n
+corner of one read-only table per mask (per `LsgConfig` for `lsg_mask`), not
+one array per length; see `_grown_table`.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ def mask_density(mask: np.ndarray) -> float:
     return float(np.asarray(mask, dtype=bool).mean())
 
 
-def mask_to_bias(mask: np.ndarray) -> np.ndarray:
-    """Additive attention bias: 0 where allowed, -inf where disallowed."""
-    return np.where(np.asarray(mask, dtype=bool), 0.0, -np.inf)
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -65,24 +62,24 @@ def _grown_table(tables: dict, key, size: int, build: Callable) -> np.ndarray:
     return table
 
 
-def _bias_table(size: int, cfg: LsgConfig | None) -> np.ndarray:
-    """Additive bias of the causal mask (cfg None) or of `lsg_mask(size, cfg)`."""
-    return mask_to_bias(np.tri(size, dtype=bool) if cfg is None else lsg_mask(size, cfg))
+def _masked_table(size: int, cfg: LsgConfig | None) -> np.ndarray:
+    """The pairs the causal mask (cfg None) or `lsg_mask(size, cfg)` disallows."""
+    return ~(np.tri(size, dtype=bool) if cfg is None else lsg_mask(size, cfg))
 
 
-# Bias tables of the causal mask (key None) and of `lsg_mask` (keyed by its LsgConfig).
-_BIAS_TABLES: dict[LsgConfig | None, np.ndarray] = {}
+# Masked tables of the causal mask (key None) and of `lsg_mask` (keyed by its LsgConfig).
+_MASKED_TABLES: dict[LsgConfig | None, np.ndarray] = {}
 
 
-def _bias_corner(seq_len: int, cfg: LsgConfig | None) -> np.ndarray:
-    """Read-only top-left seq_len x seq_len corner of the causal (cfg None) or LSG bias table."""
+def _masked_corner(seq_len: int, cfg: LsgConfig | None) -> np.ndarray:
+    """Read-only top-left seq_len x seq_len corner of the causal (cfg None) or LSG masked table."""
     _check_seq_len(seq_len)
-    return _grown_table(_BIAS_TABLES, cfg, seq_len, _bias_table)[:seq_len, :seq_len]
+    return _grown_table(_MASKED_TABLES, cfg, seq_len, _masked_table)[:seq_len, :seq_len]
 
 
-def causal_bias(seq_len: int) -> np.ndarray:
-    """Causal additive bias: 0 where key <= query, else -inf; a read-only corner of one table."""
-    return _bias_corner(seq_len, None)
+def causal_masked(seq_len: int) -> np.ndarray:
+    """Causal mask as a bool, True where key > query; a read-only corner of one table."""
+    return _masked_corner(seq_len, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +92,12 @@ class LsgLayout:
     the global prefix and every stride-th key. `masked` (n_blocks, 1, window +
     len(extra)) is a bool per block and key slot, True where the slot's score is
     set to -inf: local slots outside 0..n-1 and every extra key inside the
-    block's own window, so no key is counted twice. It is a bool, not a float64
-    0/-inf bias, since `lsg_layout` keeps one layout per cached length. The first
-    `num_global` query rows attend to all n keys.
+    block's own window, so no key is counted twice. The first `num_global`
+    query rows attend to all n keys.
 
     `blocked` is the size rule: the blocked kernel runs only when it computes
-    at most half of the n * n dense scores. Otherwise attention is dense with
-    `dense_bias`, the bias of `lsg_mask(n, cfg)` (None when `blocked`).
+    at most half of the n * n dense scores. Otherwise attention is dense,
+    masked by `dense_masked`, `~lsg_mask(n, cfg)` (None when `blocked`).
     """
 
     n: int
@@ -119,10 +115,10 @@ class LsgLayout:
         return self.cfg.local_radius
 
     @property
-    def dense_bias(self) -> np.ndarray | None:
+    def dense_masked(self) -> np.ndarray | None:
         """A read-only corner of the config's shared table, sliced per call so that a
         cached layout never keeps an outgrown table alive."""
-        return None if self.blocked else _bias_corner(self.n, self.cfg)
+        return None if self.blocked else _masked_corner(self.n, self.cfg)
 
     @property
     def n_blocks(self) -> int:

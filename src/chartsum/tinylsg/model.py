@@ -17,9 +17,10 @@ alone: the forward computes the GELU in place, and the backward rebuilds its
 tanh term with the forward's own expression. An attention cache keeps the
 projected heads, the attention weights and the merged heads; the blocked
 kernel's cache keeps the padded keys and values, from which its backward
-gathers the extra (global and strided) keys again, and it applies the layout's
-boolean mask rather than adding a bias. A backward pass computes the score
-gradient in place and frees the weights once used.
+gathers the extra (global and strided) keys again. Every kernel masks a score
+by setting it to -inf where a boolean mask is True, never by adding a float64
+bias. A backward pass computes the score gradient in place and frees the
+weights once used.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..config import LsgConfig, ModelConfig
 from ..errors import ChartsumError
-from .masks import LsgLayout, _grown_table, causal_bias, lsg_layout
+from .masks import LsgLayout, _grown_table, causal_masked, lsg_layout
 from .vocab import BOS_ID, EOS_ID, GLOBAL_ID, UNK_ID, Vocab
 
 _LN_EPS = 1e-5
@@ -148,26 +149,27 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _attend(params, prefix: str, x_q, kh, vh, bias, n_heads: int):
+def _attend(params, prefix: str, x_q, kh, vh, masked, n_heads: int):
     """Attention of x_q's queries over keys/values already split into heads.
 
-    `bias` is an additive (n_q, n_kv) mask, or None for unmasked attention.
-    The cache holds neither input: the backward pass is handed them again.
+    `masked` is an (n_q, n_kv) bool, True where a score is set to -inf, or None
+    for unmasked attention. The cache holds neither input: the backward pass is
+    handed them again.
     """
     qh = _split_heads(x_q @ params[f"{prefix}.wq"], n_heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = qh @ kh.transpose(0, 2, 1) * scale
-    if bias is not None:
-        scores += bias[None, :, :]
+    if masked is not None:
+        np.copyto(scores, -np.inf, where=masked)
     probs = _softmax_rows(scores)
     merged = _merge_heads(probs @ vh)
     return merged @ params[f"{prefix}.wo"], [qh, kh, vh, probs, merged, scale]
 
 
-def _mha_forward(params, prefix: str, x_q, x_kv, bias, n_heads: int):
+def _mha_forward(params, prefix: str, x_q, x_kv, masked, n_heads: int):
     kh = _split_heads(x_kv @ params[f"{prefix}.wk"], n_heads)
     vh = _split_heads(x_kv @ params[f"{prefix}.wv"], n_heads)
-    return _attend(params, prefix, x_q, kh, vh, bias, n_heads)
+    return _attend(params, prefix, x_q, kh, vh, masked, n_heads)
 
 
 def _softmax_backward(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -238,8 +240,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lsg_attention_forward(params, prefix: str, x, layout: LsgLayout, n_heads: int):
     """Block-sparse self-attention of x under `layout`.
 
-    Equal, up to rounding, to `_mha_forward(params, prefix, x, x, bias, n_heads)`
-    with the bias of `lsg_mask`. Each query block scores its window of local
+    Equal, up to rounding, to `_mha_forward(params, prefix, x, x, masked, n_heads)`
+    with `masked = ~lsg_mask(n, cfg)`. Each query block scores its window of local
     keys and the shared extra keys; the global query rows attend densely.
     """
     n, g, w = layout.n, layout.num_global, layout.window
@@ -439,7 +441,7 @@ def _encode(params, src: Sequence[int], cfg: ModelConfig, lsg: LsgConfig):
             )
         else:
             attn_out, attn = _mha_forward(
-                params, f"{p}.attn", normed1, normed1, layout.dense_bias, cfg.n_heads
+                params, f"{p}.attn", normed1, normed1, layout.dense_masked, cfg.n_heads
             )
         x = x + attn_out
         normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
@@ -506,7 +508,7 @@ def _decode(params, state: DecodeState, tokens: Sequence[int], cfg: ModelConfig)
     h, start = cfg.n_heads, state.length
     x, ids = _embed(params, tokens, start)
     # A lone new position sees every cached key, so it needs no mask.
-    self_bias = None if len(ids) == 1 else causal_bias(start + len(ids))[start:]
+    self_masked = None if len(ids) == 1 else causal_masked(start + len(ids))[start:]
     layers = []
     for i, (cross_k, cross_v) in enumerate(state.cross):
         p = f"dec.{i}"
@@ -518,7 +520,7 @@ def _decode(params, state: DecodeState, tokens: Sequence[int], cfg: ModelConfig)
             self_k = np.concatenate([cached_k, self_k], axis=1)
             self_v = np.concatenate([cached_v, self_v], axis=1)
         state.self_kv[i] = (self_k, self_v)
-        self_out, self_attn = _attend(params, f"{p}.self", normed1, self_k, self_v, self_bias, h)
+        self_out, self_attn = _attend(params, f"{p}.self", normed1, self_k, self_v, self_masked, h)
         x = x + self_out
         normed2, ln2 = _ln_forward(params, f"{p}.ln2", x)
         cross_out, cross_attn = _attend(params, f"{p}.cross", normed2, cross_k, cross_v, None, h)

@@ -96,11 +96,14 @@ def train(
     lsg: LsgConfig,
     log: Callable[[str], None] | None = None,
 ) -> tuple[TinyModel, list[float]]:
-    """Teacher-forced cross-entropy training; returns (updated model, per-epoch mean loss).
+    """Teacher-forced cross-entropy training in place; returns (model, per-epoch mean loss).
 
-    The input model is left untouched; sources longer than the input cap are
+    `model.params` is rebound to views of one flat buffer before the first step,
+    so the initial arrays are freed unless the caller holds them, and `model`
+    itself is returned, trained. Sources longer than the input cap are
     truncated rather than rejected. An overflow or invalid value anywhere in a
-    step, or a non-finite batch loss, raises NonFiniteLoss.
+    step, or a non-finite batch loss, raises NonFiniteLoss; the model's weights
+    are then unspecified.
     """
     if not pairs:
         raise EmptyTrainingSet("no (source, target) pairs to train on")
@@ -108,12 +111,13 @@ def train(
     # Parameters, gradients and both Adam moments are one flat float64 buffer
     # each; the parameter and gradient dicts hold reshaped views into theirs.
     # A step then costs one fill and a fixed number of ufuncs per chunk of
-    # `_ADAM_CHUNK` elements, whatever the number of parameter arrays.
+    # `_ADAM_CHUNK` elements, whatever the number of parameter arrays. The
+    # parameters are rebound before the other buffers are allocated, so at
+    # most four parameter-sized buffers are alive at once.
     flat = np.concatenate([value.ravel() for value in model.params.values()], dtype=np.float64)
+    model.params.update(_views(flat, model.params))
     flat_grads, m_state, v_state = (np.zeros_like(flat) for _ in range(3))
-    params = _views(flat, model.params)
     grads = _views(flat_grads, model.params)
-    working = TinyModel(config=model.config, vocab=model.vocab, params=params)
     order = list(range(len(examples)))
     rng = random.Random(tc.seed)
     n_batches = math.ceil(len(examples) / tc.batch_size)
@@ -133,7 +137,7 @@ def train(
                     batch_tokens = 0
                     for idx in batch:
                         src, tgt = examples[idx]
-                        loss_sum, n_tokens, _ = loss_and_grads(working, src, tgt, lsg, grads)
+                        loss_sum, n_tokens, _ = loss_and_grads(model, src, tgt, lsg, grads)
                         batch_loss += loss_sum
                         batch_tokens += n_tokens
                     if not math.isfinite(batch_loss):
@@ -148,7 +152,7 @@ def train(
                     log(f"epoch {epoch + 1}/{tc.epochs}: loss {history[-1]:.6f}")
     except FloatingPointError as exc:
         raise NonFiniteLoss(len(history) + 1, str(exc)) from exc
-    return working, history
+    return model, history
 
 
 def generate(model: TinyModel, src: Sequence[int], max_len: int, lsg: LsgConfig) -> list[int]:

@@ -169,6 +169,34 @@ def test_train_checks_settings_before_reading_the_corpus(flags, message, capsys)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Commands that take --seed, with inputs that do not exist. Only tiny-lsg
+# hands the seed to numpy, and stage 2 of a multi-layer run trains with the
+# seed plus 10, yet every one rejects a seed below 0 before reading a file.
+SEED_COMMANDS = {
+    "train": ["train", "--train", "missing-train.csv", "--checkpoint", "never-written.json"],
+    **{
+        name: ["run", "--train", "missing-train.csv", "--eval", "missing-eval.csv",
+               "--out-dir", "never-made", *flags]
+        for name, flags in {
+            "run-tiny-lsg": ["--approach", "single", "--backend", "tiny-lsg"],
+            "run-extractive": ["--approach", "single", "--backend", "extractive"],
+            "run-multi-layer": ["--approach", "multi-layer", "--backend", "extractive",
+                                "--stage2-backend", "tiny-lsg"],
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5", "-40"])
+@pytest.mark.parametrize("command", SEED_COMMANDS.values(), ids=SEED_COMMANDS)
+def test_negative_seed_fails_at_parse_time(command, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --seed: must be >= 0, got {seed}\n" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Help text documents defaults
 # ---------------------------------------------------------------------------
@@ -926,6 +954,34 @@ def test_report_rerenders_saved_runs(tmp_path, corpus_csv, eval_csv, capsys):
     assert len(rows) == 3
     assert rows[1].startswith("single,")
     assert rows[2].startswith("section-wise,")
+
+
+def test_report_accumulates_repeated_in_flags(tmp_path, corpus_csv, eval_csv, capsys):
+    paths = []
+    for approach in ("single", "section-wise", "multi-layer"):
+        out_dir = tmp_path / approach
+        assert main([
+            "run", "--approach", approach, "--train", corpus_csv, "--eval", eval_csv,
+            "--backend", "oracle", "--stage2-backend", "identity", "--seed", "0",
+            "--out-dir", str(out_dir),
+        ]) == 0
+        paths.append(str(out_dir / "report.json"))
+    capsys.readouterr()
+    assert main(["report", "--in", paths[0], "--in", paths[1], paths[2], "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["single", "section-wise", "multi-layer"]
+
+
+def test_report_reads_a_saved_negative_seed(tmp_path, corpus_csv, eval_csv, capsys):
+    """Older runs could record a seed below 0; their reports still render."""
+    out_dir = tmp_path / "run"
+    assert main(["run", "--approach", "single", "--train", corpus_csv, "--eval", eval_csv,
+                 "--backend", "oracle", "--seed", "3", "--out-dir", str(out_dir)]) == 0
+    path = out_dir / "report.json"
+    path.write_text(path.read_text().replace('"seed": 3', '"seed": -3'))
+    capsys.readouterr()
+    assert main(["report", "--in", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["seed"] == -3
 
 
 def test_run_writes_a_non_ascii_id_as_utf8_in_every_json_output(tmp_path, corpus_csv, capsys):

@@ -1,8 +1,9 @@
 """Import hygiene of the package.
 
 Every name a package module imports is read in that module or listed in its
-`__all__`, and every module-level private name is read somewhere in the
-package. numpy and `chartsum.tinylsg` load only for commands that train or
+`__all__`, every module-level private name is read somewhere in the
+package, and every module-level public function and class is named in the
+package, perfbench or README.md outside its own definition. numpy and `chartsum.tinylsg` load only for commands that train or
 decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
 Input files are decoded and parsed as JSON in one place each, and indented
 JSON output is rendered in one place. Every `from chartsum... import` that
@@ -28,6 +29,8 @@ from chartsum.corpus import save_corpus
 from synthdata import synth_corpus, synth_note
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chartsum"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -146,6 +149,76 @@ def test_dead_private_name_check_flags_what_it_should():
     assert dead_private_names(sources) == [
         "a.py: _Dead (line 9)", "a.py: _UNUSED (line 2)", "a.py: _recursive (line 3)",
         "b.py: _ALSO (line 3)",
+    ]
+
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def unnamed_public_names(package: dict[str, str], elsewhere: str) -> list[str]:
+    """Module-level public functions and classes of `package` that nothing else names.
+
+    A name is named when it is a word of `elsewhere`, or of any module of
+    `package` outside the lines of its own definition. What only tests name,
+    such as a reference oracle, is reported: it belongs in tests/.
+    """
+    named_elsewhere = set(_WORD.findall(elsewhere))
+    words = {module: [set(_WORD.findall(line)) for line in source.splitlines()]
+             for module, source in package.items()}
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or (
+                    node.name.startswith("_") or node.name in named_elsewhere):
+                continue
+            outside = (line for where, lines in words.items()
+                       for at, line in enumerate(lines, 1)
+                       if where != module or not node.lineno <= at <= node.end_lineno)
+            if not any(node.name in line for line in outside):
+                found.append(f"{module}: {node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_every_public_name_is_named_outside_its_definition():
+    package = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    elsewhere = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.rglob("*.py"))]
+    elsewhere.append(README.read_text(encoding="utf-8"))
+    assert unnamed_public_names(package, "\n".join(elsewhere)) == []
+
+
+def test_unnamed_public_name_check_flags_what_it_should():
+    package = {
+        "masks.py": (
+            "def lsg_mask(n):\n"
+            "    return n\n"
+            "def mask_to_bias(mask):\n"
+            "    '''The additive form of a mask, as `mask_to_bias` names it.'''\n"
+            "    return mask_to_bias(mask)\n"
+            "def _private():\n"
+            "    def nested():\n"
+            "        pass\n"
+            "class Layout:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "class Dead:\n"
+            "    pass\n"
+            "x = Layout()\n"
+        ),
+        "model.py": (
+            "from .masks import lsg_mask\n"
+            "def traced():\n"
+            "    pass\n"
+            "def documented():\n"
+            "    pass\n"
+            "async def served():\n"
+            "    pass\n"
+        ),
+    }
+    elsewhere = "TRACED = ('traced',)\nSee `documented`.\n"
+    assert unnamed_public_names(package, elsewhere) == [
+        "masks.py: Dead (line 12)", "masks.py: mask_to_bias (line 3)",
+        "model.py: served (line 6)",
     ]
 
 
@@ -447,8 +520,6 @@ def test_reader_call_check_flags_what_it_should():
 # ---------------------------------------------------------------------------
 # every import README.md shows works
 # ---------------------------------------------------------------------------
-
-README = PACKAGE.parents[1] / "README.md"
 
 
 def readme_imports(markdown: str) -> list[str]:

@@ -1,4 +1,8 @@
-"""Attention-mask tests against independently coded loop references."""
+"""Attention-mask tests against independently coded loop references.
+
+`mask_to_bias` is the additive form of a mask, which the reference
+`attention` of `test_model.py` adds to its scores.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +13,10 @@ import pytest
 
 from chartsum.tinylsg.masks import (
     LsgConfig,
-    causal_bias,
+    causal_masked,
     lsg_layout,
     lsg_mask,
     mask_density,
-    mask_to_bias,
 )
 
 # The configurations of acceptance criterion 3: seq_len 1-32 x block x stride x global.
@@ -64,6 +67,11 @@ def ref_causal(seq_len):
     return m
 
 
+def mask_to_bias(mask):
+    """Additive attention bias: 0 where allowed, -inf where disallowed."""
+    return np.where(np.asarray(mask, dtype=bool), 0.0, -np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -94,7 +102,7 @@ def test_masks_reject_nonpositive_seq_len():
         with pytest.raises(ValueError):
             lsg_mask(seq_len, LsgConfig())
         with pytest.raises(ValueError):
-            causal_bias(seq_len)
+            causal_masked(seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +220,11 @@ def test_two_hop_reachability_with_global_token():
 
 
 def test_causal_mask():
-    bias = causal_bias(4)
+    masked = causal_masked(4)
+    assert masked.dtype == bool
     for q in range(4):
         for k in range(4):
-            assert (bias[q, k] == 0.0) == (k <= q)
-            assert (bias[q, k] == -np.inf) == (k > q)
+            assert masked[q, k] == (k > q)
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +256,43 @@ def shuffled_lengths(seed, top=300):
     return lengths
 
 
-def test_causal_bias_is_a_read_only_corner_of_one_table():
+def test_causal_masked_is_a_read_only_corner_of_one_table():
     lengths = shuffled_lengths(0)
     # The reference allows (q, k) by a rule on q and k alone, so its corners are
     # the references of the shorter lengths.
-    want = mask_to_bias(ref_causal(max(lengths)))
+    want = ~ref_causal(max(lengths))
     for n in lengths:
-        bias = causal_bias(n)
-        assert np.array_equal(bias, want[:n, :n]), n
+        masked = causal_masked(n)
+        assert masked.dtype == bool
+        assert np.array_equal(masked, want[:n, :n]), n
         with pytest.raises(ValueError):
-            bias[0, 0] = 1.0
+            masked[0, 0] = True
     # Once the table has grown past every length, all results slice that one table.
-    table = causal_bias(max(lengths)).base
-    assert table is not None and all(causal_bias(n).base is table for n in lengths)
+    table = causal_masked(max(lengths)).base
+    assert table is not None and all(causal_masked(n).base is table for n in lengths)
     with pytest.raises(ValueError):
-        causal_bias(0)
+        causal_masked(0)
 
 
 @pytest.mark.parametrize("cfg", [LsgConfig(), LsgConfig(block_size=64, sparsity_stride=8)],
                          ids=["default", "wide-blocks"])
-def test_dense_bias_is_a_read_only_corner_of_one_table_per_config(cfg):
+def test_dense_masked_is_a_read_only_corner_of_one_table_per_config(cfg):
     lengths = shuffled_lengths(1)
     dense = [n for n in lengths if not lsg_layout(n, cfg).blocked]
     assert len(dense) > 100
     for n in lengths:
-        bias = lsg_layout(n, cfg).dense_bias
+        masked = lsg_layout(n, cfg).dense_masked
         if n not in dense:
-            assert bias is None
+            assert masked is None
             continue
-        assert np.array_equal(bias, mask_to_bias(lsg_mask(n, cfg))), n
+        assert masked.dtype == bool
+        assert np.array_equal(masked, ~lsg_mask(n, cfg)), n
         with pytest.raises(ValueError):
-            bias[0, 0] = 1.0
-    table = lsg_layout(max(dense), cfg).dense_bias.base
+            masked[0, 0] = True
+    table = lsg_layout(max(dense), cfg).dense_masked.base
     assert table is not None
-    assert all(lsg_layout(n, cfg).dense_bias.base is table for n in dense)
-    assert table is not causal_bias(1).base
+    assert all(lsg_layout(n, cfg).dense_masked.base is table for n in dense)
+    assert table is not causal_masked(1).base
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +334,9 @@ def test_lsg_layout_reproduces_lsg_mask(radius):
 def test_lsg_layout_is_cached_and_read_only():
     small, large = lsg_layout(40, LsgConfig()), lsg_layout(400, LsgConfig())
     assert lsg_layout(40, LsgConfig()) is small
-    assert not small.blocked and large.blocked and large.dense_bias is None
-    assert np.array_equal(small.dense_bias, mask_to_bias(lsg_mask(40, LsgConfig())))
-    for array in (small.dense_bias, large.masked, large.extra):
+    assert not small.blocked and large.blocked and large.dense_masked is None
+    assert np.array_equal(small.dense_masked, ~lsg_mask(40, LsgConfig()))
+    for array in (small.dense_masked, large.masked, large.extra):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
 

@@ -29,7 +29,7 @@ from chartsum.tinylsg.checkpoint import (
     save_model,
 )
 from chartsum.tinylsg import model as model_mod
-from chartsum.tinylsg.masks import LsgConfig, lsg_layout, lsg_mask, mask_to_bias
+from chartsum.tinylsg.masks import LsgConfig, lsg_layout, lsg_mask
 from chartsum.tinylsg.model import (
     ModelConfig,
     SequenceTooLong,
@@ -66,7 +66,7 @@ from chartsum.tinylsg.vocab import (
     build_vocab,
 )
 from peakmem import traced_peak
-from test_masks import CRITERION_3_GRID
+from test_masks import CRITERION_3_GRID, mask_to_bias
 
 
 class DimensionMismatch(ChartsumError):
@@ -312,7 +312,7 @@ def test_multi_head_attend_is_per_head_reference_attention(n_heads, masked):
     k, v = x_kv @ params["a.wk"], x_kv @ params["a.wv"]
     mask = lsg_mask(n_kv, LsgConfig(block_size=2, num_global=1))[:n_q] if masked else None
     got, _ = _attend(params, "a", x_q, _split_heads(k, n_heads), _split_heads(v, n_heads),
-                     None if mask is None else mask_to_bias(mask), n_heads)
+                     None if mask is None else ~mask, n_heads)
     q, dh = x_q @ params["a.wq"], d // n_heads
     full = np.ones((n_q, n_kv), dtype=bool) if mask is None else mask
     cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
@@ -325,7 +325,8 @@ def test_attend_without_bias_equals_zero_bias():
     params = {f"a.{w}": rng.normal(size=(4, 4)) for w in ("wq", "wk", "wv", "wo")}
     x_q, kh, vh = rng.normal(size=(3, 4)), rng.normal(size=(2, 6, 2)), rng.normal(size=(2, 6, 2))
     plain, _ = _attend(params, "a", x_q, kh, vh, None, 2)
-    zero, _ = _attend(params, "a", x_q, kh, vh, np.zeros((3, 6)), 2)
+    # A mask that blocks nothing is the additive mask of zeros.
+    zero, _ = _attend(params, "a", x_q, kh, vh, np.zeros((3, 6), dtype=bool), 2)
     assert np.array_equal(plain, zero)
 
 
@@ -609,7 +610,7 @@ def test_masked_and_full_forward_agree_on_short_inputs():
 # ---------------------------------------------------------------------------
 
 def blocked_vs_dense(n, cfg, d, n_heads, seed):
-    """Max |difference| between the blocked kernel and dense attention with the lsg_mask bias.
+    """Max |difference| between the blocked kernel and dense attention masked by ~lsg_mask.
 
     Compares the output, the gradient with respect to the input and every
     weight gradient. Weights have std 1/sqrt(d), so activations stay O(1).
@@ -617,8 +618,7 @@ def blocked_vs_dense(n, cfg, d, n_heads, seed):
     rng = np.random.default_rng(seed)
     params = {f"a.{w}": rng.normal(scale=d**-0.5, size=(d, d)) for w in ("wq", "wk", "wv", "wo")}
     x, d_out = rng.normal(size=(n, d)), rng.normal(size=(n, d))
-    bias = mask_to_bias(lsg_mask(n, cfg))
-    want, dense_cache = _mha_forward(params, "a", x, x, bias, n_heads)
+    want, dense_cache = _mha_forward(params, "a", x, x, ~lsg_mask(n, cfg), n_heads)
     got, cache = _lsg_attention_forward(params, "a", x, lsg_layout(n, cfg), n_heads)
     want_grads, got_grads = zero_grads(params), zero_grads(params)
     want_dx = sum(_mha_backward(params, "a", x, x, dense_cache, d_out, want_grads))
@@ -715,7 +715,7 @@ STEP_PEAK_BOUNDS = {(512, 125): 15_500_000, (75, 6): 1_520_000}
 def test_loss_and_grads_peak_memory(n_src, n_tgt):
     """What one training example keeps alive stays bounded (counts bytes, not time).
 
-    A warm-up call first fills the shared tables (bias tables, positional
+    A warm-up call first fills the shared tables (mask tables, positional
     encodings, cached layouts), so the traced call allocates only its own work.
     """
     vocab = Vocab(RESERVED_TOKENS + tuple(f"w{i}" for i in range(400)))

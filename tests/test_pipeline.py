@@ -254,6 +254,8 @@ def test_approach_config_validation():
         ApproachConfig(approach="bogus", backend=ORACLE)
     with pytest.raises(ValueError):
         ApproachConfig(approach="multi-layer", backend=ORACLE)  # stage2 required
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        ApproachConfig(approach="single", backend=ORACLE, seed=-1)
 
 
 @pytest.mark.parametrize("approach", ["single", "section-wise"])
