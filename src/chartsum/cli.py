@@ -11,7 +11,6 @@ import argparse
 import errno
 import functools
 import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -38,6 +37,7 @@ from .pipeline import (
     BackendSpec,
     MissingReference,
     TinyLsgSummarizer,
+    config_hash,
     evaluate,
     load_run_reports,
     pair_references,
@@ -296,9 +296,7 @@ def _cmd_predict(args) -> int:
     predictions = PredictionSet(
         approach="single",
         entries=entries,
-        config_hash=hashlib.sha256(
-            json.dumps(predict_config, sort_keys=True).encode()
-        ).hexdigest(),
+        config_hash=config_hash(predict_config),
         seed=0,
     )
     _write_output(predictions_text(predictions), args.out)

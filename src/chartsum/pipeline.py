@@ -256,8 +256,9 @@ class ApproachConfig:
 
 
 def config_hash(cfg) -> str:
-    """SHA-256 of the canonical JSON form of a config dataclass."""
-    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the canonical JSON form of a config: a dataclass, or a dict of JSON values."""
+    fields = cfg if isinstance(cfg, dict) else asdict(cfg)
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -6,7 +6,6 @@ from .vocab import (
     BOS_ID,
     EOS_ID,
     GLOBAL_ID,
-    PAD_ID,
     RESERVED_TOKENS,
     UNK_ID,
     EmptyCorpus,
@@ -31,7 +30,6 @@ __all__ = [
     "BOS_ID",
     "EOS_ID",
     "GLOBAL_ID",
-    "PAD_ID",
     "UNK_ID",
     "RESERVED_TOKENS",
     "EmptyCorpus",

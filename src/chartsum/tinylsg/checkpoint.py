@@ -1,7 +1,9 @@
-"""Versioned JSON checkpoints with bit-exact float64 parameter round trips.
+"""Versioned JSON checkpoints with bit-exact float64 weight round trips.
 
-Besides the model, a checkpoint records the encoder attention pattern (`lsg`)
-and the decode cap it was trained with: everything inference needs.
+Besides the model's config and vocabulary, a checkpoint records the encoder
+attention pattern (`lsg`) and the decode cap it was trained with: everything
+inference needs. The weights are one field, `weights`: `TinyModel.flat` as
+little-endian float64, base64-encoded; the config and vocabulary fix its layout.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 from ..config import LsgConfig, ModelConfig
 from ..corpus import MalformedFile, read_json, typed
 from ..errors import ChartsumError
-from .model import TinyModel, _param_shapes
+from .model import TinyModel
 from .vocab import Vocab
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class MalformedCheckpoint(ChartsumError):
@@ -43,13 +45,7 @@ def save_model(model: TinyModel, path: str | Path, lsg: LsgConfig, max_summary_t
         "lsg": asdict(lsg),
         "max_summary_tokens": max_summary_tokens,
         "vocab": list(model.vocab.id_to_token),
-        "params": {
-            name: {
-                "shape": list(value.shape),
-                "data": base64.b64encode(np.ascontiguousarray(value, dtype=np.float64).tobytes()).decode("ascii"),
-            }
-            for name, value in model.params.items()
-        },
+        "weights": base64.b64encode(model.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -85,7 +81,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         lsg = _integer_config(payload, "lsg", LsgConfig)
         max_summary_tokens = typed(payload, "max_summary_tokens", int)
         tokens = typed(payload, "vocab", list)
-        records = typed(payload, "params", dict)
+        weights = typed(payload, "weights", str)
     except MalformedFile as exc:
         raise MalformedCheckpoint(f"{path}: {exc}") from None
     if max_summary_tokens < 1:
@@ -95,26 +91,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not all(isinstance(token, str) for token in tokens):
         raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")
     try:
+        flat = np.frombuffer(base64.b64decode(weights, validate=True), dtype="<f8")
+    except ValueError as exc:  # binascii.Error is a ValueError
+        raise MalformedCheckpoint(f"{path}: weights are not base64 float64 values: {exc}") from None
+    try:
         vocab = Vocab(id_to_token=tuple(tokens))
-        params = {}
-        for name, record in records.items():
-            raw = base64.b64decode(record["data"])
-            shape = tuple(record["shape"])
-            params[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-    except (AttributeError, TypeError, ValueError, KeyError) as exc:
-        raise MalformedCheckpoint(f"{path}: {exc}") from exc
-    expected = _param_shapes(config, vocab.size)
-    if params.keys() != expected.keys():
-        raise MalformedCheckpoint(
-            f"{path}: missing parameters {sorted(expected.keys() - params.keys())}, "
-            f"unexpected parameters {sorted(params.keys() - expected.keys())}"
-        )
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise MalformedCheckpoint(
-                f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
-            )
-        if not np.isfinite(params[name]).all():
+        model = TinyModel(config=config, vocab=vocab, flat=flat.astype(np.float64))
+    except ValueError as exc:
+        raise MalformedCheckpoint(f"{path}: {exc}") from None
+    for name, value in model.params.items():
+        if not np.isfinite(value).all():
             raise MalformedCheckpoint(f"{path}: parameter {name!r} holds a non-finite value")
-    model = TinyModel(config=config, vocab=vocab, params=params)
     return Checkpoint(model=model, lsg=lsg, max_summary_tokens=max_summary_tokens)

@@ -26,8 +26,9 @@ weights once used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,13 +51,41 @@ class SequenceTooLong(ChartsumError):
 
 @dataclass(frozen=True)
 class TinyModel:
+    """A model's weights, held in one C-contiguous float64 buffer, `flat`.
+
+    `params` is a read-only mapping from each parameter name to a view of
+    `flat`, in `_param_shapes` order, so writing through a view writes the
+    buffer and no entry can be rebound away from it. `views` lays out any
+    buffer shaped like `flat` (gradients, optimizer moments) the same way.
+    """
+
     config: ModelConfig
     vocab: Vocab
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
+    params: Mapping[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(self.views(self.flat)))
 
     @property
     def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """`buffer`, a C-contiguous float64 vector of `num_params` values, as named views."""
+        shapes = _param_shapes(self.config, self.vocab.size)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if buffer.shape != (size,) or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
+            raise ValueError(
+                f"expected a C-contiguous float64 vector of {size} weights for this "
+                f"model_config and vocab, got a {buffer.dtype} array of shape {buffer.shape}"
+            )
+        views, offset = {}, 0
+        for name, shape in shapes.items():
+            end = offset + math.prod(shape)
+            views[name] = buffer[offset:end].reshape(shape)
+            offset = end
+        return views
 
 
 def _param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -96,15 +125,16 @@ def init_model(cfg: ModelConfig, vocab: Vocab, seed: int, init_scale: float = 0.
     floor, which matters when finite-difference checking.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(cfg, vocab.size).items():
+    size = sum(math.prod(shape) for shape in _param_shapes(cfg, vocab.size).values())
+    model = TinyModel(config=cfg, vocab=vocab, flat=np.empty(size))
+    for name, view in model.params.items():
         if name.endswith(".g"):
-            params[name] = np.ones(shape)
+            view.fill(1.0)
         elif name.endswith((".b", ".b1", ".b2")):
-            params[name] = np.zeros(shape)
+            view.fill(0.0)
         else:
-            params[name] = rng.normal(0.0, init_scale, size=shape)
-    return TinyModel(config=cfg, vocab=vocab, params=params)
+            view[...] = rng.normal(0.0, init_scale, size=view.shape)
+    return model
 
 
 def _sinusoid_table(size: int, d: int) -> np.ndarray:
@@ -562,10 +592,6 @@ def _decode_backward(params, cache, d_logits, grads):
     return d_enc
 
 
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(value) for name, value in params.items()}
-
-
 def loss_and_grads(
     model: TinyModel,
     src: Sequence[int],
@@ -588,7 +614,7 @@ def loss_and_grads(
     picked = probs[np.arange(len(tgt_out)), tgt_out]
     loss_sum = float(-np.log(np.maximum(picked, 1e-300)).sum())
     if grads is None:
-        grads = zero_grads(params)
+        grads = model.views(np.zeros_like(model.flat))
     d_logits = probs
     d_logits[np.arange(len(tgt_out)), tgt_out] -= 1.0
     d_enc = _decode_backward(params, dec_cache, d_logits, grads)

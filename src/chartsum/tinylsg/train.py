@@ -45,15 +45,6 @@ def _encode_pairs(model: TinyModel, pairs, lsg: LsgConfig) -> list[tuple[list[in
     return [(_source_ids(model, src, lsg), model.vocab.encode(tgt)) for src, tgt in pairs]
 
 
-def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Consecutive slices of `flat`, named and shaped as the arrays of `like`."""
-    views, offset = {}, 0
-    for name, value in like.items():
-        views[name] = flat[offset : offset + value.size].reshape(value.shape)
-        offset += value.size
-    return views
-
-
 def _adam_update(flat, grads, m_state, v_state, grad_scale: float, lr: float, step: int) -> None:
     """One Adam step over the flat buffers, in place, one `_ADAM_CHUNK` slice at a time.
 
@@ -98,26 +89,22 @@ def train(
 ) -> tuple[TinyModel, list[float]]:
     """Teacher-forced cross-entropy training in place; returns (model, per-epoch mean loss).
 
-    `model.params` is rebound to views of one flat buffer before the first step,
-    so the initial arrays are freed unless the caller holds them, and `model`
-    itself is returned, trained. Sources longer than the input cap are
-    truncated rather than rejected. An overflow or invalid value anywhere in a
-    step, or a non-finite batch loss, raises NonFiniteLoss; the model's weights
-    are then unspecified.
+    Adam updates `model.flat`, so every view in `model.params` sees the trained
+    weights, and `model` itself is returned. Sources longer than the input cap
+    are truncated rather than rejected. An overflow or invalid value anywhere in
+    a step, or a non-finite batch loss, raises NonFiniteLoss; the model's
+    weights are then unspecified.
     """
     if not pairs:
         raise EmptyTrainingSet("no (source, target) pairs to train on")
     examples = _encode_pairs(model, pairs, lsg)
-    # Parameters, gradients and both Adam moments are one flat float64 buffer
-    # each; the parameter and gradient dicts hold reshaped views into theirs.
-    # A step then costs one fill and a fixed number of ufuncs per chunk of
-    # `_ADAM_CHUNK` elements, whatever the number of parameter arrays. The
-    # parameters are rebound before the other buffers are allocated, so at
-    # most four parameter-sized buffers are alive at once.
-    flat = np.concatenate([value.ravel() for value in model.params.values()], dtype=np.float64)
-    model.params.update(_views(flat, model.params))
-    flat_grads, m_state, v_state = (np.zeros_like(flat) for _ in range(3))
-    grads = _views(flat_grads, model.params)
+    # Gradients and both Adam moments are buffers shaped like `model.flat`;
+    # the gradient dict holds named views into its buffer. A step then costs
+    # one fill and a fixed number of ufuncs per chunk of `_ADAM_CHUNK`
+    # elements, whatever the number of parameter arrays, and four
+    # parameter-sized buffers are alive at once.
+    flat_grads, m_state, v_state = (np.zeros_like(model.flat) for _ in range(3))
+    grads = model.views(flat_grads)
     order = list(range(len(examples)))
     rng = random.Random(tc.seed)
     n_batches = math.ceil(len(examples) / tc.batch_size)
@@ -144,7 +131,7 @@ def train(
                         raise NonFiniteLoss(epoch + 1, f"loss is {batch_loss}")
                     lr = tc.initial_lr * (1.0 - step / total_steps)
                     step += 1
-                    _adam_update(flat, flat_grads, m_state, v_state, 1.0 / batch_tokens, lr, step)
+                    _adam_update(model.flat, flat_grads, m_state, v_state, 1.0 / batch_tokens, lr, step)
                     epoch_loss += batch_loss
                     epoch_tokens += batch_tokens
                 history.append(epoch_loss / epoch_tokens)
@@ -204,34 +191,29 @@ def grad_check(
 ) -> float:
     """Max discrepancy between analytic gradients and central finite differences.
 
-    Relative error per sampled parameter, falling back to absolute error when
-    both gradients are below 1e-8 in magnitude.
+    The sampled parameters are indices of `model.flat`, each nudged in place and
+    restored. Relative error per sampled parameter, falling back to absolute
+    error when both gradients are below 1e-8 in magnitude.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if lsg is None:
         lsg = LsgConfig()
     src, tgt = list(example[0]), list(example[1])
-    loss_sum, n_tokens, grads = loss_and_grads(model, src, tgt, lsg)
-    names = sorted(model.params)
-    sizes = [model.params[name].size for name in names]
-    offsets = np.cumsum([0] + sizes)
-    total = int(offsets[-1])
+    flat, flat_grads = model.flat, np.zeros_like(model.flat)
+    _, n_tokens, _ = loss_and_grads(model, src, tgt, lsg, model.views(flat_grads))
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=min(n_params_sampled, total), replace=False)
+    chosen = rng.choice(flat.size, size=min(n_params_sampled, flat.size), replace=False)
     worst = 0.0
-    for flat in sorted(int(c) for c in chosen):
-        slot = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name, offset = names[slot], flat - int(offsets[slot])
-        flat_view = model.params[name].reshape(-1)
-        original = flat_view[offset]
-        flat_view[offset] = original + epsilon
+    for index in sorted(int(c) for c in chosen):
+        original = flat[index]
+        flat[index] = original + epsilon
         loss_plus = _mean_loss(model, src, tgt, lsg)
-        flat_view[offset] = original - epsilon
+        flat[index] = original - epsilon
         loss_minus = _mean_loss(model, src, tgt, lsg)
-        flat_view[offset] = original
+        flat[index] = original
         numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        analytic = grads[name].reshape(-1)[offset] / n_tokens
+        analytic = flat_grads[index] / n_tokens
         scale = max(abs(analytic), abs(numeric))
         err = abs(analytic - numeric) if scale < 1e-8 else abs(analytic - numeric) / scale
         worst = max(worst, err)

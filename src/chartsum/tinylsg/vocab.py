@@ -9,11 +9,11 @@ from typing import Iterable, Sequence
 from ..errors import ChartsumError
 from ..rouge import tokenize
 
-PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 UNK_ID = 3
 GLOBAL_ID = 4
+# Nothing pads, but id 0 stays "<pad>": checkpoint vocabularies start with it.
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>", "<g>")
 
 

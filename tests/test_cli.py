@@ -3,23 +3,23 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import io
 import json
 import os
 import platform
 import re
 import shlex
-import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from chartsum.cli import _backend_from_args, build_parser, main
 from chartsum.corpus import Corpus, load_corpus, load_predictions, save_corpus
-from chartsum.pipeline import TinyLsgSummarizer, run_report_from_dict, train_tiny_lsg
+from chartsum.pipeline import TinyLsgSummarizer, config_hash, run_report_from_dict, train_tiny_lsg
 from chartsum.tinylsg import LsgConfig, load_checkpoint, save_model
 from synthdata import synth_corpus
 
@@ -754,7 +754,7 @@ def _predict(ckpt, eval_csv, out, *flags):
 
 def test_train_records_mask_and_cap_in_checkpoint(trained_checkpoint):
     payload = json.loads(trained_checkpoint.read_text())
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
     assert payload["lsg"] == {"block_size": 4, "sparsity_stride": 2, "num_global": 1,
                               "max_input_tokens": 64, "local_radius": 1}
     assert payload["max_summary_tokens"] == 8
@@ -768,6 +768,20 @@ def test_predict_takes_mask_and_cap_from_checkpoint(tmp_path, trained_checkpoint
     summarizer = TinyLsgSummarizer(load_checkpoint(trained_checkpoint).model, lsg, 8)
     expected = {e.id: summarizer.summarize(e.dialogue) for e in load_corpus(eval_csv)}
     assert load_predictions(out).entries == expected
+
+
+def test_predict_hashes_its_config_by_the_rule_run_uses(tmp_path, trained_checkpoint, eval_csv):
+    out = tmp_path / "preds.json"
+    assert _predict(trained_checkpoint, eval_csv, out) == 0
+    checkpoint = load_checkpoint(trained_checkpoint)
+    predict_config = {
+        "checkpoint_sha256": hashlib.sha256(trained_checkpoint.read_bytes()).hexdigest(),
+        "lsg": asdict(checkpoint.lsg),
+        "max_summary_tokens": checkpoint.max_summary_tokens,
+    }
+    canonical = json.dumps(predict_config, sort_keys=True, separators=(",", ":"))
+    assert load_predictions(out).config_hash == config_hash(predict_config) == (
+        hashlib.sha256(canonical.encode("utf-8")).hexdigest())
 
 
 def _no_summary(*args, **kwargs):
@@ -811,7 +825,7 @@ def test_predict_version_1_checkpoint_is_a_runtime_error(
     assert _predict(trained_checkpoint, eval_csv, out) == 2
     assert capsys.readouterr().err == (
         f"error: {trained_checkpoint}: unsupported format version 1; "
-        "retrain with `chartsum train` to write version 2\n"
+        "retrain with `chartsum train` to write version 3\n"
     )
     assert not out.exists()
 
@@ -830,10 +844,9 @@ def test_predict_malformed_checkpoint_settings_is_a_runtime_error(
 def test_predict_non_finite_checkpoint_parameter_is_a_runtime_error(
         tmp_path, trained_checkpoint, eval_csv, capsys, name, value):
     payload = json.loads(trained_checkpoint.read_text())
-    record = payload["params"][name]
-    data = bytearray(base64.b64decode(record["data"]))
-    data[-8:] = struct.pack("d", float(value))
-    record["data"] = base64.b64encode(bytes(data)).decode("ascii")
+    model = load_checkpoint(trained_checkpoint).model
+    model.params[name].flat[-1] = float(value)
+    payload["weights"] = base64.b64encode(model.flat.astype("<f8").tobytes()).decode("ascii")
     trained_checkpoint.write_text(json.dumps(payload))
     out = tmp_path / "preds.json"
     capsys.readouterr()

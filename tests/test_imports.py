@@ -2,9 +2,11 @@
 
 Every name a package module imports is read in that module or listed in its
 `__all__`, every module-level private name is read somewhere in the
-package, and every module-level public function and class is named in the
-package, perfbench or README.md outside its own definition. numpy and `chartsum.tinylsg` load only for commands that train or
-decode. The functions perfbench/tracing.py wraps stay bound where it wraps them.
+package, and every module-level public function, class and constant is named
+in the package, perfbench or README.md outside its own definition and beyond
+a bare re-export. numpy and `chartsum.tinylsg` load only for commands that
+train or decode. The functions perfbench/tracing.py wraps stay bound where it
+wraps them.
 Input files are decoded and parsed as JSON in one place each, and indented
 JSON output is rendered in one place. Every `from chartsum... import` that
 README.md shows imports.
@@ -156,26 +158,35 @@ _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def unnamed_public_names(package: dict[str, str], elsewhere: str) -> list[str]:
-    """Module-level public functions and classes of `package` that nothing else names.
+    """Module-level public functions, classes and constants of `package` that nothing
+    else names.
 
     A name is named when it is a word of `elsewhere`, or of any module of
-    `package` outside the lines of its own definition. What only tests name,
-    such as a reference oracle, is reported: it belongs in tests/.
+    `package` outside the lines of its own definition. The imports and the
+    `__all__` of an `__init__.py` do not count: a bare re-export is not a use.
+    What only tests name, such as a reference oracle, is reported: it belongs
+    in tests/.
     """
     named_elsewhere = set(_WORD.findall(elsewhere))
-    words = {module: [set(_WORD.findall(line)) for line in source.splitlines()]
-             for module, source in package.items()}
-    found = []
+    words, defined = {}, []
     for module, source in package.items():
+        lines = [set(_WORD.findall(line)) for line in source.splitlines()]
         for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or (
-                    node.name.startswith("_") or node.name in named_elsewhere):
-                continue
-            outside = (line for where, lines in words.items()
-                       for at, line in enumerate(lines, 1)
-                       if where != module or not node.lineno <= at <= node.end_lineno)
-            if not any(node.name in line for line in outside):
-                found.append(f"{module}: {node.name} (line {node.lineno})")
+            names = _bound_names(node)
+            if module.endswith("__init__.py") and (
+                    isinstance(node, (ast.Import, ast.ImportFrom)) or "__all__" in names):
+                for at in range(node.lineno - 1, node.end_lineno):
+                    lines[at] = set()
+            defined.extend((module, name, node.lineno, node.end_lineno) for name in names
+                           if not name.startswith("_") and name not in named_elsewhere)
+        words[module] = lines
+    found = []
+    for module, name, first, last in defined:
+        outside = (line for where, lines in words.items()
+                   for at, line in enumerate(lines, 1)
+                   if where != module or not first <= at <= last)
+        if not any(name in line for line in outside):
+            found.append(f"{module}: {name} (line {first})")
     return sorted(found)
 
 
@@ -204,9 +215,14 @@ def test_unnamed_public_name_check_flags_what_it_should():
             "class Dead:\n"
             "    pass\n"
             "x = Layout()\n"
+            "PAD_ID = 0\n"
+            "BOS_ID: int = 1\n"
+            "RESERVED, _HIDDEN = (\n"
+            "    'RESERVED', 2)\n"
+            "__version__ = '1'\n"
         ),
         "model.py": (
-            "from .masks import lsg_mask\n"
+            "from .masks import lsg_mask, BOS_ID\n"
             "def traced():\n"
             "    pass\n"
             "def documented():\n"
@@ -214,11 +230,22 @@ def test_unnamed_public_name_check_flags_what_it_should():
             "async def served():\n"
             "    pass\n"
         ),
+        "__init__.py": (
+            "from .masks import (\n"
+            "    Layout,\n"
+            "    PAD_ID,\n"
+            ")\n"
+            "import masks\n"
+            "__all__ = [\n"
+            "    'Layout', 'PAD_ID', 'x']\n"
+            "EXPORTED = Layout\n"
+        ),
     }
-    elsewhere = "TRACED = ('traced',)\nSee `documented`.\n"
+    elsewhere = "TRACED = ('traced',)\nSee `documented` and EXPORTED.\n"
     assert unnamed_public_names(package, elsewhere) == [
-        "masks.py: Dead (line 12)", "masks.py: mask_to_bias (line 3)",
-        "model.py: served (line 6)",
+        "masks.py: Dead (line 12)", "masks.py: PAD_ID (line 15)",
+        "masks.py: RESERVED (line 17)", "masks.py: mask_to_bias (line 3)",
+        "masks.py: x (line 14)", "model.py: served (line 6)",
     ]
 
 

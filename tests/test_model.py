@@ -51,14 +51,12 @@ from chartsum.tinylsg.model import (
     init_model,
     loss_and_grads,
     positional_encoding,
-    zero_grads,
 )
 from chartsum.tinylsg.train import grad_check
 from chartsum.tinylsg.vocab import (
     BOS_ID,
     EOS_ID,
     GLOBAL_ID,
-    PAD_ID,
     RESERVED_TOKENS,
     UNK_ID,
     EmptyCorpus,
@@ -71,6 +69,11 @@ from test_masks import CRITERION_3_GRID, mask_to_bias
 
 class DimensionMismatch(ChartsumError):
     """Raised by the reference `attention` and `forward` below on malformed inputs."""
+
+
+def zero_grads(params):
+    """One zero gradient array per parameter of `params`, a dict of arrays."""
+    return {name: np.zeros_like(value) for name, value in params.items()}
 
 
 FULL_LSG = LsgConfig(block_size=64, sparsity_stride=0, num_global=0, max_input_tokens=64)
@@ -92,7 +95,8 @@ def small_model(seed=0, scale=0.3, **cfg_kwargs):
 # ---------------------------------------------------------------------------
 
 def test_reserved_token_ids_fixed():
-    assert (PAD_ID, BOS_ID, EOS_ID, UNK_ID, GLOBAL_ID) == (0, 1, 2, 3, 4)
+    assert (BOS_ID, EOS_ID, UNK_ID, GLOBAL_ID) == (1, 2, 3, 4)
+    assert RESERVED_TOKENS[0] == "<pad>"  # checkpoint vocabularies start with it
     v = build_vocab(["one two"])
     assert v.id_to_token[:5] == RESERVED_TOKENS
 
@@ -791,7 +795,7 @@ def test_checkpoint_missing_key_and_bad_shape(tmp_path):
     with pytest.raises(MalformedCheckpoint):
         load_checkpoint(p)
 
-    payload["params"]["out.b"]["shape"] = [3]  # wrong element count
+    payload["weights"] = _encoded(_weights(payload)[:-1])  # one float short
     p.write_text(_json.dumps(payload))
     with pytest.raises(MalformedCheckpoint):
         load_checkpoint(p)
@@ -806,41 +810,65 @@ def _mutated_checkpoint(tmp_path, mutate):
     return p
 
 
-def _rename(params, old, new):
-    params[new] = params.pop(old)
+def _weights(c):
+    return np.frombuffer(base64.b64decode(c["weights"]), dtype="<f8")
+
+
+def _encoded(weights):
+    return base64.b64encode(np.asarray(weights, dtype="<f8").tobytes()).decode("ascii")
+
+
+def test_checkpoint_stores_the_flat_weights_as_little_endian_base64(tmp_path):
+    model = small_model()
+    p = _mutated_checkpoint(tmp_path, lambda c: None)
+    payload = json.loads(p.read_text())
+    assert "params" not in payload
+    assert base64.b64decode(payload["weights"]) == model.flat.astype("<f8").tobytes()
+
+
+def _float_short(c):
+    c["weights"] = _encoded(_weights(c)[:-1])
+
+
+def _byte_short(c):
+    c["weights"] = base64.b64encode(base64.b64decode(c["weights"])[:-1]).decode("ascii")
 
 
 @pytest.mark.parametrize("mutate, fragment", [
-    (lambda c: c["params"].pop("out.b"), "missing parameters ['out.b'], unexpected parameters []"),
-    (lambda c: c["params"].update({"extra.w": c["params"]["out.b"]}),
-     "missing parameters [], unexpected parameters ['extra.w']"),
-    (lambda c: _rename(c["params"], "enc.0.ff.w1", "enc.9.ff.w1"),
-     "missing parameters ['enc.0.ff.w1'], unexpected parameters ['enc.9.ff.w1']"),
-], ids=["missing", "unexpected", "renamed"])
-def test_checkpoint_parameter_names_must_match_config(tmp_path, mutate, fragment):
+    (_float_short, "expected a C-contiguous float64 vector of {n} weights for this model_config "
+                   "and vocab, got a float64 array of shape ({short},)"),
+    (_byte_short, "weights are not base64 float64 values: "
+                  "buffer size must be a multiple of element size"),
+], ids=["one-float-short", "one-byte-short"])
+def test_checkpoint_weights_must_fill_the_model(tmp_path, mutate, fragment):
     p = _mutated_checkpoint(tmp_path, mutate)
+    n = small_model().num_params
     with pytest.raises(MalformedCheckpoint) as info:
         load_checkpoint(p)
-    assert str(info.value) == f"{p}: {fragment}"
+    assert str(info.value) == f"{p}: " + fragment.format(n=n, short=n - 1)
 
 
-def test_checkpoint_parameter_shapes_must_match_config(tmp_path):
-    # A transposed out.w keeps its element count, so it reshapes without error.
-    def transpose(c):
-        c["params"]["out.w"]["shape"].reverse()
-
-    p = _mutated_checkpoint(tmp_path, transpose)
-    model = small_model()
-    d, v = model.config.d_model, model.vocab.size
+@pytest.mark.parametrize("value", [[1], {"out.b": "AAAA"}, 5, None],
+                         ids=["list", "object", "int", "null"])
+def test_checkpoint_weights_must_be_a_string(tmp_path, value):
+    p = _mutated_checkpoint(tmp_path, lambda c: c.update(weights=value))
     with pytest.raises(MalformedCheckpoint) as info:
         load_checkpoint(p)
-    assert str(info.value) == f"{p}: parameter 'out.w' has shape ({v}, {d}), expected ({d}, {v})"
+    message = str(info.value)
+    assert message.startswith(f"{p}: 'weights' must be") and "\n" not in message
 
 
-def test_checkpoint_params_must_be_an_object(tmp_path):
-    p = _mutated_checkpoint(tmp_path, lambda c: c.update(params=[1]))
-    with pytest.raises(MalformedCheckpoint):
+# Without validation, b64decode drops these characters and loads the weights unchanged.
+@pytest.mark.parametrize("junk", ["!!", "#$%", " \n ?*"])
+def test_checkpoint_weights_must_be_strict_base64(tmp_path, junk):
+    def insert(c):
+        c["weights"] = c["weights"][:8] + junk + c["weights"][8:]
+
+    p = _mutated_checkpoint(tmp_path, insert)
+    with pytest.raises(MalformedCheckpoint) as info:
         load_checkpoint(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: weights are not base64 float64 values: ") and "\n" not in message
 
 
 def test_checkpoint_vocab_must_hold_strings(tmp_path):
@@ -863,10 +891,10 @@ def test_checkpoint_vocab_must_not_repeat_tokens(tmp_path):
 
 
 def _set_first_value(c, name, value):
-    record = c["params"][name]
-    data = bytearray(base64.b64decode(record["data"]))
-    data[:8] = np.float64(value).tobytes()
-    record["data"] = base64.b64encode(bytes(data)).decode("ascii")
+    model = small_model()
+    weights = _weights(c).astype(np.float64)
+    TinyModel(config=model.config, vocab=model.vocab, flat=weights).params[name].flat[0] = value
+    c["weights"] = _encoded(weights)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -885,13 +913,31 @@ def test_checkpoint_records_attention_pattern_and_decode_cap(tmp_path):
     p = tmp_path / "model.json"
     save_model(small_model(), p, lsg, 9)
     checkpoint = load_checkpoint(p)
-    assert json.loads(p.read_text())["format_version"] == FORMAT_VERSION == 2
+    assert json.loads(p.read_text())["format_version"] == FORMAT_VERSION == 3
     assert checkpoint.lsg == lsg and checkpoint.max_summary_tokens == 9
 
 
 def _downgrade_to_version_1(c):
     del c["lsg"], c["max_summary_tokens"]
     c["format_version"] = 1
+
+
+def _downgrade_to_version_2(c):
+    """Version 2 stored one base64 record, with its shape, per parameter name."""
+    params = small_model().params
+    del c["weights"]
+    c["params"] = {name: {"shape": list(value.shape), "data": _encoded(value.ravel())}
+                   for name, value in params.items()}
+    c["format_version"] = 2
+
+
+def test_checkpoint_version_2_is_rejected_with_the_retrain_hint(tmp_path):
+    p = _mutated_checkpoint(tmp_path, _downgrade_to_version_2)
+    with pytest.raises(MalformedCheckpoint) as info:
+        load_checkpoint(p)
+    assert str(info.value) == (
+        f"{p}: unsupported format version 2; retrain with `chartsum train` to write version 3"
+    )
 
 
 @pytest.mark.parametrize("mutate", [

@@ -1,7 +1,8 @@
 """Training-loop, greedy-decoding, and gradient-check tests.
 
 `ref_train` is the reference for `train`: the same loop over one array per
-parameter, with fresh gradient arrays per batch and Adam written out per array.
+parameter (the views of a copy of the model's weights), with fresh gradient
+arrays per batch and Adam written out per array.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import importlib
 import math
 import random
-import weakref
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from chartsum.pipeline import BackendSpec, train_tiny_lsg
 from chartsum.tinylsg.checkpoint import load_checkpoint, save_model
 from chartsum.tinylsg.masks import LsgConfig
-from chartsum.tinylsg.model import ModelConfig, TinyModel, init_model, loss_and_grads, zero_grads
+from chartsum.tinylsg.model import ModelConfig, TinyModel, init_model, loss_and_grads
 from chartsum.tinylsg.train import (
     EmptyTrainingSet,
     TrainConfig,
@@ -30,6 +31,7 @@ from chartsum.tinylsg.train import (
 from chartsum.tinylsg.vocab import EOS_ID, build_vocab
 from peakmem import traced_peak
 from synthdata import synth_corpus
+from test_model import zero_grads
 
 LSG = LsgConfig(block_size=4, sparsity_stride=2, num_global=1, max_input_tokens=64)
 
@@ -86,18 +88,40 @@ def test_zero_lr_keeps_parameters_bit_identical():
     assert history[0] == history[1]  # nothing moved, loss is frozen
 
 
-def test_train_updates_its_model_in_one_buffer():
+def assert_views_of_flat(model):
+    """Every parameter is a view of `model.flat`, and `params` cannot be rebound."""
+    flat = model.flat
+    assert flat.flags.c_contiguous and flat.dtype == np.float64 and flat.shape == (model.num_params,)
+    assert isinstance(model.params, MappingProxyType)
+    assert sum(value.size for value in model.params.values()) == flat.size
+    assert all(value.base is flat for value in model.params.values())
+    with pytest.raises(TypeError):
+        model.params["tok_emb"] = np.zeros_like(model.params["tok_emb"])
+
+
+def test_params_are_read_only_views_of_flat_through_init_load_and_train(tmp_path):
     model = make_model()
-    names = list(model.params)
-    initial = weakref.ref(model.params["tok_emb"])
+    assert_views_of_flat(model)
+    flat = model.flat
     trained, _ = train(model, PAIRS, TrainConfig(initial_lr=1e-3, epochs=2, batch_size=2), LSG)
-    assert trained is model and list(model.params) == names
-    buffer = model.params["tok_emb"].base
-    assert buffer is not None and buffer.flags.c_contiguous and buffer.dtype == np.float64
-    assert buffer.size == model.num_params
-    assert all(value.base is buffer for value in model.params.values())
-    # The initial arrays are freed, not kept alongside the buffer.
-    assert initial() is None
+    assert trained is model and model.flat is flat
+    assert_views_of_flat(model)
+    path = tmp_path / "model.json"
+    save_model(model, path, LSG, 16)
+    assert_views_of_flat(load_checkpoint(path).model)
+
+
+@pytest.mark.parametrize("make_flat", [
+    lambda n: np.zeros(n - 1),
+    lambda n: np.zeros(n + 1),
+    lambda n: np.zeros(n, dtype=np.float32),
+    lambda n: np.zeros((1, n)),
+    lambda n: np.zeros(2 * n)[::2],
+], ids=["short", "long", "float32", "2-d", "strided"])
+def test_tiny_model_rejects_a_buffer_of_the_wrong_layout(make_flat):
+    model = make_model()
+    with pytest.raises(ValueError, match=f"C-contiguous float64 vector of {model.num_params} weights"):
+        TinyModel(config=model.config, vocab=model.vocab, flat=make_flat(model.num_params))
 
 
 # tracemalloc peak, in bytes, of one train_tiny_lsg call: default model and
@@ -132,8 +156,8 @@ def test_train_deterministic_across_runs():
 
 def ref_train(model, pairs, tc, lsg):
     examples = _encode_pairs(model, pairs, lsg)
-    params = {name: value.copy() for name, value in model.params.items()}
-    working = TinyModel(config=model.config, vocab=model.vocab, params=params)
+    working = TinyModel(config=model.config, vocab=model.vocab, flat=model.flat.copy())
+    params = working.params
     m_state = zero_grads(params)
     v_state = zero_grads(params)
     order = list(range(len(examples)))
@@ -199,15 +223,12 @@ def test_chunked_adam_is_bitwise_the_per_array_reference(monkeypatch):
 
 
 def test_trained_model_round_trips_through_a_checkpoint(tmp_path):
-    model = make_model()
-    originals = list(model.params.values())
-    trained, _ = train(model, PAIRS, TrainConfig(initial_lr=3e-3, epochs=2, batch_size=2), LSG)
-    for name, value in trained.params.items():
-        for original in originals:
-            assert not np.shares_memory(value, original), name
+    trained, _ = train(make_model(), PAIRS, TrainConfig(initial_lr=3e-3, epochs=2, batch_size=2), LSG)
     path = tmp_path / "model.json"
     save_model(trained, path, LSG, 16)
     loaded = load_checkpoint(path).model
+    assert not np.shares_memory(loaded.flat, trained.flat)
+    assert loaded.flat.tobytes() == trained.flat.tobytes()
     assert loaded.params.keys() == trained.params.keys()
     for name, value in trained.params.items():
         assert loaded.params[name].dtype == np.float64
