@@ -9,18 +9,21 @@ Everything runs in double precision so analytic gradients can be checked
 against central finite differences.
 
 Each forward returns a backward cache per sublayer, and a training step keeps
-every cache alive until its backward pass, so a cache holds only what cannot
-be recomputed bit for bit. A layer norm keeps (x_hat, inv_std); its output is
-recomputed from them (`_ln_output`), so no attention or feed-forward cache
-keeps a copy of its normed input. A feed-forward cache keeps the GELU's input
-alone: the forward computes the GELU in place, and the backward rebuilds its
-tanh term with the forward's own expression. An attention cache keeps the
-projected heads, the attention weights and the merged heads; the blocked
-kernel's cache keeps the padded keys and values, from which its backward
-gathers the extra (global and strided) keys again. Every kernel masks a score
-by setting it to -inf where a boolean mask is True, never by adding a float64
-bias. A backward pass computes the score gradient in place and frees the
-weights once used.
+every cache alive until its backward pass, so a cache keeps only what its
+backward cannot rebuild bit for bit from its input with a matmul. A layer
+norm keeps (x_hat, inv_std); its output is recomputed from them
+(`_ln_output`), so no attention or feed-forward cache keeps a copy of its
+normed input. A feed-forward cache is empty: the backward recomputes the
+GELU's input, `x @ w1 + b1`, and its tanh term with the forward's own
+statements. The blocked kernel's cache keeps the attention weights and the
+merged heads; its backward rebuilds the padded queries, keys and values from
+x (`_padded_heads`) and gathers the extra (global and strided) keys from them
+again. The dense kernel's cache also keeps the projected heads: in the
+decoder its keys and values are `DecodeState`'s, alive anyway, and the dense
+encoder runs only on short inputs, where recomputing would save little.
+Every kernel masks a score by setting it to -inf where a boolean
+mask is True, never by adding a float64 bias. A backward pass computes the
+score gradient in place and frees the weights once used.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class SequenceTooLong(ChartsumError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TinyModel:
     """A model's weights, held in one C-contiguous float64 buffer, `flat`.
 
@@ -57,6 +60,8 @@ class TinyModel:
     `flat`, in `_param_shapes` order, so writing through a view writes the
     buffer and no entry can be rebound away from it. `views` lays out any
     buffer shaped like `flat` (gradients, optimizer moments) the same way.
+    Models compare and hash by identity: two models with equal weights are
+    still two models, and each trains its own buffer.
     """
 
     config: ModelConfig
@@ -267,25 +272,43 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
+def _padded_heads(params, prefix: str, x, layout: LsgLayout, n_heads: int):
+    """x's queries, keys and values split into heads and padded for the blocked kernel.
+
+    Returns (q_rows, k_pad, v_pad). q_rows holds the n queries, then zero rows up
+    to n_blocks * block_size; k_pad and v_pad hold the n keys and values after
+    radius * block_size zero rows and before as many again.
+    """
+    n = layout.n
+    rows = layout.n_blocks * layout.block_size
+    pad = layout.radius * layout.block_size
+    qh = _split_heads(x @ params[f"{prefix}.wq"], n_heads)
+    h, _, dh = qh.shape
+    q_rows = np.zeros((h, rows, dh))
+    q_rows[:, :n] = qh
+    k_pad, v_pad = np.zeros((2, h, rows + 2 * pad, dh))
+    k_pad[:, pad : pad + n] = _split_heads(x @ params[f"{prefix}.wk"], n_heads)
+    v_pad[:, pad : pad + n] = _split_heads(x @ params[f"{prefix}.wv"], n_heads)
+    return q_rows, k_pad, v_pad
+
+
 def _lsg_attention_forward(params, prefix: str, x, layout: LsgLayout, n_heads: int):
     """Block-sparse self-attention of x under `layout`.
 
     Equal, up to rounding, to `_mha_forward(params, prefix, x, x, masked, n_heads)`
     with `masked = ~lsg_mask(n, cfg)`. Each query block scores its window of local
-    keys and the shared extra keys; the global query rows attend densely.
+    keys and the shared extra keys; the global query rows attend densely. The
+    cache holds (layout, probs, global_probs, merged, scale): the attention
+    weights of the blocks and of the global rows, and the merged heads. The
+    projected heads are not kept; the backward pass rebuilds them from x with
+    `_padded_heads`, bit for bit.
     """
     n, g, w = layout.n, layout.num_global, layout.window
-    rows = layout.n_blocks * layout.block_size
     pad = layout.radius * layout.block_size
-    qh = _split_heads(x @ params[f"{prefix}.wq"], n_heads)
-    h, _, dh = qh.shape
+    q_rows, k_pad, v_pad = _padded_heads(params, prefix, x, layout, n_heads)
+    h, rows, dh = q_rows.shape
     scale = 1.0 / math.sqrt(dh)
-    q_rows = np.zeros((h, rows, dh))
-    q_rows[:, :n] = qh
-    k_pad, v_pad = np.zeros((2, h, rows + 2 * pad, dh))
-    kh, vh = k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
-    kh[:] = _split_heads(x @ params[f"{prefix}.wk"], n_heads)
-    vh[:] = _split_heads(x @ params[f"{prefix}.wv"], n_heads)
+    qh, kh, vh = q_rows[:, :n], k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
 
     # One row per (head, query): the window's local scores, then the extra keys'.
     scores = np.empty((h, rows, w + len(layout.extra)))
@@ -302,7 +325,7 @@ def _lsg_attention_forward(params, prefix: str, x, layout: LsgLayout, n_heads: i
     global_probs = _softmax_rows(qh[:, :g] @ kh.transpose(0, 2, 1) * scale)
     out[:, :g] = global_probs @ vh
     merged = _merge_heads(out)
-    cache = (layout, q_rows, k_pad, v_pad, probs, global_probs, merged, scale)
+    cache = (layout, probs, global_probs, merged, scale)
     return merged @ params[f"{prefix}.wo"], cache
 
 
@@ -310,17 +333,20 @@ def _lsg_attention_backward(params, prefix: str, x, cache, d_out, grads):
     """Backward of `_lsg_attention_forward(params, prefix, x, ...)`; returns (d x, d x)
     like `_mha_backward`.
 
-    The local key/value gradients are scattered back with one slice add per
-    window offset; the extra keys are distinct, so one indexed add each. The extra
-    keys and values are gathered again from the padded ones rather than cached.
+    The padded heads are rebuilt from x with `_padded_heads`, and the extra keys
+    and values gathered again from them. The local key/value gradients are
+    scattered back with one slice add per window offset; the extra keys are
+    distinct, so one indexed add each.
     """
-    layout, q_rows, k_pad, v_pad, probs, global_probs, merged, scale = cache
+    layout, probs, global_probs, merged, scale = cache
     n, g, w, block = layout.n, layout.num_global, layout.window, layout.block_size
     pad = layout.radius * block
-    h, rows, dh = q_rows.shape
-    qh, kh, vh = q_rows[:, :n], k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
+    h = global_probs.shape[0]
     grads[f"{prefix}.wo"] += merged.T @ d_out
     d_oh = _split_heads(d_out @ params[f"{prefix}.wo"].T, h)
+    q_rows, k_pad, v_pad = _padded_heads(params, prefix, x, layout, h)
+    _, rows, dh = q_rows.shape
+    qh, kh, vh = q_rows[:, :n], k_pad[:, pad : pad + n], v_pad[:, pad : pad + n]
     d_rows = np.zeros((h, rows, dh))
     d_rows[:, g:n] = d_oh[:, g:]
     k_win, v_win = _windows(k_pad, layout), _windows(v_pad, layout)
@@ -398,25 +424,32 @@ def _gelu_tanh(x):
     return np.tanh(t, out=t)
 
 
-def _ff_forward(params, prefix: str, x):
-    """The cache holds the GELU's input alone, neither x nor the GELU's output: the
-    backward pass is handed x again and recomputes the tanh term with `_gelu_tanh`,
-    bit for bit. The GELU, `0.5 * (1 + t) * pre`, is computed in place."""
+def _ff_pre(params, prefix: str, x):
+    """The GELU's input, `x @ w1 + b1`, in one new array."""
     pre = x @ params[f"{prefix}.w1"]
     pre += params[f"{prefix}.b1"]
+    return pre
+
+
+def _ff_forward(params, prefix: str, x):
+    """The cache is empty: the backward pass is handed x again, recomputes the
+    GELU's input with `_ff_pre` and its tanh term with `_gelu_tanh`, bit for bit.
+    The GELU, `0.5 * (1 + t) * pre`, is computed in place."""
+    pre = _ff_pre(params, prefix, x)
     hidden = _gelu_tanh(pre)
     hidden += 1.0
     hidden *= 0.5
     hidden *= pre
     out = hidden @ params[f"{prefix}.w2"]
     out += params[f"{prefix}.b2"]
-    return out, (pre,)
+    return out, ()
 
 
 def _ff_backward(params, prefix: str, x, cache, d_out, grads):
     """The GELU's derivative, `0.5 * (1 + t) + 0.5 * pre * (1 - t**2) * _GELU_C *
-    (1 + 3 * _GELU_A * pre**2)`, is built in place in two scratch arrays."""
-    (pre,) = cache
+    (1 + 3 * _GELU_A * pre**2)`, is built in place in two scratch arrays. `cache`
+    is `_ff_forward`'s, which is empty."""
+    pre = _ff_pre(params, prefix, x)
     t = _gelu_tanh(pre)
     slope = t + 1.0
     slope *= 0.5
@@ -592,6 +625,25 @@ def _decode_backward(params, cache, d_logits, grads):
     return d_enc
 
 
+def _forward_loss(model: TinyModel, src: Sequence[int], tgt: Sequence[int], cfg: LsgConfig):
+    """Teacher-forced forward pass and summed cross-entropy on (BOS + tgt → tgt + EOS).
+
+    Returns (summed token loss, target ids, probabilities, encoder cache,
+    decoder cache); the probabilities are the decoder's logits, softmaxed in
+    place, one row per target id.
+    """
+    params = model.params
+    tgt_in = [BOS_ID] + list(tgt)
+    tgt_out = np.asarray(list(tgt) + [EOS_ID], dtype=np.intp)
+    enc_out, enc_cache = _encode(params, src, model.config, cfg)
+    state = DecodeState(params, enc_out, model.config)
+    logits, dec_cache = _decode(params, state, tgt_in, model.config)
+    probs = _softmax_rows(logits)
+    picked = probs[np.arange(len(tgt_out)), tgt_out]
+    loss_sum = float(-np.log(np.maximum(picked, 1e-300)).sum())
+    return loss_sum, tgt_out, probs, enc_cache, dec_cache
+
+
 def loss_and_grads(
     model: TinyModel,
     src: Sequence[int],
@@ -604,21 +656,13 @@ def loss_and_grads(
     Returns (summed token loss, token count, grads). Gradients are of the
     *summed* loss and are accumulated into `grads` when given.
     """
-    params = model.params
-    tgt_in = [BOS_ID] + list(tgt)
-    tgt_out = np.asarray(list(tgt) + [EOS_ID], dtype=np.intp)
-    enc_out, enc_cache = _encode(params, src, model.config, cfg)
-    state = DecodeState(params, enc_out, model.config)
-    logits, dec_cache = _decode(params, state, tgt_in, model.config)
-    probs = _softmax_rows(logits)
-    picked = probs[np.arange(len(tgt_out)), tgt_out]
-    loss_sum = float(-np.log(np.maximum(picked, 1e-300)).sum())
+    loss_sum, tgt_out, d_logits, enc_cache, dec_cache = _forward_loss(model, src, tgt, cfg)
     if grads is None:
         grads = model.views(np.zeros_like(model.flat))
-    d_logits = probs
     d_logits[np.arange(len(tgt_out)), tgt_out] -= 1.0
-    d_enc = _decode_backward(params, dec_cache, d_logits, grads)
-    # Free the decoder's state, logits and cache before the encoder's backward.
-    del enc_out, state, logits, probs, d_logits, dec_cache
-    _encode_backward(params, enc_cache, d_enc, grads)
+    d_enc = _decode_backward(model.params, dec_cache, d_logits, grads)
+    # Free the logits and the decoder's cache, which holds the encoder output,
+    # before the encoder's backward.
+    del d_logits, dec_cache
+    _encode_backward(model.params, enc_cache, d_enc, grads)
     return loss_sum, len(tgt_out), grads

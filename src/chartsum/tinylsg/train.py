@@ -10,7 +10,7 @@ import numpy as np
 
 from ..config import LsgConfig, TrainConfig
 from ..errors import ChartsumError
-from .model import DecodeState, TinyModel, _decode, _encode, loss_and_grads
+from .model import DecodeState, TinyModel, _decode, _encode, _forward_loss, loss_and_grads
 from .vocab import BOS_ID, EOS_ID
 
 _ADAM_BETA1 = 0.9
@@ -177,8 +177,9 @@ def summarize_ids(model: TinyModel, text: str, max_len: int, lsg: LsgConfig) -> 
 
 
 def _mean_loss(model: TinyModel, src, tgt, lsg: LsgConfig) -> float:
-    loss_sum, n_tokens, _ = loss_and_grads(model, src, tgt, lsg)
-    return loss_sum / n_tokens
+    """`loss_and_grads`'s loss per target token, bit for bit, without its backward pass."""
+    loss_sum, tgt_out, *_ = _forward_loss(model, src, tgt, lsg)
+    return loss_sum / len(tgt_out)
 
 
 def grad_check(
