@@ -433,6 +433,11 @@ def _division_texts(note: ChartNote) -> tuple[dict[Division, str], int]:
     return {div: "\n".join(parts) for div, parts in buckets.items()}, unknown
 
 
+def _division_average(division_f1: Mapping[Division, float]) -> float:
+    """The mean of the four division scores, summed in DIVISIONS order."""
+    return sum(division_f1[div] for div in DIVISIONS) / len(DIVISIONS)
+
+
 def pair_references(
     candidates: Mapping[str, str], references: Mapping[str, str | None]
 ) -> list[tuple[str, str, str]]:
@@ -466,7 +471,7 @@ def evaluate(predictions: PredictionSet, eval_corpus: Corpus) -> RunReport:
         approach=predictions.approach,
         scores=scores,
         division_f1=division_f1,
-        division_average=sum(division_f1.values()) / len(DIVISIONS),
+        division_average=_division_average(division_f1),
         config_hash=predictions.config_hash,
         seed=predictions.seed,
         n_documents=len(pairs),
@@ -607,8 +612,9 @@ def run_report_to_dict(run: RunReport) -> dict:
 def run_report_from_dict(payload: Mapping) -> RunReport:
     """Inverse of run_report_to_dict.
 
-    A missing or mistyped field, a score outside [0, 1], or a division metric
-    other than DIVISION_METRIC raises MalformedFile.
+    A missing or mistyped field, a score outside [0, 1], a division metric
+    other than DIVISION_METRIC, or a field that no `evaluate` can write raises
+    MalformedFile.
     """
     if not isinstance(payload, dict):
         raise MalformedFile(f"run report must be an object, got {type(payload).__name__}")
@@ -618,6 +624,12 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
         if not 0 <= value <= 1:
             path = f"{where}.{key}" if where else key
             raise MalformedFile(f"{path!r} must be a score in [0, 1], got {value}")
+        return value
+
+    def count(key: str, minimum: int) -> int:
+        value = typed(payload, key, int)
+        if value < minimum:
+            raise MalformedFile(f"{key!r} must be >= {minimum}, got {value}")
         return value
 
     def score(parent: Mapping, metric: str, where: str) -> RougeScore:
@@ -630,6 +642,11 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
         where = f"{where}.{doc_id}"
         return DocumentScores(**{metric: score(metrics, metric, where) for metric in _METRICS})
 
+    approach = typed(payload, "approach", str)
+    if approach not in APPROACH_TAGS:
+        raise MalformedFile(
+            f"'approach' must be one of {', '.join(map(repr, APPROACH_TAGS))}, got {approach!r}"
+        )
     raw = typed(payload, "scores", dict)
     per_document = typed(raw, "per_document", dict, "scores")
     scores = AggregateScores(
@@ -639,20 +656,34 @@ def run_report_from_dict(payload: Mapping) -> RunReport:
             for doc_id in per_document
         },
     )
-    division_f1 = typed(payload, "division_f1", dict)
+    n_documents = count("n_documents", 1)
+    if n_documents != len(per_document):
+        raise MalformedFile(f"'n_documents' is {n_documents}, but 'scores.per_document' "
+                            f"has {len(per_document)} entries")
+    skipped_divisions = count("skipped_divisions", 0)
+    if skipped_divisions > len(DIVISIONS) * n_documents:
+        raise MalformedFile(f"'skipped_divisions' must be at most {len(DIVISIONS)} per document "
+                            f"({len(DIVISIONS) * n_documents}), got {skipped_divisions}")
+    raw_division_f1 = typed(payload, "division_f1", dict)
+    division_f1 = {div: unit(raw_division_f1, div.value, "division_f1") for div in DIVISIONS}
+    division_average = unit(payload, "division_average")
+    mean = _division_average(division_f1)
+    if division_average != mean:
+        raise MalformedFile(
+            f"'division_average' must be the mean of 'division_f1', {mean}, got {division_average}")
     metric = typed(payload, "division_metric", str)
     if metric != DIVISION_METRIC:
         raise MalformedFile(f"'division_metric' must be {DIVISION_METRIC!r}, got {metric!r}")
     return RunReport(
-        approach=typed(payload, "approach", str),
+        approach=approach,
         scores=scores,
-        division_f1={div: unit(division_f1, div.value, "division_f1") for div in DIVISIONS},
-        division_average=unit(payload, "division_average"),
+        division_f1=division_f1,
+        division_average=division_average,
         config_hash=typed(payload, "config_hash", str),
         seed=typed(payload, "seed", int),
-        n_documents=typed(payload, "n_documents", int),
-        skipped_divisions=typed(payload, "skipped_divisions", int),
-        unknown_sections=typed(payload, "unknown_sections", int),
+        n_documents=n_documents,
+        skipped_divisions=skipped_divisions,
+        unknown_sections=count("unknown_sections", 0),
     )
 
 

@@ -2,23 +2,18 @@
 
 `Section` is the one table of known sections: its members are in canonical order
 (`SECTION_ORDER`, which fixes slot order and slot seeds), and each carries the
-header `assemble_note` writes and the `Division` it is scored in. A header with
-no alias becomes an `UnknownSection`, which keeps its raw text and has no division.
+`Division` it is scored in and the header spellings (aliases) that name it, the
+first of which is the header `assemble_note` writes. A header with no alias
+becomes an `UnknownSection`, which keeps its raw text and has no division.
 """
 
 from __future__ import annotations
 
-import functools
 import string
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Union
-
-from .corpus import decode_utf8
-from .errors import ChartsumError
 
 
 class Division(Enum):
@@ -29,33 +24,38 @@ class Division(Enum):
 
 
 class Section(Enum):
-    """A known section: its value (its name), display header and scoring division.
+    """A known section: its value (its name), scoring division and aliases.
 
-    Each header must resolve back to its section through the default alias table.
+    `aliases` are the header spellings that name the section; the first is its
+    display `header`.
     """
 
-    header: str
     division: Division
+    aliases: tuple[str, ...]
+    header: str
 
-    def __new__(cls, value: str, header: str, division: Division) -> Section:
+    def __new__(cls, value: str, division: Division, *aliases: str) -> Section:
         member = object.__new__(cls)
         member._value_ = value
-        member.header = header
         member.division = division
+        member.aliases = aliases
+        member.header = aliases[0]
         return member
 
-    CC = "CC", "CHIEF COMPLAINT", Division.SUBJECTIVE
-    HPI = "HPI", "HISTORY OF PRESENT ILLNESS", Division.SUBJECTIVE
-    ROS = "ROS", "REVIEW OF SYSTEMS", Division.SUBJECTIVE
-    MEDICATIONS = "MEDICATIONS", "MEDICATIONS", Division.SUBJECTIVE
-    ALLERGIES = "ALLERGIES", "ALLERGIES", Division.SUBJECTIVE
-    PE = "PE", "PHYSICAL EXAM", Division.EXAM
-    RESULTS = "RESULTS", "RESULTS", Division.RESULTS
-    ASSESSMENT = "ASSESSMENT", "ASSESSMENT", Division.ASSESSMENT_AND_PLAN
-    PLAN = "PLAN", "PLAN", Division.ASSESSMENT_AND_PLAN
-    ASSESSMENT_AND_PLAN = (
-        "ASSESSMENT_AND_PLAN", "ASSESSMENT AND PLAN", Division.ASSESSMENT_AND_PLAN
-    )
+    CC = "CC", Division.SUBJECTIVE, "CHIEF COMPLAINT", "CC", "REASON FOR VISIT"
+    HPI = "HPI", Division.SUBJECTIVE, "HISTORY OF PRESENT ILLNESS", "HPI", "INTERVAL HISTORY"
+    ROS = "ROS", Division.SUBJECTIVE, "REVIEW OF SYSTEMS", "REVIEW OF SYSTEM", "ROS"
+    MEDICATIONS = ("MEDICATIONS", Division.SUBJECTIVE,
+                   "MEDICATIONS", "MEDICATION", "CURRENT MEDICATIONS", "MEDS")
+    ALLERGIES = "ALLERGIES", Division.SUBJECTIVE, "ALLERGIES", "ALLERGY", "DRUG ALLERGIES"
+    PE = "PE", Division.EXAM, "PHYSICAL EXAM", "PHYSICAL EXAMINATION", "PE", "EXAM", "EXAMINATION"
+    RESULTS = ("RESULTS", Division.RESULTS,
+               "RESULTS", "LAB RESULTS", "LABS", "DIAGNOSTIC RESULTS", "IMAGING")
+    ASSESSMENT = "ASSESSMENT", Division.ASSESSMENT_AND_PLAN, "ASSESSMENT", "IMPRESSION"
+    PLAN = "PLAN", Division.ASSESSMENT_AND_PLAN, "PLAN", "TREATMENT PLAN"
+    ASSESSMENT_AND_PLAN = ("ASSESSMENT_AND_PLAN", Division.ASSESSMENT_AND_PLAN,
+                           "ASSESSMENT AND PLAN", "ASSESSMENT & PLAN", "ASSESSMENT PLAN", "A&P",
+                           "A/P", "IMPRESSION AND PLAN")
 
 
 SECTION_ORDER: tuple[Section, ...] = tuple(Section)
@@ -69,10 +69,6 @@ class UnknownSection:
 
 
 SectionId = Union[Section, UnknownSection]
-
-
-class AliasTableError(ChartsumError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -114,49 +110,19 @@ def canonical_key(raw: str) -> str:
     return " ".join(stripped.split()).upper()
 
 
-def load_alias_table(path: str | Path) -> dict[str, Section]:
-    """Parse an "alias -> SECTION" file into a canonical-key lookup table."""
-    table: dict[str, Section] = {}
-    text = decode_utf8(Path(path).read_bytes(), path, AliasTableError)
-    for line_num, line in enumerate(text.splitlines(), start=1):
-        entry = line.strip()
-        if not entry or entry.startswith("#"):
-            continue
-        alias, sep, target = entry.partition("->")
-        if not sep:
-            raise AliasTableError(f"line {line_num}: expected 'alias -> SECTION', got {entry!r}")
-        key = canonical_key(alias)
-        if not key:
-            raise AliasTableError(f"line {line_num}: empty alias")
-        try:
-            section = Section[target.strip()]
-        except KeyError:
-            raise AliasTableError(f"line {line_num}: unknown section {target.strip()!r}") from None
-        if key in table and table[key] is not section:
-            raise AliasTableError(
-                f"line {line_num}: alias {key!r} maps to both {table[key].value} and {section.value}"
-            )
-        table[key] = section
-    return table
+# Canonical key → the section it names, over every section's aliases.
+ALIAS_TABLE: Mapping[str, Section] = MappingProxyType(
+    {canonical_key(alias): section for section in Section for alias in section.aliases}
+)
 
-
-@functools.cache
-def default_alias_table() -> Mapping[str, Section]:
-    """The packaged alias table, parsed on first use and shared read-only."""
-    with resources.as_file(resources.files("chartsum.data") / "section_aliases.txt") as path:
-        return MappingProxyType(load_alias_table(path))
+# Words in the longest key of ALIAS_TABLE.
+_MAX_ALIAS_WORDS = max(len(key.split()) for key in ALIAS_TABLE)
 
 
 def normalize_header(raw: str) -> SectionId:
     """Resolve a header string to a Section via canonical-key lookup; miss → UnknownSection."""
-    section = default_alias_table().get(canonical_key(raw))
+    section = ALIAS_TABLE.get(canonical_key(raw))
     return section if section is not None else UnknownSection(raw)
-
-
-@functools.cache
-def _max_alias_words() -> int:
-    """Words in the longest key of the default alias table."""
-    return max((len(key.split()) for key in default_alias_table()), default=0)
 
 
 def is_header_line(line: str) -> bool:
@@ -173,9 +139,8 @@ def is_header_line(line: str) -> bool:
     text = line.strip()
     if not text:
         return False
-    cap = _max_alias_words()
-    words = text.strip(_EDGE_CHARS).split(None, cap)
-    if len(words) <= cap and " ".join(words).upper() in default_alias_table():
+    words = text.strip(_EDGE_CHARS).split(None, _MAX_ALIAS_WORDS)
+    if len(words) <= _MAX_ALIAS_WORDS and " ".join(words).upper() in ALIAS_TABLE:
         return True
     if text.endswith(":"):
         text = text[:-1].rstrip()

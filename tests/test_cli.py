@@ -1172,6 +1172,19 @@ def _set(value, *keys):
         for keys in (("division_average",),
                      ("scores", "per_document", "synth-006", "rouge1", "f1"))
     ),
+    # Fields no run can write: the oracle run scores 3 documents, each division F1 1.0.
+    (_set("ensemble", "approach"),
+     "'approach' must be one of 'single', 'section-wise', 'multi-layer', got 'ensemble'"),
+    (_set(0, "n_documents"), "'n_documents' must be >= 1, got 0"),
+    (_set(4, "n_documents"), "'n_documents' is 4, but 'scores.per_document' has 3 entries"),
+    (_set(-2, "skipped_divisions"), "'skipped_divisions' must be >= 0, got -2"),
+    (_set(13, "skipped_divisions"),
+     "'skipped_divisions' must be at most 4 per document (12), got 13"),
+    (_set(-1, "unknown_sections"), "'unknown_sections' must be >= 0, got -1"),
+    (_set(0.9, "division_average"),
+     "'division_average' must be the mean of 'division_f1', 1.0, got 0.9"),
+    (_set(0.5, "division_f1", "Exam"),
+     "'division_average' must be the mean of 'division_f1', 0.875, got 1.0"),
 ])
 def test_report_malformed_entry_is_a_runtime_error(
     tmp_path, corpus_csv, eval_csv, capsys, mutate, fragment

@@ -1,16 +1,13 @@
 """Mutation fuzzing of every file the package reads.
 
 Each test starts from a valid file: a corpus in CSV and in JSONL, a
-checkpoint, a prediction file, a report file, a chart note (read from a file and
-from stdin) and the alias table. Hypothesis
-edits it at the byte level (flip, delete, insert) or, for JSON, replaces or
-deletes one value of the parsed document (a replacement may be an array
-nested far past the interpreter's recursion limit), and feeds the result to the command
-that reads such a file. The command must succeed, or fail with exit code 2
-(a malformed input file) and one `error:` line on stderr; it must never
-raise. The alias table has
-no command-line flag, so its loader is checked directly: it returns a table or
-raises a one-line `ChartsumError`.
+checkpoint, a prediction file, a report file and a chart note (read from a
+file and from stdin). Hypothesis edits it at the byte level (flip, delete,
+insert) or, for JSON, replaces or deletes one value of the parsed document (a
+replacement may be an array nested far past the interpreter's recursion
+limit), and feeds the result to the command that reads such a file. The
+command must succeed, or fail with exit code 2 (a malformed input file) and
+one `error:` line on stderr; it must never raise.
 
 The examples are derandomized, so a run is repeatable.
 """
@@ -21,7 +18,6 @@ import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from importlib import resources
 from unittest import mock
 
 import pytest
@@ -30,8 +26,6 @@ from hypothesis import strategies as st
 
 from chartsum.cli import main
 from chartsum.corpus import save_corpus
-from chartsum.errors import ChartsumError
-from chartsum.sections import load_alias_table
 from chartsum.tinylsg import LsgConfig, ModelConfig, build_vocab, init_model, save_model
 from synthdata import synth_corpus
 
@@ -222,14 +216,3 @@ def test_fuzz_note(valid, data):
     stdin = io.TextIOWrapper(io.BytesIO(mutated), encoding="utf-8", errors="surrogateescape")
     with mock.patch("sys.stdin", stdin):
         assert assert_fails_cleanly(["split-sections"]) == from_file
-
-
-@FUZZ
-@given(data=st.data())
-def test_fuzz_alias_table(valid, data):
-    original = (resources.files("chartsum.data") / "section_aliases.txt").read_bytes()
-    path = _fuzz_file(valid["out"], "aliases.txt", data.draw(mutations(original)))
-    try:
-        load_alias_table(path)
-    except ChartsumError as exc:
-        assert len(str(exc).splitlines()) == 1, str(exc)

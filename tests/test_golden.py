@@ -23,7 +23,7 @@ import pytest
 
 from chartsum.cli import main
 from chartsum.corpus import Corpus, Encounter, save_corpus
-from chartsum.pipeline import ApproachConfig, BackendSpec, run_approach
+from chartsum.pipeline import ApproachConfig, BackendSpec, load_run_reports, report, run_approach
 from chartsum.tinylsg import LsgConfig, ModelConfig, TrainConfig
 from synthdata import synth_corpus, synth_note
 
@@ -64,6 +64,13 @@ def test_run_output_bytes_are_pinned(tmp_path, capsys, approach):
         for name in ("predictions.json", "report.json")
     }
     assert digest == {"predictions.json": predictions_sha, "report.json": report_sha}
+    assert_report_reads_back(out_dir)
+
+
+def assert_report_reads_back(out_dir):
+    """report.json loads under every check a report must pass and renders back to its bytes."""
+    path = out_dir / "report.json"
+    assert report(load_run_reports(path), format="json") == path.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +128,7 @@ def tiny_corpora():
 
 @pytest.fixture(scope="module")
 def tiny_runs(tmp_path_factory):
-    """approach -> (output sha256 per file, entries, smallest top-1/top-2 logit gap)."""
+    """approach -> (sha256 per output file, entries, smallest top-1/top-2 logit gap, out dir)."""
     tmp = tmp_path_factory.mktemp("tiny")
     train, evaluation = tmp / "train.csv", tmp / "eval.csv"
     for corpus, path in zip(tiny_corpora(), (train, evaluation)):
@@ -152,26 +159,27 @@ def tiny_runs(tmp_path_factory):
                 for name in ("predictions.json", "report.json")
             }
             entries = json.loads((out_dir / "predictions.json").read_text())["entries"]
-            runs[approach] = digest, entries, min(gaps)
+            runs[approach] = digest, entries, min(gaps), out_dir
     return runs
 
 
 @pytest.mark.parametrize("approach", sorted(TINY_GOLDEN))
 def test_tiny_lsg_output_bytes_are_pinned(tiny_runs, approach):
     _, predictions_sha, report_sha = TINY_GOLDEN[approach]
-    digest, _, _ = tiny_runs[approach]
+    digest, _, _, out_dir = tiny_runs[approach]
     assert digest == {"predictions.json": predictions_sha, "report.json": report_sha}
+    assert_report_reads_back(out_dir)
 
 
 @pytest.mark.parametrize("approach", sorted(TINY_GOLDEN))
 def test_tiny_lsg_decodes_are_clear_of_ties(tiny_runs, approach):
-    _, _, smallest_gap = tiny_runs[approach]
+    _, _, smallest_gap, _ = tiny_runs[approach]
     assert smallest_gap >= TIE_GAP
 
 
 @pytest.mark.parametrize("approach", sorted(TINY_GOLDEN))
 def test_tiny_lsg_prediction_does_not_depend_on_the_other_eval_documents(tiny_runs, approach):
-    _, entries, _ = tiny_runs[approach]
+    _, entries, _, _ = tiny_runs[approach]
     train, evaluation = tiny_corpora()
     cfg = ApproachConfig(approach, TINY, stage2=TINY if approach == "multi-layer" else None, seed=3)
     encounters = evaluation.encounters

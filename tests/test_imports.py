@@ -9,7 +9,8 @@ train or decode. The functions perfbench/tracing.py wraps stay bound where it
 wraps them.
 Input files are decoded and parsed as JSON in one place each, and indented
 JSON output is rendered in one place. Every `from chartsum... import` that
-README.md shows imports.
+README.md shows imports. The package is Python source only: it ships no data
+file and reads none through `importlib.resources`.
 """
 
 from __future__ import annotations
@@ -590,4 +591,51 @@ def test_readme_import_check_reads_what_it_should():
     assert readme_imports(markdown) == [
         "from chartsum.tinylsg import LsgConfig",
         "from chartsum.tinylsg import lsg_mask",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the package is Python source only
+# ---------------------------------------------------------------------------
+
+
+def resource_imports(source: str) -> list[str]:
+    """Imports, at any depth, that load or bind `importlib.resources`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(f"{name}.".startswith("importlib.resources.") for name in names):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_package_is_python_source_only():
+    # pyproject.toml declares no package data, so an install would leave out any other file.
+    files = [path for path in sorted(PACKAGE.rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts]
+    assert [str(path.relative_to(PACKAGE)) for path in files if path.suffix != ".py"] == []
+    assert [f"{path.relative_to(PACKAGE)}: {found}" for path in files
+            for found in resource_imports(path.read_text(encoding="utf-8"))] == []
+
+
+def test_resource_import_check_flags_what_it_should():
+    source = (
+        "import importlib, importlib.metadata\n"
+        "import importlib.resources\n"
+        "from importlib import import_module, resources\n"
+        "from importlib.resources.abc import Traversable\n"
+        "from .resources import x\n"
+        "def f():\n"
+        "    import importlib.resources as r\n"
+    )
+    assert resource_imports(source) == [
+        "line 2: import importlib.resources",
+        "line 3: from importlib import import_module, resources",
+        "line 4: from importlib.resources.abc import Traversable",
+        "line 7: import importlib.resources as r",
     ]

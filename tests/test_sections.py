@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from chartsum import sections
 from chartsum.sections import (
+    ALIAS_TABLE,
     SECTION_ORDER,
-    AliasTableError,
     ChartNote,
     Division,
     NoteSection,
@@ -21,9 +21,7 @@ from chartsum.sections import (
     assemble_note,
     canonical_header,
     canonical_key,
-    default_alias_table,
     is_header_line,
-    load_alias_table,
     normalize_header,
     segment_note,
 )
@@ -59,45 +57,43 @@ def test_canonical_key_idempotent():
 # Alias table
 # ---------------------------------------------------------------------------
 
+# What the packaged alias file of earlier versions parsed to, key for key.
+EXPECTED_ALIAS_TABLE = {
+    "CHIEF COMPLAINT": Section.CC, "CC": Section.CC, "REASON FOR VISIT": Section.CC,
+    "HISTORY OF PRESENT ILLNESS": Section.HPI, "HPI": Section.HPI,
+    "INTERVAL HISTORY": Section.HPI,
+    "REVIEW OF SYSTEMS": Section.ROS, "REVIEW OF SYSTEM": Section.ROS, "ROS": Section.ROS,
+    "MEDICATIONS": Section.MEDICATIONS, "MEDICATION": Section.MEDICATIONS,
+    "CURRENT MEDICATIONS": Section.MEDICATIONS, "MEDS": Section.MEDICATIONS,
+    "ALLERGIES": Section.ALLERGIES, "ALLERGY": Section.ALLERGIES,
+    "DRUG ALLERGIES": Section.ALLERGIES,
+    "PHYSICAL EXAM": Section.PE, "PHYSICAL EXAMINATION": Section.PE, "PE": Section.PE,
+    "EXAM": Section.PE, "EXAMINATION": Section.PE,
+    "RESULTS": Section.RESULTS, "LAB RESULTS": Section.RESULTS, "LABS": Section.RESULTS,
+    "DIAGNOSTIC RESULTS": Section.RESULTS, "IMAGING": Section.RESULTS,
+    "ASSESSMENT": Section.ASSESSMENT, "IMPRESSION": Section.ASSESSMENT,
+    "PLAN": Section.PLAN, "TREATMENT PLAN": Section.PLAN,
+    "ASSESSMENT AND PLAN": Section.ASSESSMENT_AND_PLAN,
+    "ASSESSMENT & PLAN": Section.ASSESSMENT_AND_PLAN,
+    "ASSESSMENT PLAN": Section.ASSESSMENT_AND_PLAN, "A&P": Section.ASSESSMENT_AND_PLAN,
+    "A/P": Section.ASSESSMENT_AND_PLAN, "IMPRESSION AND PLAN": Section.ASSESSMENT_AND_PLAN,
+}
+
+
 def test_default_alias_table_covers_common_aliases():
-    table = default_alias_table()
-    assert table["CC"] is Section.CC
-    assert table["CHIEF COMPLAINT"] is Section.CC
-    assert table["HPI"] is Section.HPI
-    assert table["MEDS"] is Section.MEDICATIONS
-    assert table["PHYSICAL EXAM"] is Section.PE
-    assert table["LABS"] is Section.RESULTS
-    assert table["IMPRESSION"] is Section.ASSESSMENT
-    assert table["A/P"] is Section.ASSESSMENT_AND_PLAN
+    assert len(EXPECTED_ALIAS_TABLE) == 36
+    assert dict(ALIAS_TABLE) == EXPECTED_ALIAS_TABLE
+
+
+def test_no_canonical_key_names_two_sections():
+    keys = [canonical_key(alias) for section in Section for alias in section.aliases]
+    assert len(keys) == len(set(keys)) == len(ALIAS_TABLE)
 
 
 def test_every_canonical_header_resolves_to_its_section():
     for section in Section:
         assert normalize_header(section.header) is section
         assert is_header_line(section.header)
-
-
-def test_load_alias_table_parsing(tmp_path):
-    p = tmp_path / "aliases.txt"
-    p.write_text("# comment\n\nfoo bar -> CC\nFOO  BAR -> CC\nbaz->PLAN\n")
-    table = load_alias_table(p)
-    assert table == {"FOO BAR": Section.CC, "BAZ": Section.PLAN}
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        "no separator line",
-        "-> CC",
-        "alias -> NOT_A_SECTION",
-        "dup -> CC\ndup -> PLAN",
-    ],
-)
-def test_load_alias_table_errors(tmp_path, content):
-    p = tmp_path / "aliases.txt"
-    p.write_text(content)
-    with pytest.raises(AliasTableError):
-        load_alias_table(p)
 
 
 def test_normalize_header_case_insensitive_and_unknown():
@@ -154,7 +150,7 @@ def ref_is_header_line(line):
     text = line.strip()
     if not text:
         return False
-    if canonical_key(text) in default_alias_table():
+    if canonical_key(text) in ALIAS_TABLE:
         return True
     if text.endswith(":"):
         text = text[:-1].rstrip()
@@ -171,7 +167,7 @@ _HEADER_WORDS = st.sampled_from([
     "HPI", "PLAN", "plan", "Exam", "A/P", "CHIEF", "complaint", "OF", "a", "120/80", "7",
     "-", ":", "**", "İ", "ß", "SS", "Σ", "σς", "ǅ", "İSTANBUL", "STRAßE", "ǅOKER",
 ])
-_ALIAS_KEYS = sorted(default_alias_table())
+_ALIAS_KEYS = sorted(ALIAS_TABLE)
 _CASINGS = st.sampled_from([str.upper, str.lower, str.title, str.swapcase, str])
 _GAPS = st.text(st.sampled_from(" \t\xa0"), min_size=1, max_size=3)
 _EDGES = st.sampled_from(["", " ", "\xa0", "\t", ":", "*", "**", "#", "(", ")", "...", "- "])
@@ -201,9 +197,10 @@ def test_is_header_line_matches_whole_line_reference(line):
 def test_every_alias_key_in_any_casing_is_a_header():
     # Lowercase keys fail the shape rule, so only the alias lookup accepts
     # them: this holds only if the lookup takes as many words as the longest key.
-    for key in default_alias_table():
+    for key, section in ALIAS_TABLE.items():
         for line in (key.lower(), f" **{key.title()}** :", key.replace(" ", "\xa0\t").swapcase()):
             assert is_header_line(line) and ref_is_header_line(line), line
+            assert normalize_header(line) is section, line
 
 
 @pytest.mark.parametrize("line", [
