@@ -19,9 +19,9 @@ from pathlib import Path
 from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (
     APPROACH_TAGS,
-    CANONICAL_COLUMNS,
     MalformedFile,
     PredictionSet,
+    check_column,
     decode_utf8,
     json_text,
     load_corpus,
@@ -134,9 +134,10 @@ def _parse_columns(spec: str) -> dict[str, str]:
         canonical, sep, actual = (part.strip() for part in item.partition("="))
         if not sep or not canonical or not actual:
             raise argparse.ArgumentTypeError(f"expects canonical=actual pairs, got {item!r}")
-        if canonical not in CANONICAL_COLUMNS:
-            raise argparse.ArgumentTypeError(f"unknown canonical column {canonical!r} "
-                                             f"(expected one of {', '.join(CANONICAL_COLUMNS)})")
+        try:
+            check_column(canonical)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if canonical in columns:
             raise argparse.ArgumentTypeError(f"column {canonical!r} is named twice")
         columns[canonical] = actual

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from io import StringIO
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ChartsumError
 
@@ -26,35 +26,9 @@ APPROACH_TAGS = ("single", "section-wise", "multi-layer")
 TEXT_ENCODING = "utf-8-sig"
 
 
-class CorpusError(ChartsumError):
-    pass
-
-
-class MissingColumn(CorpusError):
-    def __init__(self, column: str, path: str):
-        super().__init__(f"{path}: missing required column {column!r}")
-        self.column = column
-
-
-class DuplicateId(CorpusError):
-    def __init__(self, encounter_id: str, row: int):
-        super().__init__(f"row {row}: duplicate encounter id {encounter_id!r}")
-        self.encounter_id = encounter_id
-        self.row = row
-
-
-class EmptyDialogue(CorpusError):
-    def __init__(self, row: int):
-        super().__init__(f"row {row}: dialogue is empty")
-        self.row = row
-
-
-class CorpusTooSmall(CorpusError):
-    pass
-
-
-class MalformedFile(CorpusError):
-    pass
+class MalformedFile(ChartsumError):
+    """An input file that does not hold what its kind must: every malformed corpus,
+    prediction file, report and checkpoint raises it."""
 
 
 NUMBER = (int, float)
@@ -82,29 +56,29 @@ def typed(mapping: Mapping, key: str, kind, where: str = ""):
     return value
 
 
-def decode_utf8(data: bytes, name: str | Path, error: type[ChartsumError] = MalformedFile) -> str:
+def decode_utf8(data: bytes, name: str | Path) -> str:
     """`data` decoded strictly as UTF-8, less one leading byte-order mark; `name` names its
     source in the error raised."""
     try:
         # Decoded whole, so that an error names the byte's offset in `data`.
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{name}: not UTF-8 text ({exc})") from exc
+        raise MalformedFile(f"{name}: not UTF-8 text ({exc})") from exc
     return text.removeprefix("\ufeff")
 
 
-def parse_json(text: str, where: str | Path, what: str,
-               error: type[ChartsumError] = MalformedFile):
-    """The JSON value `text` holds; invalid or too deeply nested JSON raises `error`."""
+def parse_json(text: str, where: str | Path, what: str):
+    """The JSON value `text` holds; invalid or too deeply nested JSON raises MalformedFile."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise error(f"{where}: not a valid {what} ({exc})") from exc
+        raise MalformedFile(f"{where}: not a valid {what} ({exc})") from exc
 
 
-def read_json(path: str | Path, what: str, error: type[ChartsumError] = MalformedFile):
-    """The JSON value in the UTF-8 file at `path`, a `what`; a malformed file raises `error`."""
-    return parse_json(decode_utf8(Path(path).read_bytes(), path, error), path, what, error)
+def read_json(path: str | Path, what: str):
+    """The JSON value in the UTF-8 file at `path`, a `what`; a malformed file raises
+    MalformedFile."""
+    return parse_json(decode_utf8(Path(path).read_bytes(), path), path, what)
 
 
 # json's spellings of the floats that float.__repr__ writes as nan, inf and -inf.
@@ -189,36 +163,32 @@ class Corpus:
         return [e for e in self.encounters if e.note is not None]
 
 
-def _resolve_columns(columns: Mapping[str, str] | None) -> dict[str, str]:
-    resolved = {name: name for name in CANONICAL_COLUMNS}
-    if columns:
-        for canonical, actual in columns.items():
-            if canonical not in CANONICAL_COLUMNS:
-                raise ValueError(f"unknown canonical column {canonical!r}")
-            resolved[canonical] = actual
-    return resolved
-
-
-def _make_encounter(
-    raw_id: str | None, dialogue: str | None, note: str | None, row: int, seen: dict[str, int]
-) -> Encounter:
-    if raw_id is None or raw_id == "":
-        raise MalformedFile(f"row {row}: missing id")
-    if raw_id in seen:
-        raise DuplicateId(raw_id, row)
-    seen[raw_id] = row
-    if dialogue is None or dialogue.strip() == "":
-        raise EmptyDialogue(row)
-    return Encounter(id=raw_id, dialogue=dialogue, note=note if note else None)
+def check_column(name: str) -> str:
+    """`name` if it is a canonical corpus column; ValueError otherwise."""
+    if name not in CANONICAL_COLUMNS:
+        raise ValueError(f"unknown canonical column {name!r} "
+                         f"(expected one of {', '.join(CANONICAL_COLUMNS)})")
+    return name
 
 
 def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> Corpus:
-    """Load encounters in file order. `columns` remaps canonical names to actual ones."""
+    """Load encounters in file order. `columns` remaps canonical names to actual ones.
+
+    The id and dialogue columns are required. So is the note column when
+    `columns` names it; otherwise a file without one loads as unlabeled.
+    """
     path = Path(path)
-    cols = _resolve_columns(columns)
-    load = _load_jsonl if path.name.endswith(JSONL_SUFFIXES) else _load_csv
+    cols = {name: name for name in CANONICAL_COLUMNS}
+    cols.update((check_column(name), actual) for name, actual in (columns or {}).items())
+    required = [cols["id"], cols["dialogue"]]
+    if columns and "note" in columns:
+        required.append(cols["note"])
+    records = _jsonl_records if path.name.endswith(JSONL_SUFFIXES) else _csv_records
+    encounters: list[Encounter] = []
+    seen: set[str] = set()
     try:
-        encounters = load(path, cols)
+        for row, record in records(path, required):
+            encounters.append(_encounter(record, cols, f"{path}: row {row}", seen))
     except UnicodeDecodeError as exc:
         # The text layer names a position within its read chunk; decoding the
         # whole file again names the byte's offset in the file. The raise below is
@@ -231,51 +201,57 @@ def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> C
     return Corpus(encounters=tuple(encounters))
 
 
-def _load_csv(path: Path, cols: dict[str, str]) -> list[Encounter]:
-    encounters: list[Encounter] = []
-    seen: dict[str, int] = {}
+def _csv_records(path: Path, required: list[str]) -> Iterator[tuple[int, dict]]:
+    """(row number, row) of each CSV row after a header holding every `required` column."""
     with open(path, newline="", encoding=TEXT_ENCODING) as fh:
-        reader = csv.DictReader(fh)
+        # A short row's missing fields read as "", as an empty field does.
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise MalformedFile(f"{path}: empty file, expected a header row")
-        for required in ("id", "dialogue"):
-            if cols[required] not in reader.fieldnames:
-                raise MissingColumn(cols[required], str(path))
-        has_note = cols["note"] in reader.fieldnames
-        for row_num, row in enumerate(reader, start=1):
-            note = row.get(cols["note"]) if has_note else None
-            encounters.append(
-                _make_encounter(row.get(cols["id"]), row.get(cols["dialogue"]), note, row_num, seen)
-            )
-    return encounters
+        for column in required:
+            if column not in reader.fieldnames:
+                raise MalformedFile(f"{path}: missing required column {column!r}")
+        yield from enumerate(reader, start=1)
 
 
-def _load_jsonl(path: Path, cols: dict[str, str]) -> list[Encounter]:
-    encounters: list[Encounter] = []
-    seen: dict[str, int] = {}
+def _jsonl_records(path: Path, required: list[str]) -> Iterator[tuple[int, dict]]:
+    """(row number, object) of each non-blank JSONL line; a file with rows must hold
+    each `required` column in at least one of them."""
+    unheld = set(required)
+    row = 0
     with open(path, encoding=TEXT_ENCODING) as fh:
-        row_num = 0
         for line in fh:
             if not line.strip():
                 continue
-            row_num += 1
-            record = parse_json(line, f"{path}: row {row_num}", "JSON row")
+            row += 1
+            record = parse_json(line, f"{path}: row {row}", "JSON row")
             if not isinstance(record, dict):
-                raise MalformedFile(f"{path}: row {row_num}: expected a JSON object")
-            if cols["id"] not in record:
-                raise MissingColumn(cols["id"], str(path))
-            if cols["dialogue"] not in record:
-                raise MissingColumn(cols["dialogue"], str(path))
-            fields = [record.get(cols[name]) for name in CANONICAL_COLUMNS]
-            for name, value in zip(CANONICAL_COLUMNS, fields):
-                # A missing or null note marks an unlabeled row.
-                if not isinstance(value, str) and not (name == "note" and value is None):
-                    raise MalformedFile(
-                        f"{path}: row {row_num}: field {cols[name]!r} must be a string, "
-                        f"got {type(value).__name__}"
-                    )
-            encounters.append(_make_encounter(*fields, row_num, seen))
-    return encounters
+                raise MalformedFile(f"{path}: row {row}: expected a JSON object")
+            unheld.difference_update(record)
+            yield row, record
+    if row and unheld:
+        raise MalformedFile(f"{path}: no row holds the required column {min(unheld)!r}")
+
+
+def _encounter(record: Mapping, cols: dict[str, str], where: str, seen: set[str]) -> Encounter:
+    """The encounter of one row, by every row rule of both formats; `where` names the row."""
+    for name in ("id", "dialogue"):
+        if cols[name] not in record:
+            raise MalformedFile(f"{where}: missing required column {cols[name]!r}")
+    raw_id, dialogue, note = (record.get(cols[name]) for name in CANONICAL_COLUMNS)
+    for name, value in zip(CANONICAL_COLUMNS, (raw_id, dialogue, note)):
+        # A missing or null note marks an unlabeled row.
+        if not isinstance(value, str) and not (name == "note" and value is None):
+            raise MalformedFile(f"{where}: field {cols[name]!r} must be a string, "
+                                f"got {type(value).__name__}")
+    if raw_id == "":
+        raise MalformedFile(f"{where}: missing id")
+    if raw_id in seen:
+        raise MalformedFile(f"{where}: duplicate encounter id {raw_id!r}")
+    seen.add(raw_id)
+    if dialogue.strip() == "":
+        raise MalformedFile(f"{where}: dialogue is empty")
+    return Encounter(id=raw_id, dialogue=dialogue, note=note or None)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -303,7 +279,7 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corp
     """
     n = len(corpus)
     if n < 2:
-        raise CorpusTooSmall(f"need at least 2 encounters to split, have {n}")
+        raise ValueError(f"need at least 2 encounters to split, have {n}")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     # Epsilon guards against fractions like 67/87 rounding to just under an integer.

@@ -71,7 +71,6 @@ class PipelineError(ChartsumError):
 class MissingReference(PipelineError):
     def __init__(self, encounter_id: str):
         super().__init__(f"no reference note for encounter {encounter_id!r}")
-        self.encounter_id = encounter_id
 
 
 # chartsum.tinylsg loads numpy, so it is imported only where a model is built

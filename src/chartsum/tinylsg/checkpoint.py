@@ -17,15 +17,10 @@ import numpy as np
 
 from ..config import LsgConfig, ModelConfig
 from ..corpus import MalformedFile, read_json, typed
-from ..errors import ChartsumError
 from .model import TinyModel
 from .vocab import Vocab
 
 FORMAT_VERSION = 3
-
-
-class MalformedCheckpoint(ChartsumError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,12 +62,12 @@ def _integer_config(payload: dict, key: str, cls):
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    payload = read_json(path, "checkpoint", MalformedCheckpoint)
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict):
-        raise MalformedCheckpoint(f"{path}: expected a JSON object")
+        raise MalformedFile(f"{path}: expected a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION or not isinstance(version, int):
-        raise MalformedCheckpoint(
+        raise MalformedFile(
             f"{path}: unsupported format version {version!r}; "
             f"retrain with `chartsum train` to write version {FORMAT_VERSION}"
         )
@@ -83,23 +78,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         tokens = typed(payload, "vocab", list)
         weights = typed(payload, "weights", str)
     except MalformedFile as exc:
-        raise MalformedCheckpoint(f"{path}: {exc}") from None
+        raise MalformedFile(f"{path}: {exc}") from None
     if max_summary_tokens < 1:
-        raise MalformedCheckpoint(
+        raise MalformedFile(
             f"{path}: max_summary_tokens must be an integer >= 1, got {max_summary_tokens!r}"
         )
     if not all(isinstance(token, str) for token in tokens):
-        raise MalformedCheckpoint(f"{path}: vocab must be a list of strings")
+        raise MalformedFile(f"{path}: vocab must be a list of strings")
     try:
         flat = np.frombuffer(base64.b64decode(weights, validate=True), dtype="<f8")
     except ValueError as exc:  # binascii.Error is a ValueError
-        raise MalformedCheckpoint(f"{path}: weights are not base64 float64 values: {exc}") from None
+        raise MalformedFile(f"{path}: weights are not base64 float64 values: {exc}") from None
     try:
         vocab = Vocab(id_to_token=tuple(tokens))
         model = TinyModel(config=config, vocab=vocab, flat=flat.astype(np.float64))
     except ValueError as exc:
-        raise MalformedCheckpoint(f"{path}: {exc}") from None
+        raise MalformedFile(f"{path}: {exc}") from None
     for name, value in model.params.items():
         if not np.isfinite(value).all():
-            raise MalformedCheckpoint(f"{path}: parameter {name!r} holds a non-finite value")
+            raise MalformedFile(f"{path}: parameter {name!r} holds a non-finite value")
     return Checkpoint(model=model, lsg=lsg, max_summary_tokens=max_summary_tokens)

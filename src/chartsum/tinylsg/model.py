@@ -48,8 +48,6 @@ _GELU_A = 0.044715
 class SequenceTooLong(ChartsumError):
     def __init__(self, length: int, limit: int):
         super().__init__(f"source sequence has {length} tokens, limit is {limit}")
-        self.length = length
-        self.limit = limit
 
 
 @dataclass(frozen=True, eq=False)

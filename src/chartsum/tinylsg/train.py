@@ -29,7 +29,6 @@ class EmptyTrainingSet(ChartsumError):
 class NonFiniteLoss(ChartsumError):
     def __init__(self, epoch: int, reason: str):
         super().__init__(f"training diverged at epoch {epoch}: {reason}")
-        self.epoch = epoch
 
 
 class NonFiniteDecode(ChartsumError):

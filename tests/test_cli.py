@@ -22,6 +22,7 @@ from chartsum.corpus import Corpus, load_corpus, load_predictions, save_corpus
 from chartsum.pipeline import TinyLsgSummarizer, config_hash, run_report_from_dict, train_tiny_lsg
 from chartsum.tinylsg import LsgConfig, load_checkpoint, save_model
 from synthdata import synth_corpus
+from test_corpus import MALFORMED_CORPORA
 
 
 @pytest.fixture
@@ -1239,6 +1240,47 @@ def test_jsonl_corpus_with_non_string_field_is_a_runtime_error(tmp_path, corpus_
     _assert_one_line_error(
         capsys.readouterr().err, "row 1: field 'dialogue' must be a string, got int"
     )
+
+
+@pytest.mark.parametrize("format, data, fragment", MALFORMED_CORPORA.values(),
+                         ids=MALFORMED_CORPORA)
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_malformed_corpus_error_names_its_file(tmp_path, corpus_csv, capsys, command,
+                                               format, data, fragment):
+    # `run` and `score` each read two corpora: the error must say which one is bad.
+    bad = tmp_path / f"eval.{format}"
+    bad.write_bytes(data)
+    argv = {
+        "run": ["run", "--approach", "single", "--train", corpus_csv, "--eval", str(bad),
+                "--backend", "oracle", "--seed", "0"],
+        "score": ["score", "--candidates", corpus_csv, "--references", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}: {fragment}")
+    _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("eval.csv", "id,dialogue,note\n1,hi,n\n", "missing required column 'summary'"),
+    ("eval.jsonl", '{"id": "1", "dialogue": "hi", "note": "n"}\n',
+     "no row holds the required column 'summary'"),
+], ids=["csv", "jsonl"])
+@pytest.mark.parametrize("command", ["train", "run", "score"])
+def test_explicit_note_column_missing_from_the_file_is_a_runtime_error(
+        tmp_path, corpus_csv, capsys, monkeypatch, command, name, text, message):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    bad = tmp_path / name
+    bad.write_text(text)
+    argv = {
+        "train": ["train", "--train", str(bad), "--checkpoint", str(tmp_path / "m.json"),
+                  "--seed", "0"],
+        "run": ["run", "--approach", "single", "--train", str(bad), "--eval", str(bad),
+                "--seed", "0"],
+        "score": ["score", "--candidates", str(bad), "--references", str(bad)],
+    }[command]
+    assert main([*argv, "--columns", "note=summary"]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 def test_run_bad_extract_k_fails_before_training(corpus_csv, eval_csv, capsys, monkeypatch):

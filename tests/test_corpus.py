@@ -11,12 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartsum.corpus import (
-    CorpusTooSmall,
-    DuplicateId,
-    EmptyDialogue,
     Encounter,
     MalformedFile,
-    MissingColumn,
     PredictionSet,
     decode_utf8,
     json_text,
@@ -61,19 +57,19 @@ def test_load_csv_note_column_optional(tmp_path):
 
 def test_load_csv_missing_required_column(tmp_path):
     p = write(tmp_path / "c.csv", "id,note\ne1,whatever\n")
-    with pytest.raises(MissingColumn):
+    with pytest.raises(MalformedFile, match="missing required column 'dialogue'"):
         load_corpus(p)
 
 
 def test_load_csv_duplicate_id(tmp_path):
     p = write(tmp_path / "c.csv", "id,dialogue\ne1,hi\ne1,again\n")
-    with pytest.raises(DuplicateId):
+    with pytest.raises(MalformedFile, match="row 2: duplicate encounter id 'e1'"):
         load_corpus(p)
 
 
 def test_load_csv_empty_dialogue(tmp_path):
     p = write(tmp_path / "c.csv", "id,dialogue\ne1,   \n")
-    with pytest.raises(EmptyDialogue):
+    with pytest.raises(MalformedFile, match="row 1: dialogue is empty"):
         load_corpus(p)
 
 
@@ -190,7 +186,7 @@ def test_load_jsonl_non_object_row(tmp_path):
 
 def test_load_jsonl_missing_keys(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"id": "e1"}\n')
-    with pytest.raises(MissingColumn):
+    with pytest.raises(MalformedFile, match="row 1: missing required column 'dialogue'"):
         load_corpus(p)
 
 
@@ -218,6 +214,72 @@ def test_load_jsonl_column_remap(tmp_path):
     p = write(tmp_path / "c.jsonl", '{"k": "e1", "d": "hi", "n": "note"}\n')
     corpus = load_corpus(p, columns={"id": "k", "dialogue": "d", "note": "n"})
     assert corpus.encounters[0] == Encounter("e1", "hi", "note")
+
+
+# ---------------------------------------------------------------------------
+# Malformed corpora: one error type, always naming the file
+# ---------------------------------------------------------------------------
+
+# (format, file bytes, what the message says after "<path>: ")
+MALFORMED_CORPORA = {
+    "no-id-column": ("csv", b"dialogue,note\nhi,n\n", "missing required column 'id'"),
+    "no-dialogue-column": ("csv", b"id,note\ne1,n\n", "missing required column 'dialogue'"),
+    "no-id-key": ("jsonl", b'{"dialogue": "hi"}\n', "row 1: missing required column 'id'"),
+    "no-dialogue-key": ("jsonl", b'{"id": "e1", "dialogue": "hi"}\n{"id": "e2"}\n',
+                        "row 2: missing required column 'dialogue'"),
+    "csv-missing-id": ("csv", b"id,dialogue\ne1,hi\n,yo\n", "row 2: missing id"),
+    "jsonl-missing-id": ("jsonl", b'{"id": "", "dialogue": "hi"}\n', "row 1: missing id"),
+    "csv-duplicate-id": ("csv", b"id,dialogue\n1,hi\n1,yo\n",
+                         "row 2: duplicate encounter id '1'"),
+    "jsonl-duplicate-id": ("jsonl",
+                           b'{"id": "1", "dialogue": "hi"}\n\n{"id": "1", "dialogue": "yo"}\n',
+                           "row 2: duplicate encounter id '1'"),
+    "csv-blank-dialogue": ("csv", b"id,dialogue\ne1, \t\n", "row 1: dialogue is empty"),
+    "csv-short-row": ("csv", b"id,dialogue\ne1,hi\ne2\n", "row 2: dialogue is empty"),
+    "jsonl-blank-dialogue": ("jsonl", b'{"id": "e1", "dialogue": "  "}\n',
+                             "row 1: dialogue is empty"),
+    "non-string-field": ("jsonl", b'{"id": 1, "dialogue": "hi"}\n',
+                         "row 1: field 'id' must be a string, got int"),
+    "non-object-row": ("jsonl", b"[1, 2]\n", "row 1: expected a JSON object"),
+    "invalid-json": ("jsonl", b'{"id": "e1", "dialogue": "hi"}\nnot json\n',
+                     "row 2: not a valid JSON row"),
+    "csv-non-utf8": ("csv", b"id,dialogue\ne1,caf\xe9\n", "not UTF-8 text"),
+    "jsonl-non-utf8": ("jsonl", b'{"id": "e1", "dialogue": "caf\xe9"}\n', "not UTF-8 text"),
+    "csv-field-over-limit": ("csv", b"id,dialogue\ne1," + b"a" * 200_000 + b"\n",
+                             "field larger than field limit"),
+    "csv-empty-file": ("csv", b"", "empty file, expected a header row"),
+}
+
+
+@pytest.mark.parametrize("format, data, fragment", MALFORMED_CORPORA.values(),
+                         ids=MALFORMED_CORPORA)
+def test_malformed_corpus_raises_malformed_file_naming_the_file(tmp_path, format, data, fragment):
+    p = tmp_path / f"c.{format}"
+    p.write_bytes(data)
+    with pytest.raises(MalformedFile) as info:
+        load_corpus(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: {fragment}") and "\n" not in message
+
+
+@pytest.mark.parametrize("format, text, fragment", [
+    ("csv", "id,dialogue,note\ne1,hi,n\n", "missing required column 'summary'"),
+    ("csv", "id,dialogue,summary\n", None),
+    ("jsonl", '{"id": "e1", "dialogue": "hi", "note": "n"}\n',
+     "no row holds the required column 'summary'"),
+    ("jsonl", '{"id": "e1", "dialogue": "hi"}\n{"id": "e2", "dialogue": "yo", "summary": null}\n',
+     None),
+    ("jsonl", "", None),
+], ids=["csv-missing", "csv-header-only", "jsonl-missing", "jsonl-one-row-holds", "jsonl-empty"])
+def test_explicit_note_column_must_exist(tmp_path, format, text, fragment):
+    """A note column that `columns` names is required; the default one is optional."""
+    p = write(tmp_path / f"c.{format}", text)
+    if fragment is None:
+        assert load_corpus(p, {"note": "summary"}).labeled() == []
+        return
+    with pytest.raises(MalformedFile) as info:
+        load_corpus(p, {"note": "summary"})
+    assert str(info.value) == f"{p}: {fragment}"
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +347,7 @@ def test_split_fraction_bounds():
 
 
 def test_split_too_small():
-    with pytest.raises(CorpusTooSmall):
+    with pytest.raises(ValueError, match="need at least 2 encounters to split, have 1"):
         split_corpus(synth_corpus(1), 0.5, seed=0)
 
 

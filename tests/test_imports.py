@@ -10,12 +10,14 @@ wraps them.
 Input files are decoded and parsed as JSON in one place each, and indented
 JSON output is rendered in one place. Every `from chartsum... import` that
 README.md shows imports. The package is Python source only: it ships no data
-file and reads none through `importlib.resources`.
+file and reads none through `importlib.resources`. Every exception class the
+package defines is raised by name somewhere in it.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import inspect
 import json
@@ -638,4 +640,81 @@ def test_resource_import_check_flags_what_it_should():
         "line 3: from importlib import import_module, resources",
         "line 4: from importlib.resources.abc import Traversable",
         "line 7: import importlib.resources as r",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# every exception class is raised
+# ---------------------------------------------------------------------------
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name a `Name` or the attribute an `Attribute` ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def unraised_exceptions(sources: dict[str, str]) -> list[str]:
+    """Exception classes defined in `sources` that no `raise` in them names.
+
+    A class is an exception when one of its bases is a builtin exception or an
+    exception class of `sources`. A `raise` names a class when it raises the bare
+    name or a call of it; a class that is only subclassed or caught is reported.
+    """
+    classes, raised = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                classes.append((module, node.name, node.lineno, [_name(b) for b in node.bases]))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(_name(exc))
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    grown = True
+    while grown:
+        found = {name for _, name, _, bases in classes if exceptions.intersection(bases)}
+        grown = not found <= exceptions
+        exceptions |= found
+    return sorted(f"{module}: {name} (line {line})" for module, name, line, bases in classes
+                  if exceptions.intersection(bases) and name not in raised)
+
+
+def test_every_exception_class_is_raised():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert unraised_exceptions(sources) == []
+
+
+def test_unraised_exception_check_flags_what_it_should():
+    sources = {
+        "errors.py": (
+            "class ChartsumError(Exception):\n"
+            "    pass\n"
+            "class CorpusError(ChartsumError):\n"
+            "    pass\n"
+            "class Caught(ValueError):\n"
+            "    pass\n"
+        ),
+        "corpus.py": (
+            "from . import errors\n"
+            "class MalformedFile(CorpusError):\n"
+            "    pass\n"
+            "class Deep(MalformedFile):\n"
+            "    pass\n"
+            "class Encounter:\n"
+            "    pass\n"
+            "class Quiet(errors.ChartsumError):\n"
+            "    pass\n"
+            "def load():\n"
+            "    try:\n"
+            "        raise MalformedFile('x')\n"
+            "    except Caught:\n"
+            "        raise\n"
+            "    raise errors.ChartsumError\n"
+        ),
+    }
+    assert unraised_exceptions(sources) == [
+        "corpus.py: Deep (line 4)", "corpus.py: Quiet (line 8)",
+        "errors.py: Caught (line 5)", "errors.py: CorpusError (line 3)",
     ]

@@ -24,10 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartsum.corpus import MalformedFile
 from chartsum.errors import ChartsumError
 from chartsum.tinylsg.checkpoint import (
     FORMAT_VERSION,
-    MalformedCheckpoint,
     load_checkpoint,
     save_model,
 )
@@ -368,7 +368,7 @@ def test_encoder_input_ids_too_long():
     lsg = LsgConfig(block_size=4, num_global=1, max_input_tokens=4)
     with pytest.raises(SequenceTooLong) as err:
         encoder_input_ids([5, 6, 7, 8, 9], lsg)
-    assert err.value.length == 5 and err.value.limit == 4
+    assert str(err.value) == "source sequence has 5 tokens, limit is 4"
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +862,7 @@ def test_checkpoint_malformed_payloads(tmp_path, mutate):
     p = tmp_path / "model.json"
     save_model(model, p, FULL_LSG, 8)
     p.write_text(mutate(p.read_text()))
-    with pytest.raises(MalformedCheckpoint):
+    with pytest.raises(MalformedFile):
         load_checkpoint(p)
 
 
@@ -877,12 +877,12 @@ def test_checkpoint_missing_key_and_bad_shape(tmp_path):
     broken = dict(payload)
     del broken["vocab"]
     p.write_text(_json.dumps(broken))
-    with pytest.raises(MalformedCheckpoint):
+    with pytest.raises(MalformedFile):
         load_checkpoint(p)
 
     payload["weights"] = _encoded(_weights(payload)[:-1])  # one float short
     p.write_text(_json.dumps(payload))
-    with pytest.raises(MalformedCheckpoint):
+    with pytest.raises(MalformedFile):
         load_checkpoint(p)
 
 
@@ -928,7 +928,7 @@ def _byte_short(c):
 def test_checkpoint_weights_must_fill_the_model(tmp_path, mutate, fragment):
     p = _mutated_checkpoint(tmp_path, mutate)
     n = small_model().num_params
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     assert str(info.value) == f"{p}: " + fragment.format(n=n, short=n - 1)
 
@@ -937,7 +937,7 @@ def test_checkpoint_weights_must_fill_the_model(tmp_path, mutate, fragment):
                          ids=["list", "object", "int", "null"])
 def test_checkpoint_weights_must_be_a_string(tmp_path, value):
     p = _mutated_checkpoint(tmp_path, lambda c: c.update(weights=value))
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     message = str(info.value)
     assert message.startswith(f"{p}: 'weights' must be") and "\n" not in message
@@ -950,7 +950,7 @@ def test_checkpoint_weights_must_be_strict_base64(tmp_path, junk):
         c["weights"] = c["weights"][:8] + junk + c["weights"][8:]
 
     p = _mutated_checkpoint(tmp_path, insert)
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     message = str(info.value)
     assert message.startswith(f"{p}: weights are not base64 float64 values: ") and "\n" not in message
@@ -959,7 +959,7 @@ def test_checkpoint_weights_must_be_strict_base64(tmp_path, junk):
 def test_checkpoint_vocab_must_hold_strings(tmp_path):
     # A non-string token loads otherwise and fails only when decode joins it.
     p = _mutated_checkpoint(tmp_path, lambda c: c["vocab"].__setitem__(5, 7))
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     assert str(info.value) == f"{p}: vocab must be a list of strings"
 
@@ -969,7 +969,7 @@ def test_checkpoint_vocab_must_not_repeat_tokens(tmp_path):
         c["vocab"][6] = c["vocab"][5]
 
     p = _mutated_checkpoint(tmp_path, repeat)
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     message = str(info.value)
     assert message.startswith(f"{p}: vocabulary repeats the tokens") and "\n" not in message
@@ -987,7 +987,7 @@ def _set_first_value(c, name, value):
 ])
 def test_checkpoint_rejects_non_finite_parameters(tmp_path, name, value):
     p = _mutated_checkpoint(tmp_path, lambda c: _set_first_value(c, name, value))
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     assert str(info.value) == f"{p}: parameter {name!r} holds a non-finite value"
 
@@ -1018,7 +1018,7 @@ def _downgrade_to_version_2(c):
 
 def test_checkpoint_version_2_is_rejected_with_the_retrain_hint(tmp_path):
     p = _mutated_checkpoint(tmp_path, _downgrade_to_version_2)
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     assert str(info.value) == (
         f"{p}: unsupported format version 2; retrain with `chartsum train` to write version 3"
@@ -1048,7 +1048,7 @@ def test_checkpoint_version_2_is_rejected_with_the_retrain_hint(tmp_path):
         "model-float-d-ff"])
 def test_checkpoint_malformed_settings(tmp_path, mutate):
     p = _mutated_checkpoint(tmp_path, mutate)
-    with pytest.raises(MalformedCheckpoint) as info:
+    with pytest.raises(MalformedFile) as info:
         load_checkpoint(p)
     message = str(info.value)
     assert message.startswith(f"{p}: ") and "\n" not in message
