@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import hashlib
 import os
 import sys
 from dataclasses import asdict
@@ -19,15 +18,14 @@ from pathlib import Path
 from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (
     APPROACH_TAGS,
-    MalformedFile,
     PredictionSet,
     check_column,
     decode_utf8,
+    is_prediction_file,
     json_text,
     load_corpus,
     load_predictions,
     predictions_text,
-    read_json,
     save_predictions,
 )
 from .errors import ChartsumError
@@ -288,9 +286,8 @@ def _cmd_predict(args) -> int:
     )
     corpus = load_corpus(args.eval, args.columns)
     entries = {e.id: summarizer.summarize(e.dialogue) for e in corpus}
-    digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     predict_config = {
-        "checkpoint_sha256": digest,
+        "checkpoint_sha256": checkpoint.sha256,
         "lsg": asdict(checkpoint.lsg),
         "max_summary_tokens": checkpoint.max_summary_tokens,
     }
@@ -304,19 +301,8 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _is_prediction_file(path: str) -> bool:
-    """A `.json` name, or text that parses as a JSON object holding `entries`."""
-    if path.endswith(".json"):
-        return True
-    try:
-        payload = read_json(path, "prediction file")
-    except MalformedFile:  # not UTF-8 JSON: a corpus, or a broken one
-        return False
-    return isinstance(payload, dict) and "entries" in payload
-
-
 def _load_candidates(path: str, columns: dict[str, str] | None) -> dict[str, str]:
-    if _is_prediction_file(path):
+    if is_prediction_file(path):
         return dict(load_predictions(path).entries)
     corpus = load_corpus(path, columns)
     texts = {}
@@ -330,7 +316,7 @@ def _load_candidates(path: str, columns: dict[str, str] | None) -> dict[str, str
 def _cmd_score(args) -> int:
     candidates = _load_candidates(args.candidates, args.columns)
     references = _load_candidates(args.references, args.columns)
-    scores = corpus_rouge(pair_references(candidates, references))
+    scores = corpus_rouge(pair_references(candidates, references, args.references))
     _write_output(render_scores(scores, args.format), args.out)
     return 0
 
@@ -354,7 +340,7 @@ def _cmd_run(args) -> int:
     # output directory that cannot be made.
     unlabeled = sorted(e.id for e in eval_corpus if e.note is None)
     if unlabeled:
-        raise MissingReference(unlabeled[0])
+        raise MissingReference(unlabeled[0], args.eval)
     if not eval_corpus:
         raise EmptyEvaluation("no candidate/reference pairs to score")
     if args.out_dir is not None:

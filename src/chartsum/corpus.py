@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -161,6 +162,24 @@ class Corpus:
 
     def labeled(self) -> list[Encounter]:
         return [e for e in self.encounters if e.note is not None]
+
+
+def is_prediction_file(path: str | Path) -> bool:
+    """The one rule for an input that may be a prediction file or a corpus (`score`'s).
+
+    A name ending `.json` is a prediction file and one with a JSONL suffix a corpus.
+    Any other file is a prediction file when its first byte after an optional UTF-8
+    byte-order mark and JSON whitespace is `{`; only that prefix is read.
+    """
+    name = Path(path).name
+    if name.endswith((".json", *JSONL_SUFFIXES)):
+        return name.endswith(".json")
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        while (byte := fh.read(1)) and byte in b" \t\n\r":
+            pass
+    return byte == b"{"
 
 
 def check_column(name: str) -> str:

@@ -64,13 +64,10 @@ DIVISION_METRIC = "rouge1_f1"
 _STAGE2_SEED_OFFSET = len(SECTION_ORDER)
 
 
-class PipelineError(ChartsumError):
-    pass
-
-
-class MissingReference(PipelineError):
-    def __init__(self, encounter_id: str):
-        super().__init__(f"no reference note for encounter {encounter_id!r}")
+class MissingReference(ChartsumError):
+    def __init__(self, encounter_id: str, path: str | Path | None = None):
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}no reference note for encounter {encounter_id!r}")
 
 
 # chartsum.tinylsg loads numpy, so it is imported only where a model is built
@@ -349,7 +346,7 @@ def _section_wise(
         key=SECTION_ORDER.index,
     )
     if not sections:
-        raise PipelineError("no known sections found in any training reference")
+        raise ChartsumError("no known sections found in any training reference")
 
     def slot(section: Section) -> _Slot:
         return (
@@ -437,14 +434,14 @@ def _division_average(division_f1: Mapping[Division, float]) -> float:
     return sum(division_f1[div] for div in DIVISIONS) / len(DIVISIONS)
 
 
-def pair_references(
-    candidates: Mapping[str, str], references: Mapping[str, str | None]
-) -> list[tuple[str, str, str]]:
-    """(id, candidate, reference) per candidate in id order; a missing reference raises."""
+def pair_references(candidates: Mapping[str, str], references: Mapping[str, str | None],
+                    path: str | Path | None = None) -> list[tuple[str, str, str]]:
+    """(id, candidate, reference) per candidate in id order; a missing reference raises
+    MissingReference, naming `path`, the references' file, when given."""
     pairs = []
     for eid in sorted(candidates):
         if references.get(eid) is None:
-            raise MissingReference(eid)
+            raise MissingReference(eid, path)
         pairs.append((eid, candidates[eid], references[eid]))
     return pairs
 

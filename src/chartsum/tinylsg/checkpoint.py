@@ -9,6 +9,7 @@ little-endian float64, base64-encoded; the config and vocabulary fix its layout.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import LsgConfig, ModelConfig
-from ..corpus import MalformedFile, read_json, typed
+from ..corpus import MalformedFile, decode_utf8, parse_json, typed
 from .model import TinyModel
 from .vocab import Vocab
 
@@ -25,11 +26,13 @@ FORMAT_VERSION = 3
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A loaded checkpoint: the model and the settings inference must reuse."""
+    """A loaded checkpoint: the model, the settings inference must reuse, and the
+    sha256 hex digest of the bytes it was read from."""
 
     model: TinyModel
     lsg: LsgConfig
     max_summary_tokens: int
+    sha256: str
 
 
 def save_model(model: TinyModel, path: str | Path, lsg: LsgConfig, max_summary_tokens: int) -> None:
@@ -62,7 +65,12 @@ def _integer_config(payload: dict, key: str, cls):
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    payload = read_json(path, "checkpoint")
+    data = Path(path).read_bytes()
+    sha256 = hashlib.sha256(data).hexdigest()
+    text = decode_utf8(data, path)
+    del data  # no copy of the file is held while the weights decode
+    payload = parse_json(text, path, "checkpoint")
+    del text
     if not isinstance(payload, dict):
         raise MalformedFile(f"{path}: expected a JSON object")
     version = payload.get("format_version")
@@ -97,4 +105,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for name, value in model.params.items():
         if not np.isfinite(value).all():
             raise MalformedFile(f"{path}: parameter {name!r} holds a non-finite value")
-    return Checkpoint(model=model, lsg=lsg, max_summary_tokens=max_summary_tokens)
+    return Checkpoint(model=model, lsg=lsg, max_summary_tokens=max_summary_tokens, sha256=sha256)

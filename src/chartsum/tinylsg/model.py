@@ -45,11 +45,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-class SequenceTooLong(ChartsumError):
-    def __init__(self, length: int, limit: int):
-        super().__init__(f"source sequence has {length} tokens, limit is {limit}")
-
-
 @dataclass(frozen=True, eq=False)
 class TinyModel:
     """A model's weights, held in one C-contiguous float64 buffer, `flat`.
@@ -476,7 +471,8 @@ def _ff_backward(params, prefix: str, x, cache, d_out, grads):
 def encoder_input_ids(src: Sequence[int], lsg: LsgConfig) -> list[int]:
     """Global-token prefix plus source ids; empty input degrades to a lone UNK."""
     if len(src) > lsg.max_input_tokens:
-        raise SequenceTooLong(len(src), lsg.max_input_tokens)
+        raise ChartsumError(
+            f"source sequence has {len(src)} tokens, limit is {lsg.max_input_tokens}")
     ids = [GLOBAL_ID] * lsg.num_global + list(src)
     return ids if ids else [UNK_ID]
 

@@ -22,10 +22,6 @@ _ADAM_EPS = 1e-8
 _ADAM_CHUNK = 16384
 
 
-class EmptyTrainingSet(ChartsumError):
-    pass
-
-
 class NonFiniteLoss(ChartsumError):
     def __init__(self, epoch: int, reason: str):
         super().__init__(f"training diverged at epoch {epoch}: {reason}")
@@ -95,7 +91,7 @@ def train(
     weights are then unspecified.
     """
     if not pairs:
-        raise EmptyTrainingSet("no (source, target) pairs to train on")
+        raise ChartsumError("no (source, target) pairs to train on")
     examples = _encode_pairs(model, pairs, lsg)
     # Gradients and both Adam moments are buffers shaped like `model.flat`;
     # the gradient dict holds named views into its buffer. A step then costs

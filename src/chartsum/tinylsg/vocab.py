@@ -17,10 +17,6 @@ GLOBAL_ID = 4
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>", "<g>")
 
 
-class EmptyCorpus(ChartsumError):
-    pass
-
-
 @dataclass(frozen=True)
 class Vocab:
     id_to_token: tuple[str, ...]
@@ -56,6 +52,6 @@ def build_vocab(texts: Iterable[str]) -> Vocab:
     for text in texts:
         counts.update(tokenize(text))
     if not counts:
-        raise EmptyCorpus("cannot build a vocabulary from zero tokens")
+        raise ChartsumError("cannot build a vocabulary from zero tokens")
     kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
     return Vocab(id_to_token=RESERVED_TOKENS + tuple(kept))

@@ -17,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from chartsum.cli import _backend_from_args, build_parser, main
-from chartsum.corpus import Corpus, load_corpus, load_predictions, save_corpus
+from chartsum.cli import _backend_from_args, _load_candidates, build_parser, main
+from chartsum.corpus import (Corpus, PredictionSet, load_corpus, load_predictions,
+                             predictions_text, save_corpus)
 from chartsum.pipeline import TinyLsgSummarizer, config_hash, run_report_from_dict, train_tiny_lsg
 from chartsum.tinylsg import LsgConfig, load_checkpoint, save_model
+from peakmem import traced_peak
 from synthdata import synth_corpus
 from test_corpus import MALFORMED_CORPORA
 
@@ -613,6 +615,46 @@ def test_score_tells_a_prediction_file_by_its_content(tmp_path, eval_csv, capsys
     assert capsys.readouterr().out.splitlines()[-1] == "AGGREGATE,1.0000,1.0000,1.0000"
 
 
+ONE_ROW = b'{"id": "e1", "dialogue": "hello there", "note": "note text here", "entries": {}}\n'
+# Inputs whose kind a whole-file sniff once got wrong, and the line `score` gives for
+# each as candidates against ONE_ROW (None: it scores).
+KIND_VERDICTS = {
+    "truncated-prediction-file": (
+        "trunc.out", b'{\n  "approach": "single",\n  "entries": {"e1": "no',
+        "not a valid prediction file (Unterminated string"),
+    "object-without-entries": (
+        "noentries.out", b'{"approach": "single", "seed": 0, "config_hash": ""}\n',
+        "missing key 'entries'"),
+    "jsonl-row-holding-entries": ("one.jsonl", ONE_ROW, None),
+}
+
+
+@pytest.mark.parametrize("name, data, error", KIND_VERDICTS.values(), ids=KIND_VERDICTS.keys())
+def test_score_reads_each_input_as_the_kind_rule_says(tmp_path, capsys, name, data, error):
+    references = tmp_path / "refs.jsonl"
+    references.write_bytes(ONE_ROW)
+    candidates = tmp_path / name
+    candidates.write_bytes(data)
+    code = main(["score", "--candidates", str(candidates), "--references", str(references),
+                 "--format", "csv"])
+    out, err = capsys.readouterr()
+    if error is None:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "AGGREGATE,1.0000,1.0000,1.0000"
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {candidates}: {error}") and err.count("\n") == 1, err
+
+
+def test_score_reads_a_corpus_in_no_more_memory_than_loading_it(tmp_path):
+    path = tmp_path / "cands.csv"
+    save_corpus(synth_corpus(1000), path)
+    assert path.stat().st_size > 500_000
+    corpus_peak = traced_peak(load_corpus, path)
+    candidates_peak = traced_peak(_load_candidates, str(path), None)
+    assert candidates_peak <= 1.05 * corpus_peak, (candidates_peak, corpus_peak)
+
+
 def _with_ids(corpus, ids):
     return Corpus(tuple(replace(e, id=eid) for e, eid in zip(corpus, ids, strict=True)))
 
@@ -647,7 +689,7 @@ def test_score_candidate_without_a_reference_is_a_missing_reference(
         assert main(["score", "--candidates", eval_csv, "--references", corpus_csv,
                      "--format", fmt]) == 2
         assert capsys.readouterr() == (
-            "", "error: no reference note for encounter 'synth-006'\n")
+            "", f"error: {corpus_csv}: no reference note for encounter 'synth-006'\n")
 
 
 def test_score_with_column_remap(tmp_path, capsys):
@@ -783,6 +825,38 @@ def test_predict_hashes_its_config_by_the_rule_run_uses(tmp_path, trained_checkp
     canonical = json.dumps(predict_config, sort_keys=True, separators=(",", ":"))
     assert load_predictions(out).config_hash == config_hash(predict_config) == (
         hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+
+
+def test_predict_reads_its_checkpoint_once(tmp_path, trained_checkpoint, eval_csv, monkeypatch):
+    data = trained_checkpoint.read_bytes()
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        if self == trained_checkpoint:
+            reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    out = tmp_path / "preds.json"
+    assert _predict(trained_checkpoint, eval_csv, out) == 0
+    assert len(reads) == 1
+    monkeypatch.undo()
+    # The bytes are those of the prediction file built from the checkpoint's own digest.
+    checkpoint = load_checkpoint(trained_checkpoint)
+    assert checkpoint.sha256 == hashlib.sha256(data).hexdigest()
+    summarizer = TinyLsgSummarizer(checkpoint.model, checkpoint.lsg, checkpoint.max_summary_tokens)
+    predict_config = {
+        "checkpoint_sha256": checkpoint.sha256,
+        "lsg": asdict(checkpoint.lsg),
+        "max_summary_tokens": checkpoint.max_summary_tokens,
+    }
+    expected = PredictionSet(
+        approach="single",
+        entries={e.id: summarizer.summarize(e.dialogue) for e in load_corpus(eval_csv)},
+        config_hash=config_hash(predict_config),
+    )
+    assert out.read_bytes() == predictions_text(expected).encode("utf-8")
 
 
 def _no_summary(*args, **kwargs):
@@ -1302,7 +1376,8 @@ def test_run_eval_without_notes_fails_before_training(tmp_path, corpus_csv, caps
         "run", "--approach", "section-wise", "--train", corpus_csv, "--eval", str(unlabeled),
         "--seed", "0", *TINY_MODEL_FLAGS,
     ]) == 2
-    assert capsys.readouterr().err == "error: no reference note for encounter 'synth-006'\n"
+    assert capsys.readouterr().err == (
+        f"error: {unlabeled}: no reference note for encounter 'synth-006'\n")
 
 
 def test_run_empty_eval_corpus_fails_before_training(tmp_path, corpus_csv, capsys, monkeypatch):

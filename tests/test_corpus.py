@@ -15,6 +15,7 @@ from chartsum.corpus import (
     MalformedFile,
     PredictionSet,
     decode_utf8,
+    is_prediction_file,
     json_text,
     load_corpus,
     load_predictions,
@@ -308,6 +309,39 @@ def test_save_load_round_trip(tmp_path, format):
 def test_file_name_decides_the_corpus_format(tmp_path, name, first_line):
     save_corpus(synth_corpus(2), tmp_path / name)
     assert (tmp_path / name).read_text(encoding="utf-8").startswith(first_line)
+
+
+CSV_TEXT = b"id,dialogue,note\ne1,hello there,note text here\n"
+# (name, content, is a prediction file): the name decides for .json and the JSONL
+# suffixes, the first byte after a byte-order mark and JSON whitespace for the rest.
+KIND_RULE = {
+    "json-name-csv-text": ("p.json", CSV_TEXT, True),
+    "jsonl-row-with-entries": ("one.jsonl", b'{"id": "e1", "dialogue": "hi", "entries": {}}\n',
+                               False),
+    "ndjson-name": ("c.ndjson", b'{"approach": "single", "entries": {}}\n', False),
+    "bom-and-whitespace-before-brace": ("p.out", BOM + b" \t\r\n {}", True),
+    "long-whitespace-run": ("p.out", b" " * 10_000 + b"{}", True),
+    "mark-after-whitespace": ("c.out", b" " + BOM + b"{}", False),
+    "csv-name": ("c.csv", CSV_TEXT, False),
+    "txt-name": ("c.txt", CSV_TEXT, False),
+    "no-name-suffix": ("c", CSV_TEXT, False),
+    "empty-file": ("e.out", b"", False),
+    "only-whitespace": ("w.out", BOM + b"\n\n", False),
+    "leading-0xff": ("x.out", b"\xff{}", False),
+    "brace-then-invalid-json": ("bad.out", b"{not json", True),
+    "truncated-prediction-file": ("trunc.out", b'{\n  "approach": "single",\n  "entries": {"e',
+                                  True),
+    "object-without-entries": ("noentries.out", b'{"approach": "single", "seed": 0}\n', True),
+    "brace-after-other-whitespace": ("c.out", b"\x0c{}", False),
+}
+
+
+@pytest.mark.parametrize("name, data, expected", KIND_RULE.values(), ids=KIND_RULE.keys())
+def test_is_prediction_file_is_the_one_kind_rule(tmp_path, name, data, expected):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert is_prediction_file(path) is expected
+    assert is_prediction_file(str(path)) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartsum.corpus import Corpus, Encounter, PredictionSet
+from chartsum.errors import ChartsumError
 from chartsum.pipeline import (
     DIVISION_METRIC,
     DIVISIONS,
@@ -24,7 +25,6 @@ from chartsum.pipeline import (
     IdentitySummarizer,
     MissingReference,
     OracleSummarizer,
-    PipelineError,
     RunReport,
     _STAGE2_SEED_OFFSET,
     config_hash,
@@ -409,7 +409,7 @@ def test_approach2_no_sections_at_all_raises():
     )
     flat = Corpus(encounters=enc)
     cfg = ApproachConfig(approach="section-wise", backend=ORACLE)
-    with pytest.raises(PipelineError):
+    with pytest.raises(ChartsumError, match="no known sections found in any training reference"):
         run_approach(flat, flat, cfg)
 
 

@@ -15,12 +15,12 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+from chartsum.errors import ChartsumError
 from chartsum.pipeline import BackendSpec, train_tiny_lsg
 from chartsum.tinylsg.checkpoint import load_checkpoint, save_model
 from chartsum.tinylsg.masks import LsgConfig
 from chartsum.tinylsg.model import ModelConfig, TinyModel, init_model, loss_and_grads
 from chartsum.tinylsg.train import (
-    EmptyTrainingSet,
     TrainConfig,
     _encode_pairs,
     grad_check,
@@ -73,7 +73,7 @@ def test_train_config_defaults_and_validation():
 # ---------------------------------------------------------------------------
 
 def test_train_empty_set_raises():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(ChartsumError, match=r"no \(source, target\) pairs to train on"):
         train(make_model(), [], TrainConfig(), LSG)
 
 
