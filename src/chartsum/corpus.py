@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ChartsumError
 
 CANONICAL_COLUMNS = ("id", "dialogue", "note")
-# The one corpus-format rule: a file whose name ends so is JSONL, any other CSV.
-JSONL_SUFFIXES = (".jsonl", ".ndjson")
+# The format each name ending gives a file, compared case-insensitively (`named_format`).
+_NAMED_FORMATS = {".json": "json", ".jsonl": "jsonl", ".ndjson": "jsonl"}
 
 # The three pipeline architectures; PredictionSet.approach is one of them.
 APPROACH_TAGS = ("single", "section-wise", "multi-layer")
@@ -164,22 +164,31 @@ class Corpus:
         return [e for e in self.encounters if e.note is not None]
 
 
-def is_prediction_file(path: str | Path) -> bool:
-    """The one rule for an input that may be a prediction file or a corpus (`score`'s).
+def named_format(path: str | Path) -> str | None:
+    """The one file-format rule: "json" for a name ending `.json`, "jsonl" for one
+    ending `.jsonl` or `.ndjson`, in any case, and None for any other name."""
+    name = Path(path).name.lower()
+    return next((form for suffix, form in _NAMED_FORMATS.items() if name.endswith(suffix)), None)
 
-    A name ending `.json` is a prediction file and one with a JSONL suffix a corpus.
-    Any other file is a prediction file when its first byte after an optional UTF-8
-    byte-order mark and JSON whitespace is `{`; only that prefix is read.
-    """
-    name = Path(path).name
-    if name.endswith((".json", *JSONL_SUFFIXES)):
-        return name.endswith(".json")
+
+def _opens_with_brace(path: str | Path) -> bool:
+    """Whether the file's first byte after an optional UTF-8 byte-order mark and JSON
+    whitespace is `{`; only that prefix is read."""
     with open(path, "rb") as fh:
         if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
             fh.seek(0)
         while (byte := fh.read(1)) and byte in b" \t\n\r":
             pass
     return byte == b"{"
+
+
+def is_prediction_file(path: str | Path) -> bool:
+    """The one rule for an input that may be a prediction file or a corpus (`score`'s):
+    the format its name gives, JSON or JSONL, or else whether it opens with `{`."""
+    form = named_format(path)
+    if form is not None:
+        return form == "json"
+    return _opens_with_brace(path)
 
 
 def check_column(name: str) -> str:
@@ -202,12 +211,22 @@ def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> C
     required = [cols["id"], cols["dialogue"]]
     if columns and "note" in columns:
         required.append(cols["note"])
-    records = _jsonl_records if path.name.endswith(JSONL_SUFFIXES) else _csv_records
-    encounters: list[Encounter] = []
+    records = _jsonl_records if named_format(path) == "jsonl" else _csv_records
+    try:
+        return Corpus(encounters=tuple(_encounters(path, records(path, required), cols)))
+    except MalformedFile as exc:
+        if records is _csv_records and _opens_with_brace(path):
+            raise MalformedFile(f"{exc} (read as CSV because its name does not end in "
+                                f".jsonl or .ndjson, but it opens with '{{')") from exc
+        raise
+
+
+def _encounters(path: Path, rows: Iterator[tuple[int, dict]], cols: dict) -> Iterator[Encounter]:
+    """The encounter of each (row number, record) of `rows`, records read from `path`."""
     seen: set[str] = set()
     try:
-        for row, record in records(path, required):
-            encounters.append(_encounter(record, cols, f"{path}: row {row}", seen))
+        for row, record in rows:
+            yield _encounter(record, cols, f"{path}: row {row}", seen)
     except UnicodeDecodeError as exc:
         # The text layer names a position within its read chunk; decoding the
         # whole file again names the byte's offset in the file. The raise below is
@@ -217,7 +236,6 @@ def load_corpus(path: str | Path, columns: Mapping[str, str] | None = None) -> C
     except csv.Error as exc:
         # For example a field over csv.field_size_limit() (128 KiB by default).
         raise MalformedFile(f"{path}: {exc}") from exc
-    return Corpus(encounters=tuple(encounters))
 
 
 def _csv_records(path: Path, required: list[str]) -> Iterator[tuple[int, dict]]:
@@ -276,7 +294,7 @@ def _encounter(record: Mapping, cols: dict[str, str], where: str, seen: set[str]
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the format its name calls for; load(save(load(f))) equals load(f)."""
     path = Path(path)
-    if path.name.endswith(JSONL_SUFFIXES):
+    if named_format(path) == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for e in corpus:
                 record = {"id": e.id, "dialogue": e.dialogue}

@@ -1,13 +1,15 @@
 """End-to-end orchestration of the three summarization architectures.
 
-The approaches differ only in which summarizers fill which slots. A slot is
-one summarizer, trained with its own seed on its own (input, target) pairs and
-run over every input; one loop, `_fill_slots`, runs a list of slots one after
-another. Approach "single" is one slot from dialogue to whole note.
-"section-wise" is one slot per chart-note section the training notes hold, its
-outputs assembled into a note. "multi-layer" is section-wise over the train
-and eval dialogues, then one more slot from each stage-1 note to its
-reference. Oracle/identity/extractive backends exercise the same plumbing
+The approaches differ only in which slots they fill. A slot is a training seed
+and a target rule, which picks the slot's text out of a reference note. Every
+source is an (input text, reference) pair; one loop, `_fill_slots`, fills a list
+of slots one after another, each from the train sources to every input.
+Approach "single" is one slot from dialogue to whole note. "section-wise" is one
+slot per chart-note section the training notes hold, its outputs assembled into
+a note. "multi-layer" is section-wise over the train and eval dialogues, then
+one more slot from each stage-1 note to its reference. A summarizer maps text to
+text. The oracle backend is no summarizer: it writes each input's own
+reference's target. Oracle, identity and extractive exercise the same plumbing
 without any training.
 """
 
@@ -17,13 +19,13 @@ import hashlib
 import json
 import re
 import unicodedata
-from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
+from operator import methodcaller
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (APPROACH_TAGS, NUMBER, Corpus, MalformedFile, PredictionSet, csv_text,
@@ -116,29 +118,9 @@ def summarize_ids(model: TinyModel, text: str, max_len: int, lsg: LsgConfig) -> 
     return summarize_ids(model, text, max_len, lsg)
 
 
-class Summarizer(ABC):
-    """Deterministic text → text map; encounter_id lets lookup backends find their row."""
-
-    @abstractmethod
-    def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
-        raise NotImplementedError
-
-
-class IdentitySummarizer(Summarizer):
-    def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
+class IdentitySummarizer:
+    def summarize(self, text: str) -> str:
         return text
-
-
-class OracleSummarizer(Summarizer):
-    """Returns the stored reference for the encounter, ignoring the input text."""
-
-    def __init__(self, references: Mapping[str, str]):
-        self._references = dict(references)
-
-    def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
-        if encounter_id is None or encounter_id not in self._references:
-            raise MissingReference(str(encounter_id))
-        return self._references[encounter_id]
 
 
 # A sentence ends at a run of whitespace after ".", "!" or "?". Each pattern
@@ -168,7 +150,7 @@ def split_sentences(text: str) -> list[tuple[str, list[str]]]:
     ]
 
 
-class ExtractiveSummarizer(Summarizer):
+class ExtractiveSummarizer:
     """Picks the k sentences whose words are most frequent across the whole text.
 
     Sentence score = mean corpus frequency of its tokens; ties go to the
@@ -184,7 +166,7 @@ class ExtractiveSummarizer(Summarizer):
         self.k = k
         self._summaries: dict[str, str] = {}
 
-    def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
+    def summarize(self, text: str) -> str:
         summary = self._summaries.get(text)
         if summary is None:
             summary = self._summaries[text] = self._extract(text)
@@ -202,13 +184,13 @@ class ExtractiveSummarizer(Summarizer):
         return " ".join(sentence for _, _, sentence in top)
 
 
-class TinyLsgSummarizer(Summarizer):
+class TinyLsgSummarizer:
     def __init__(self, model: TinyModel, lsg: LsgConfig, max_summary_tokens: int):
         self.model = model
         self.lsg = lsg
         self.max_summary_tokens = max_summary_tokens
 
-    def summarize(self, text: str, *, encounter_id: str | None = None) -> str:
+    def summarize(self, text: str) -> str:
         return self.model.vocab.decode(
             summarize_ids(self.model, text, self.max_summary_tokens, self.lsg)
         )
@@ -278,85 +260,72 @@ def train_tiny_lsg(
     return train(model, pairs, replace(backend.train, seed=seed), backend.lsg, log=log)
 
 
-# A slot: its training seed, its (input, target) training pairs and its
-# (id, reference) pairs. Only tiny-lsg reads the training pairs and only oracle
-# the references, so both may be lazy iterables that nothing else consumes.
-_Slot = tuple[int, Iterable[tuple[str, str]], Iterable[tuple[str, str]]]
+# A slot: its training seed and its target rule, which picks the slot's text out
+# of a reference and gives None when the reference holds no such text.
+_Slot = tuple[int, Callable[[Any], str | None]]
+# A source: an input text and its reference.
+_Source = tuple[str, Any]
 
 
-def _build_summarizer(
-    backend: BackendSpec,
-    pairs: Iterable[tuple[str, str]],
-    references: Iterable[tuple[str, str]],
-    seed: int,
-) -> Summarizer:
+def _build_summarizer(backend: BackendSpec, pairs: Sequence[tuple[str, str]], seed: int):
+    """A summarizer of `backend`; tiny-lsg trains on the (text, target) `pairs` with `seed`."""
     if backend.kind == "identity":
         return IdentitySummarizer()
-    if backend.kind == "oracle":
-        return OracleSummarizer(dict(references))
     if backend.kind == "extractive":
         return ExtractiveSummarizer(backend.extract_k)
-    trained, _ = train_tiny_lsg(backend, list(pairs), seed)
+    trained, _ = train_tiny_lsg(backend, pairs, seed)
     return TinyLsgSummarizer(trained, backend.lsg, backend.max_summary_tokens)
 
 
-def _fill_slots(
-    backend: BackendSpec, slots: Iterable[_Slot], inputs: Sequence[tuple[str, str]]
-) -> list[list[str]]:
-    """Per slot, the summary of every (id, text) of `inputs`, one slot at a time.
+def _fill_slots(backend: BackendSpec, slots: Iterable[_Slot], train_sources: Sequence[_Source],
+                inputs: Sequence[_Source]) -> list[list[str]]:
+    """Per slot, the text of every source of `inputs`, one slot at a time.
 
-    Each slot's summarizer is built, summarizes every input, and is dropped
-    before the next slot's is built, so a run holds one trained model at a
-    time; `slots` may be a generator, so that a slot's pairs are made only
-    when the loop reaches it. A section-blind backend fills every slot with
-    one shared instance.
+    The oracle writes the target of each input's own reference, "" where that
+    reference holds none. A summarizer summarizes each input text. A tiny-lsg
+    slot trains on the (text, target) pairs of the `train_sources` whose
+    reference holds a target, and its model is dropped before the next slot's
+    trains, so a run holds one trained model at a time. A section-blind backend
+    fills every slot with one shared instance.
     """
-    shared = _build_summarizer(backend, (), (), 0) if backend.kind in _SECTION_BLIND else None
+    shared = _build_summarizer(backend, (), 0) if backend.kind in _SECTION_BLIND else None
     outputs = []
-    for seed, pairs, references in slots:
-        summarizer = shared or _build_summarizer(backend, pairs, references, seed)
-        outputs.append([summarizer.summarize(text, encounter_id=eid) for eid, text in inputs])
+    for seed, target in slots:
+        if backend.kind == "oracle":
+            outputs.append([target(reference) or "" for _, reference in inputs])
+            continue
+        summarizer = shared or _build_summarizer(backend, [
+            (text, goal) for text, reference in train_sources
+            if (goal := target(reference)) is not None
+        ], seed)
+        outputs.append([summarizer.summarize(text) for text, _ in inputs])
         del summarizer
     return outputs
 
 
-def _section_wise(
-    backend: BackendSpec,
-    seed: int,
-    train_corpus: Corpus,
-    eval_corpus: Corpus,
-    inputs: Sequence[tuple[str, str]],
-) -> list[str]:
-    """The section-wise note of every (id, dialogue) of `inputs`.
+def _section_wise(backend: BackendSpec, seed: int, sources: Sequence[tuple[str, str | None]],
+                  n_train: int, first_input: int) -> list[str]:
+    """The section-wise note of every (dialogue, reference note) of `sources[first_input:]`.
 
-    The slots are the known sections of the training references, in canonical
-    order, so each slot has at least one training pair; a slot trains with
-    `seed` plus its section's canonical index. The slots' texts are assembled
-    in slot order.
+    The first `n_train` sources are the train sources. Each reference note is
+    segmented once; an unlabeled source has no sections. The slots are the
+    known sections of the training references, in canonical order, so each
+    slot has at least one training pair; a slot trains with `seed` plus its
+    section's canonical index, and its target is its section's body. The
+    slots' texts are assembled in slot order.
     """
-    labeled = train_corpus.labeled()
-    # Only oracle reads the eval references' sections; perfbench pins their
-    # segmentation until it counts work rather than calls (ROADMAP item 1a).
-    reference_bodies = [
-        (e.id, segment_note(e.note).bodies()) for e in (*labeled, *eval_corpus.labeled())
-    ]
-    train_bodies = [bodies for _, bodies in reference_bodies[: len(labeled)]]
+    segmented = [(text, {} if note is None else segment_note(note).bodies())
+                 for text, note in sources]
     sections = sorted(
-        {section for bodies in train_bodies for section in bodies if isinstance(section, Section)},
+        {section for _, bodies in segmented[:n_train] for section in bodies
+         if isinstance(section, Section)},
         key=SECTION_ORDER.index,
     )
     if not sections:
         raise ChartsumError("no known sections found in any training reference")
-
-    def slot(section: Section) -> _Slot:
-        return (
-            seed + SECTION_ORDER.index(section),
-            ((e.dialogue, bodies[section]) for e, bodies in zip(labeled, train_bodies)
-             if section in bodies),
-            ((eid, bodies[section]) for eid, bodies in reference_bodies if section in bodies),
-        )
-
-    outputs = _fill_slots(backend, map(slot, sections), inputs)
+    slots = [(seed + SECTION_ORDER.index(section), methodcaller("get", section))
+             for section in sections]
+    outputs = _fill_slots(backend, slots, segmented[:n_train], segmented[first_input:])
     return [
         assemble_note(ChartNote(sections=tuple(
             NoteSection(id=section, body=text) for section, text in zip(sections, texts) if text
@@ -368,31 +337,30 @@ def _section_wise(
 def run_approach(train_corpus: Corpus, eval_corpus: Corpus, cfg: ApproachConfig) -> PredictionSet:
     """Train cfg.approach on train_corpus and summarize every eval_corpus encounter."""
     labeled = train_corpus.labeled()
-    n_labeled = len(labeled)
-    # The labeled train dialogues, the only ones a model trains from, then the eval ones.
-    dialogues = [(e.id, e.dialogue) for e in (*labeled, *eval_corpus)]
+    n_train = len(labeled)
+    # The labeled train encounters, the only ones a model trains from, then the
+    # eval ones, each as (dialogue, reference note or None).
+    sources = [(e.dialogue, e.note) for e in (*labeled, *eval_corpus)]
     extra: dict[str, str] = {}
     if cfg.approach == "section-wise":
-        eval_dialogues = dialogues[n_labeled:]
-        texts = _section_wise(cfg.backend, cfg.seed, train_corpus, eval_corpus, eval_dialogues)
+        texts = _section_wise(cfg.backend, cfg.seed, sources, n_train, n_train)
     else:
         # One whole-note slot over the dialogues (single), or over their
         # section-wise notes (multi-layer stage 2).
-        backend, seed, sources = cfg.backend, cfg.seed, [text for _, text in dialogues]
+        backend, seed = cfg.backend, cfg.seed
         if cfg.approach == "multi-layer":
-            sources = _section_wise(cfg.backend, cfg.seed, train_corpus, eval_corpus, dialogues)
+            stage1 = _section_wise(cfg.backend, cfg.seed, sources, n_train, 0)
+            sources = [(text, note) for text, (_, note) in zip(stage1, sources)]
             backend, seed = cfg.stage2, cfg.seed + _STAGE2_SEED_OFFSET
             stage1_cfg = replace(cfg, approach="section-wise", stage2=None)
             extra = {
                 "stage1_config_hash": config_hash(stage1_cfg),
-                "stage1_empty_train": str(sources[:n_labeled].count("")),
-                "stage1_empty_eval": str(sources[n_labeled:].count("")),
+                "stage1_empty_train": str(stage1[:n_train].count("")),
+                "stage1_empty_eval": str(stage1[n_train:].count("")),
             }
-        pairs = zip(sources[:n_labeled], (e.note for e in labeled))
-        # Only oracle reads the references; an eval note overrides a train note of the same id.
-        references = ((e.id, e.note) for e in (*labeled, *eval_corpus) if e.note is not None)
-        inputs = list(zip(eval_corpus.ids(), sources[n_labeled:]))
-        (texts,) = _fill_slots(backend, [(seed, pairs, references)], inputs)
+        (texts,) = _fill_slots(
+            backend, [(seed, lambda note: note)], sources[:n_train], sources[n_train:]
+        )
     return PredictionSet(
         approach=cfg.approach,
         entries=dict(zip(eval_corpus.ids(), texts)),

@@ -144,11 +144,39 @@ MUTANTS = (
     Mutant(
         name="kind-rule-jsonl-name",
         file="src/chartsum/corpus.py",
-        old="    if name.endswith((\".json\", *JSONL_SUFFIXES)):\n",
-        new="    if name.endswith(\".json\"):\n",
+        old="    if form is not None:\n        return form == \"json\"\n",
+        new="    if form == \"json\":\n        return True\n",
         tests=("tests/test_corpus.py::test_is_prediction_file_is_the_one_kind_rule",
                "tests/test_cli.py::test_score_reads_each_input_as_the_kind_rule_says"),
         breaks="input kind rule: a JSONL name is a corpus whatever its rows hold",
+    ),
+    Mutant(
+        name="format-rule-case-fold",
+        file="src/chartsum/corpus.py",
+        old="    name = Path(path).name.lower()\n",
+        new="    name = Path(path).name\n",
+        tests=("tests/test_corpus.py::test_file_name_decides_the_corpus_format",
+               "tests/test_cli.py::"
+               "test_run_and_score_read_a_mixed_case_name_as_its_lower_case_form"),
+        breaks="file-format rule: a name's suffix gives its format in any case",
+    ),
+    Mutant(
+        name="slot-pairs-truthy-target",
+        file="src/chartsum/pipeline.py",
+        old="if (goal := target(reference)) is not None",
+        new="if (goal := target(reference))",
+        tests=("tests/test_pipeline.py::"
+               "test_a_present_section_with_an_empty_body_trains_as_an_empty_target",),
+        breaks="slot training pairs: a present section with an empty body trains as (text, \"\")",
+    ),
+    Mutant(
+        name="oracle-empty-text",
+        file="src/chartsum/pipeline.py",
+        old="[target(reference) or \"\" for _, reference in inputs]",
+        new="[target(reference) for _, reference in inputs]",
+        tests=("tests/test_pipeline.py::"
+               "test_oracle_writes_an_empty_text_for_an_unlabeled_eval_row",),
+        breaks="oracle: an input whose reference holds no target gets the empty text",
     ),
 )
 

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,16 @@ def test_negative_seed_fails_at_parse_time(command, seed, tmp_path, capsys, monk
     assert main([*command, "--seed", seed]) == 1
     captured = capsys.readouterr()
     assert f"argument --seed: must be >= 0, got {seed}\n" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+@pytest.mark.parametrize("command", SEED_COMMANDS.values(), ids=SEED_COMMANDS)
+def test_non_integer_seed_fails_at_parse_time(command, seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"argument --seed: invalid int value: {seed!r}\n")
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -646,6 +657,62 @@ def test_score_reads_each_input_as_the_kind_rule_says(tmp_path, capsys, name, da
         assert err.startswith(f"error: {candidates}: {error}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("side", ["--candidates", "--references"])
+def test_score_on_a_corpus_row_without_a_note_fails_with_one_line(tmp_path, capsys, side):
+    labeled = tmp_path / "labeled.csv"
+    save_corpus(synth_corpus(2), labeled)
+    partly = tmp_path / "partly.csv"
+    save_corpus(Corpus((synth_corpus(1).encounters[0],
+                        replace(synth_corpus(2).encounters[1], note=None))), partly)
+    inputs = {"--candidates": str(labeled), "--references": str(labeled), side: str(partly)}
+    assert main(["score", *chain.from_iterable(inputs.items())]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {partly}: encounter 'synth-001' has no note text to score\n")
+
+
+# Per name suffix in mixed case, what an input under it holds: the suffix decides the
+# format in any case, so each file reads as it does under its lower-case name.
+MIXED_CASE_SUFFIXES = {".JSONL": "corpus", ".NdJson": "corpus", ".Csv": "corpus",
+                       ".JSON": "prediction file"}
+
+
+@pytest.mark.parametrize("suffix", MIXED_CASE_SUFFIXES)
+def test_run_and_score_read_a_mixed_case_name_as_its_lower_case_form(tmp_path, capsys, suffix):
+    train = tmp_path / "train.csv"
+    save_corpus(synth_corpus(3), train)
+    eval_c = synth_corpus(2, start=3)
+    lower = tmp_path / f"eval{suffix.lower()}"
+    if MIXED_CASE_SUFFIXES[suffix] == "corpus":
+        save_corpus(eval_c, lower)
+    else:
+        preds = PredictionSet(approach="single", entries={e.id: e.note for e in eval_c})
+        lower.write_text(predictions_text(preds), encoding="utf-8")
+    mixed = tmp_path / "mixed" / f"eval{suffix}"
+    mixed.parent.mkdir()
+    mixed.write_bytes(lower.read_bytes())
+    results = []
+    for path in (lower, mixed):
+        run = main(["run", "--seed", "0", "--train", str(train), "--eval", str(path),
+                    "--approach", "single", "--backend", "oracle", "--format", "csv"])
+        run_out, run_err = capsys.readouterr()
+        score = main(["score", "--candidates", str(path), "--references", str(path),
+                      "--format", "csv"])
+        score_out, score_err = capsys.readouterr()
+        results.append((run, run_out, run_err.replace(str(path), "<eval>"),
+                        score, score_out, score_err))
+    assert results[0] == results[1]
+    run, run_out, run_err, score, score_out, score_err = results[1]
+    assert (score, score_err) == (0, "")
+    assert score_out.splitlines()[-1] == "AGGREGATE,1.0000,1.0000,1.0000"
+    if MIXED_CASE_SUFFIXES[suffix] == "corpus":
+        assert (run, run_err) == (0, "")
+    else:
+        # A prediction file is no corpus: `run` reads it as CSV and says why.
+        assert (run, run_out) == (2, "")
+        assert run_err == ("error: <eval>: missing required column 'id' (read as CSV because "
+                           "its name does not end in .jsonl or .ndjson, but it opens with '{')\n")
+
+
 def test_score_reads_a_corpus_in_no_more_memory_than_loading_it(tmp_path):
     path = tmp_path / "cands.csv"
     save_corpus(synth_corpus(1000), path)
@@ -741,6 +808,18 @@ def test_train_checks_the_checkpoint_path_before_training(
                      *TINY_MODEL_FLAGS]) == 2
         # No "vocabulary ..." or epoch line: the error is the only output.
         assert capsys.readouterr() == ("", error)
+
+
+def test_train_on_a_corpus_without_reference_notes_fails_before_training(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("chartsum.pipeline.train", _no_training)
+    unlabeled = tmp_path / "train.jsonl"
+    save_corpus(Corpus(tuple(replace(e, note=None) for e in synth_corpus(3))), unlabeled)
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--train", str(unlabeled), "--checkpoint", str(ckpt), "--seed", "0",
+                 *TINY_MODEL_FLAGS]) == 2
+    assert capsys.readouterr() == ("", f"error: {unlabeled}: no encounters with reference notes\n")
+    assert not ckpt.exists()
 
 
 def test_train_then_predict_round_trip(tmp_path, corpus_csv, eval_csv, capsys):

@@ -287,7 +287,7 @@ def test_explicit_note_column_must_exist(tmp_path, format, text, fragment):
 # Save/load round trips
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("format", ["csv", "jsonl", "ndjson"])
+@pytest.mark.parametrize("format", ["csv", "jsonl", "ndjson", "JSONL", "NdJson", "JSON", "Csv"])
 def test_save_load_round_trip(tmp_path, format):
     original = synth_corpus(6)
     p1 = tmp_path / f"one.{format}"
@@ -305,6 +305,10 @@ def test_save_load_round_trip(tmp_path, format):
     ("c.ndjson", '{"id": "synth-000"'),
     ("c", "id,dialogue,note"),
     ("c.jsonl.csv", "id,dialogue,note"),
+    ("c.JSONL", '{"id": "synth-000"'),
+    ("c.NdJson", '{"id": "synth-000"'),
+    ("c.JSON", "id,dialogue,note"),
+    ("c.Csv", "id,dialogue,note"),
 ])
 def test_file_name_decides_the_corpus_format(tmp_path, name, first_line):
     save_corpus(synth_corpus(2), tmp_path / name)
@@ -333,6 +337,10 @@ KIND_RULE = {
                                   True),
     "object-without-entries": ("noentries.out", b'{"approach": "single", "seed": 0}\n', True),
     "brace-after-other-whitespace": ("c.out", b"\x0c{}", False),
+    "upper-case-json-name-csv-text": ("p.JSON", CSV_TEXT, True),
+    "upper-case-jsonl-row-with-entries": ("one.JSONL", b'{"id": "e1", "dialogue": "hi", '
+                                          b'"entries": {}}\n', False),
+    "mixed-case-ndjson-name": ("c.NdJson", b'{"approach": "single", "entries": {}}\n', False),
 }
 
 
@@ -342,6 +350,27 @@ def test_is_prediction_file_is_the_one_kind_rule(tmp_path, name, data, expected)
     path.write_bytes(data)
     assert is_prediction_file(path) is expected
     assert is_prediction_file(str(path)) is expected
+
+
+JSONL_ROWS = b'{"id": "e1", "dialogue": "hi", "note": "n"}\n{"id": "e2", "dialogue": "yo"}\n'
+
+
+@pytest.mark.parametrize("name, data", [
+    ("c.txt", JSONL_ROWS),
+    ("c.json", JSONL_ROWS),
+    ("c.Csv", BOM + b" \r\n\t" + JSONL_ROWS),
+    ("c", b"\n" + JSONL_ROWS),
+])
+def test_a_corpus_read_as_csv_that_opens_with_a_brace_says_its_name_made_it_csv(
+        tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(MalformedFile) as info:
+        load_corpus(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    assert message.endswith(" (read as CSV because its name does not end in .jsonl or "
+                            ".ndjson, but it opens with '{')")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from chartsum.pipeline import (
     ExtractiveSummarizer,
     IdentitySummarizer,
     MissingReference,
-    OracleSummarizer,
     RunReport,
     _STAGE2_SEED_OFFSET,
     config_hash,
@@ -83,15 +82,6 @@ def test_split_sentences_drops_tokenless_fragments():
 
 def test_identity_summarizer():
     assert IdentitySummarizer().summarize("hello there") == "hello there"
-
-
-def test_oracle_summarizer_lookup_and_missing():
-    oracle = OracleSummarizer({"e1": "the note"})
-    assert oracle.summarize("ignored", encounter_id="e1") == "the note"
-    with pytest.raises(MissingReference):
-        oracle.summarize("ignored", encounter_id="e2")
-    with pytest.raises(MissingReference):
-        oracle.summarize("ignored")
 
 
 EXTRACT_TEXT = "apple banana. apple cherry. apple apple. date cherry. banana date."
@@ -694,6 +684,95 @@ def test_run_approach_dispatches_by_name():
     assert (single.approach, wise.approach, multi.approach) == (
         "single", "section-wise", "multi-layer",
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracle and training targets: each source reads its own reference
+# ---------------------------------------------------------------------------
+
+def without_section(corpus, eid, section):
+    """`corpus` with `section` taken out of encounter `eid`'s note."""
+    return Corpus(encounters=tuple(
+        replace(e, note=strip_section(e.note, section)) if e.id == eid else e for e in corpus
+    ))
+
+
+@pytest.fixture
+def trained_pairs(monkeypatch):
+    """The training pairs of every tiny-lsg slot a run trains, in training order."""
+    calls = []
+
+    def recording_train_tiny_lsg(backend, pairs, seed, log=None):
+        calls.append(list(pairs))
+        return train_tiny_lsg(backend, pairs, seed, log)
+
+    monkeypatch.setattr("chartsum.pipeline.train_tiny_lsg", recording_train_tiny_lsg)
+    return calls
+
+
+@pytest.mark.parametrize("stage2", [None, IDENTITY, ORACLE],
+                         ids=["section-wise", "multi-layer-identity", "multi-layer-oracle"])
+def test_oracle_writes_an_eval_note_that_lacks_a_trained_section_as_it_is(stage2):
+    # Failed while the oracle looked slots up by id: MissingReference('synth-004').
+    train_c = synth_corpus(4)
+    eval_c = without_section(synth_corpus(2, start=4), "synth-004", Section.RESULTS)
+    approach = "section-wise" if stage2 is None else "multi-layer"
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach, ORACLE, stage2=stage2))
+    assert Section.RESULTS not in segment_note(preds.entries["synth-004"]).bodies()
+    assert preds.entries == eval_refs(eval_c)
+    assert evaluate(preds, eval_c).scores.rouge1.f1 == 1.0
+
+
+def test_multi_layer_oracle_stage1_writes_a_train_note_that_lacks_a_section_as_it_is(
+        trained_pairs):
+    # Failed while the oracle looked slots up by id: MissingReference('synth-001').
+    train_c = without_section(synth_corpus(4), "synth-001", Section.RESULTS)
+    eval_c = synth_corpus(2, start=4)
+    preds = run_approach(train_c, eval_c, ApproachConfig("multi-layer", ORACLE, stage2=TINY))
+    # Stage 2 trains from each train note's stage-1 note, here the note itself.
+    assert trained_pairs == [[(e.note, e.note) for e in train_c]]
+    assert preds.extra["stage1_empty_train"] == "0"
+
+
+@pytest.mark.parametrize("approach", ["single", "section-wise", "multi-layer"])
+def test_oracle_reads_the_eval_reference_of_an_id_a_train_encounter_shares(approach):
+    # Section-wise and multi-layer gave the train encounter's RESULTS body while
+    # the oracle looked slots up by id.
+    train_c = synth_corpus(4)
+    shared = replace(synth_corpus(1, start=4).encounters[0], id="synth-000")
+    eval_c = without_section(Corpus(encounters=(shared,)), "synth-000", Section.RESULTS)
+    stage2 = IDENTITY if approach == "multi-layer" else None
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach, ORACLE, stage2=stage2))
+    assert Section.RESULTS not in segment_note(preds.entries["synth-000"]).bodies()
+    assert preds.entries == eval_refs(eval_c)
+
+
+def test_a_present_section_with_an_empty_body_trains_as_an_empty_target(trained_pairs):
+    train_c = synth_corpus(3)
+    emptied = train_c.encounters[1]
+    body = segment_note(emptied.note).bodies()[Section.RESULTS]
+    train_c = Corpus(encounters=tuple(
+        replace(e, note=e.note.replace(body, "")) if e is emptied else e for e in train_c
+    ))
+    run_approach(train_c, synth_corpus(1, start=3), ApproachConfig("section-wise", TINY))
+    results_slot = trained_pairs[observed_sections(train_c).index(Section.RESULTS)]
+    assert results_slot == [(e.dialogue, segment_note(e.note).bodies()[Section.RESULTS])
+                            for e in train_c]
+    assert results_slot[1] == (emptied.dialogue, "")
+
+
+@pytest.mark.parametrize("approach", ["single", "section-wise", "multi-layer"])
+def test_oracle_writes_an_empty_text_for_an_unlabeled_eval_row(approach):
+    # `evaluate` then reports the missing reference; the CLI rejects the row
+    # before training.
+    train_c = synth_corpus(3)
+    labeled = synth_corpus(1, start=3).encounters[0]
+    eval_c = Corpus(encounters=(labeled, Encounter(id="u", dialogue="no note for this talk")))
+    stage2 = ORACLE if approach == "multi-layer" else None
+    preds = run_approach(train_c, eval_c, ApproachConfig(approach, ORACLE, stage2=stage2))
+    assert preds.entries == {labeled.id: labeled.note, "u": ""}
+    with pytest.raises(MissingReference, match="no reference note for encounter 'u'"):
+        evaluate(preds, eval_c)
 
 
 # ---------------------------------------------------------------------------

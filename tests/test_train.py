@@ -21,6 +21,7 @@ from chartsum.tinylsg.checkpoint import load_checkpoint, save_model
 from chartsum.tinylsg.masks import LsgConfig
 from chartsum.tinylsg.model import ModelConfig, TinyModel, init_model, loss_and_grads
 from chartsum.tinylsg.train import (
+    NonFiniteLoss,
     TrainConfig,
     _encode_pairs,
     grad_check,
@@ -75,6 +76,13 @@ def test_train_config_defaults_and_validation():
 def test_train_empty_set_raises():
     with pytest.raises(ChartsumError, match=r"no \(source, target\) pairs to train on"):
         train(make_model(), [], TrainConfig(), LSG)
+
+
+def test_train_on_an_all_nan_model_raises_non_finite_loss():
+    model = make_model()
+    model.flat[:] = np.nan
+    with pytest.raises(NonFiniteLoss, match=r"^training diverged at epoch 1: loss is nan$"):
+        train(model, PAIRS, TrainConfig(epochs=1, batch_size=2), LSG)
 
 
 def test_zero_lr_keeps_parameters_bit_identical():
