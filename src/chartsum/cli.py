@@ -12,19 +12,19 @@ import errno
 import functools
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields, replace
 from pathlib import Path
 
-from .config import LsgConfig, ModelConfig, TrainConfig
 from .corpus import (
     APPROACH_TAGS,
+    MalformedFile,
     PredictionSet,
     check_column,
     decode_utf8,
-    is_prediction_file,
     json_text,
     load_corpus,
     load_predictions,
+    prediction_file_reason,
     predictions_text,
     save_predictions,
 )
@@ -161,57 +161,45 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
 # Every flag default that a config field has is read from that field.
 _DEFAULT = BackendSpec()
 
+# The tiny-lsg setting flags of `train` and `run`, in --help order: each flag, the
+# BackendSpec part that holds its setting (None: BackendSpec itself), the setting's
+# field there, which is also the flag's dest, and the flag's help.
+_SETTINGS = (
+    ("--d-model", "model", "d_model", "embedding width"),
+    ("--heads", "model", "n_heads", "attention heads"),
+    ("--enc-layers", "model", "n_layers_enc", "encoder layers"),
+    ("--dec-layers", "model", "n_layers_dec", "decoder layers"),
+    ("--d-ff", "model", "d_ff", "feed-forward width"),
+    ("--lr", "train", "initial_lr", "initial learning rate"),
+    ("--epochs", "train", "epochs", "training epochs"),
+    ("--batch-size", "train", "batch_size", "examples per update"),
+    ("--max-summary-tokens", None, "max_summary_tokens", "decode length cap"),
+    ("--block", "lsg", "block_size", "local attention block size"),
+    ("--stride", "lsg", "sparsity_stride", "sparse key stride (0 disables)"),
+    ("--global", "lsg", "num_global", "number of global tokens"),
+    ("--radius", "lsg", "local_radius", "adjacent-block reach"),
+    ("--max-input", "lsg", "max_input_tokens", "source token cap"),
+)
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    model, train = _DEFAULT.model, _DEFAULT.train
-    p.add_argument("--d-model", type=int, default=model.d_model, help="embedding width")
-    p.add_argument("--heads", type=int, default=model.n_heads, help="attention heads")
-    p.add_argument("--enc-layers", type=int, default=model.n_layers_enc, help="encoder layers")
-    p.add_argument("--dec-layers", type=int, default=model.n_layers_dec, help="decoder layers")
-    p.add_argument("--d-ff", type=int, default=model.d_ff, help="feed-forward width")
-    p.add_argument("--lr", type=float, default=train.initial_lr, help="initial learning rate")
-    p.add_argument("--epochs", type=int, default=train.epochs, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=train.batch_size,
-                   help="examples per update")
-    p.add_argument("--max-summary-tokens", type=int,
-                   default=_DEFAULT.max_summary_tokens, help="decode length cap")
 
-
-def _add_mask_flags(p: argparse.ArgumentParser) -> None:
-    lsg = _DEFAULT.lsg
-    p.add_argument("--block", type=int, default=lsg.block_size,
-                   help="local attention block size")
-    p.add_argument("--stride", type=int, default=lsg.sparsity_stride,
-                   help="sparse key stride (0 disables)")
-    p.add_argument("--global", dest="num_global", type=int, default=lsg.num_global,
-                   help="number of global tokens")
-    p.add_argument("--radius", type=int, default=lsg.local_radius,
-                   help="adjacent-block reach")
-    p.add_argument("--max-input", type=int, default=lsg.max_input_tokens,
-                   help="source token cap")
+def _add_setting_flags(p: argparse.ArgumentParser) -> None:
+    for flag, part, name, text in _SETTINGS:
+        default = getattr(_DEFAULT if part is None else getattr(_DEFAULT, part), name)
+        p.add_argument(flag, dest=name, type=type(default), default=default,
+                       metavar=flag[2:].replace("-", "_").upper(), help=text)
 
 
 def _backend_from_args(args, **fields) -> BackendSpec:
-    """The model, mask and training flags as a BackendSpec; `fields` sets the rest."""
-    return BackendSpec(
-        model=ModelConfig(
-            d_model=args.d_model,
-            n_heads=args.heads,
-            n_layers_enc=args.enc_layers,
-            n_layers_dec=args.dec_layers,
-            d_ff=args.d_ff,
-        ),
-        lsg=LsgConfig(
-            block_size=args.block,
-            sparsity_stride=args.stride,
-            num_global=args.num_global,
-            max_input_tokens=args.max_input,
-            local_radius=args.radius,
-        ),
-        train=TrainConfig(initial_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size),
-        max_summary_tokens=args.max_summary_tokens,
-        **fields,
-    )
+    """The setting flags as a BackendSpec; `fields` sets the rest."""
+    settings: dict[str | None, dict] = {}
+    for _, part, name, _ in _SETTINGS:
+        settings.setdefault(part, {})[name] = getattr(args, name)
+    # Parts are built in BackendSpec's field order, not the table's, so a bad model
+    # setting is reported before a bad mask setting, and that before a training one.
+    for part in dataclass_fields(BackendSpec):
+        if part.name in settings:
+            fields[part.name] = replace(getattr(_DEFAULT, part.name), **settings[part.name])
+    return BackendSpec(**settings[None], **fields)
 
 
 def _read_note(path: str | None) -> str:
@@ -302,8 +290,12 @@ def _cmd_predict(args) -> int:
 
 
 def _load_candidates(path: str, columns: dict[str, str] | None) -> dict[str, str]:
-    if is_prediction_file(path):
-        return dict(load_predictions(path).entries)
+    reason = prediction_file_reason(path)
+    if reason is not None:
+        try:
+            return dict(load_predictions(path).entries)
+        except MalformedFile as exc:
+            raise MalformedFile(f"{exc} (read as a prediction file because {reason})") from exc
     corpus = load_corpus(path, columns)
     texts = {}
     for e in corpus:
@@ -387,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="where to write the trained model")
     p.add_argument("--seed", type=_parse_seed, required=True, help="random seed (required)")
     _add_corpus_flags(p)
-    _add_model_flags(p)
-    _add_mask_flags(p)
+    _add_setting_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", formatter_class=fmt,
@@ -431,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "csv", "json"], default="table",
                    help="report rendering")
     _add_corpus_flags(p)
-    _add_model_flags(p)
-    _add_mask_flags(p)
+    _add_setting_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", formatter_class=fmt,

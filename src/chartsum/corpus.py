@@ -182,13 +182,15 @@ def _opens_with_brace(path: str | Path) -> bool:
     return byte == b"{"
 
 
-def is_prediction_file(path: str | Path) -> bool:
+def prediction_file_reason(path: str | Path) -> str | None:
     """The one rule for an input that may be a prediction file or a corpus (`score`'s):
-    the format its name gives, JSON or JSONL, or else whether it opens with `{`."""
+    why the file is read as a prediction file, or None when it is read as a corpus. The
+    format its name gives decides, JSON or JSONL; for any other name, whether it opens
+    with `{`."""
     form = named_format(path)
-    if form is not None:
-        return form == "json"
-    return _opens_with_brace(path)
+    if form is None and _opens_with_brace(path):
+        return "it opens with '{' and its name does not end in .jsonl or .ndjson"
+    return "its name ends in .json" if form == "json" else None
 
 
 def check_column(name: str) -> str:

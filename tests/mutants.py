@@ -144,8 +144,8 @@ MUTANTS = (
     Mutant(
         name="kind-rule-jsonl-name",
         file="src/chartsum/corpus.py",
-        old="    if form is not None:\n        return form == \"json\"\n",
-        new="    if form == \"json\":\n        return True\n",
+        old="    if form is None and _opens_with_brace(path):\n",
+        new="    if form != \"json\" and _opens_with_brace(path):\n",
         tests=("tests/test_corpus.py::test_is_prediction_file_is_the_one_kind_rule",
                "tests/test_cli.py::test_score_reads_each_input_as_the_kind_rule_says"),
         breaks="input kind rule: a JSONL name is a corpus whatever its rows hold",
@@ -177,6 +177,72 @@ MUTANTS = (
         tests=("tests/test_pipeline.py::"
                "test_oracle_writes_an_empty_text_for_an_unlabeled_eval_row",),
         breaks="oracle: an input whose reference holds no target gets the empty text",
+    ),
+    Mutant(
+        name="row-mean-reciprocal",
+        file="src/chartsum/tinylsg/model.py",
+        old="    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]\n",
+        new="    return np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / x.shape[-1])\n",
+        tests=("tests/test_model.py::test_layer_norm_is_bitwise_the_np_mean_reference",),
+        breaks="layer norm: the row mean divides by the width, as np.mean does",
+    ),
+    Mutant(
+        name="tokenize-line-feed",
+        file="src/chartsum/rouge.py",
+        old='if not chr(c).isalnum() and chr(c) != "\\n"}',
+        new="if not chr(c).isalnum()}",
+        tests=("tests/test_rouge.py::test_tokenize_fast_path_edge_cases",),
+        breaks="ASCII tokenizing: line feeds survive the separator table for tokenize_lines",
+    ),
+    Mutant(
+        name="typed-bool-as-int",
+        file="src/chartsum/corpus.py",
+        old="    if isinstance(value, bool) or not isinstance(value, kind):\n",
+        new="    if not isinstance(value, kind):\n",
+        tests=("tests/test_corpus.py::test_load_predictions_rejects_mistyped_fields",),
+        breaks="typed file fields: a JSON true or false is no integer",
+    ),
+    Mutant(
+        name="corpus-null-id",
+        file="src/chartsum/corpus.py",
+        old='not (name == "note" and value is None)',
+        new='not (name != "dialogue" and value is None)',
+        tests=("tests/test_corpus.py::test_load_jsonl_non_string_field_names_row_and_field",),
+        breaks="corpus rows: only the note may be null",
+    ),
+    Mutant(
+        name="settings-enc-dec-swap",
+        file="src/chartsum/cli.py",
+        old='    ("--enc-layers", "model", "n_layers_enc", "encoder layers"),\n'
+            '    ("--dec-layers", "model", "n_layers_dec", "decoder layers"),\n',
+        new='    ("--enc-layers", "model", "n_layers_dec", "encoder layers"),\n'
+            '    ("--dec-layers", "model", "n_layers_enc", "decoder layers"),\n',
+        tests=("tests/test_cli.py::test_each_setting_flag_lands_on_its_own_field",),
+        breaks="setting flags: --enc-layers and --dec-layers set their own fields",
+    ),
+    Mutant(
+        name="settings-global-field",
+        file="src/chartsum/cli.py",
+        old='("--global", "lsg", "num_global",',
+        new='("--global", "lsg", "local_radius",',
+        tests=("tests/test_cli.py::test_each_setting_flag_lands_on_its_own_field",),
+        breaks="setting flags: --global sets the number of global tokens",
+    ),
+    Mutant(
+        name="settings-skip-part",
+        file="src/chartsum/cli.py",
+        old="        if part.name in settings:\n",
+        new="        if part.name in settings and part.name != \"lsg\":\n",
+        tests=("tests/test_cli.py::test_each_setting_flag_lands_on_its_own_field",),
+        breaks="setting flags: every BackendSpec part is built from its flags",
+    ),
+    Mutant(
+        name="settings-part-order",
+        file="src/chartsum/cli.py",
+        old="    for part in dataclass_fields(BackendSpec):\n",
+        new="    for part in reversed(dataclass_fields(BackendSpec)):\n",
+        tests=("tests/test_cli.py::test_train_checks_settings_before_reading_the_corpus",),
+        breaks="setting flags: a bad mask setting is reported before a bad training one",
     ),
 )
 

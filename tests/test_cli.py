@@ -19,10 +19,12 @@ from pathlib import Path
 import pytest
 
 from chartsum.cli import _backend_from_args, _load_candidates, build_parser, main
+from chartsum.config import LsgConfig, ModelConfig, TrainConfig
 from chartsum.corpus import (Corpus, PredictionSet, load_corpus, load_predictions,
                              predictions_text, save_corpus)
-from chartsum.pipeline import TinyLsgSummarizer, config_hash, run_report_from_dict, train_tiny_lsg
-from chartsum.tinylsg import LsgConfig, load_checkpoint, save_model
+from chartsum.pipeline import (BackendSpec, TinyLsgSummarizer, config_hash, run_report_from_dict,
+                               train_tiny_lsg)
+from chartsum.tinylsg import load_checkpoint, save_model
 from peakmem import traced_peak
 from synthdata import synth_corpus
 from test_corpus import MALFORMED_CORPORA
@@ -167,10 +169,35 @@ def test_nonpositive_max_summary_tokens_fails_at_parse_time(command, flags, mess
                  id="d-model-7"),
     pytest.param(["--max-summary-tokens", "0"], "max_summary_tokens must be >= 1, got 0",
                  id="max-summary-tokens-0"),
+    # Of two bad settings, the mask's is reported before the training schedule's.
+    pytest.param(["--lr", "nan", "--block", "0"], "block_size must be >= 1, got 0",
+                 id="block-0-before-lr-nan"),
 ])
 def test_train_checks_settings_before_reading_the_corpus(flags, message, capsys):
     assert main(MISSING_INPUTS["train"] + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Every tiny-lsg setting flag of `train` and `run`, each with a valid value that
+# differs from its default and from every other flag's value.
+SETTING_FLAGS = [
+    "--d-model", "24", "--heads", "3", "--enc-layers", "5", "--dec-layers", "6",
+    "--d-ff", "7", "--lr", "0.25", "--epochs", "8", "--batch-size", "9",
+    "--max-summary-tokens", "10", "--block", "11", "--stride", "12", "--global", "15",
+    "--radius", "16", "--max-input", "40",
+]
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_INPUTS))
+def test_each_setting_flag_lands_on_its_own_field(command):
+    args = build_parser().parse_args(MISSING_INPUTS[command] + SETTING_FLAGS)
+    assert _backend_from_args(args) == BackendSpec(
+        model=ModelConfig(d_model=24, n_heads=3, n_layers_enc=5, n_layers_dec=6, d_ff=7),
+        lsg=LsgConfig(block_size=11, sparsity_stride=12, num_global=15, max_input_tokens=40,
+                      local_radius=16),
+        train=TrainConfig(initial_lr=0.25, epochs=8, batch_size=9),
+        max_summary_tokens=10,
+    )
 
 
 # Commands that take --seed, with inputs that do not exist. Only tiny-lsg
@@ -250,7 +277,7 @@ usage: chartsum train [-h] --train TRAIN --checkpoint CHECKPOINT --seed SEED
                       [--d-ff D_FF] [--lr LR] [--epochs EPOCHS]
                       [--batch-size BATCH_SIZE]
                       [--max-summary-tokens MAX_SUMMARY_TOKENS]
-                      [--block BLOCK] [--stride STRIDE] [--global NUM_GLOBAL]
+                      [--block BLOCK] [--stride STRIDE] [--global GLOBAL]
                       [--radius RADIUS] [--max-input MAX_INPUT]
 
 options:
@@ -276,7 +303,7 @@ options:
                         decode length cap (default: 128)
   --block BLOCK         local attention block size (default: 16)
   --stride STRIDE       sparse key stride (0 disables) (default: 4)
-  --global NUM_GLOBAL   number of global tokens (default: 1)
+  --global GLOBAL       number of global tokens (default: 1)
   --radius RADIUS       adjacent-block reach (default: 1)
   --max-input MAX_INPUT
                         source token cap (default: 512)
@@ -326,7 +353,7 @@ usage: chartsum run [-h] --approach {single,section-wise,multi-layer} --train
                     [--d-ff D_FF] [--lr LR] [--epochs EPOCHS]
                     [--batch-size BATCH_SIZE]
                     [--max-summary-tokens MAX_SUMMARY_TOKENS] [--block BLOCK]
-                    [--stride STRIDE] [--global NUM_GLOBAL] [--radius RADIUS]
+                    [--stride STRIDE] [--global GLOBAL] [--radius RADIUS]
                     [--max-input MAX_INPUT]
 
 options:
@@ -364,7 +391,7 @@ options:
                         decode length cap (default: 128)
   --block BLOCK         local attention block size (default: 16)
   --stride STRIDE       sparse key stride (0 disables) (default: 4)
-  --global NUM_GLOBAL   number of global tokens (default: 1)
+  --global GLOBAL       number of global tokens (default: 1)
   --radius RADIUS       adjacent-block reach (default: 1)
   --max-input MAX_INPUT
                         source token cap (default: 512)
@@ -657,6 +684,54 @@ def test_score_reads_each_input_as_the_kind_rule_says(tmp_path, capsys, name, da
         assert err.startswith(f"error: {candidates}: {error}") and err.count("\n") == 1, err
 
 
+JSONL_ROWS = ONE_ROW + b'{"id": "e2", "dialogue": "hi again", "note": "more note"}\n'
+# Corpora under names that make `score` read them as prediction files, each with the
+# reason its one error line gives.
+READ_AS_PREDICTIONS = {
+    "jsonl-rows-in-txt": ("rows.txt", "it opens with '{' and its name does not end in .jsonl "
+                                      "or .ndjson"),
+    "csv-corpus-in-json": ("c.json", "its name ends in .json"),
+}
+
+
+@pytest.mark.parametrize("name, reason", READ_AS_PREDICTIONS.values(),
+                         ids=READ_AS_PREDICTIONS.keys())
+def test_score_says_why_it_read_a_corpus_as_a_prediction_file(tmp_path, capsys, name, reason):
+    corpus = tmp_path / name
+    if name.endswith(".txt"):
+        corpus.write_bytes(JSONL_ROWS)
+    else:
+        save_corpus(synth_corpus(2), corpus)  # CSV: only .jsonl and .ndjson names are JSONL
+        # `run` reads the same file as a corpus.
+        assert main(["run", "--approach", "single", "--backend", "oracle", "--seed", "0",
+                     "--train", str(corpus), "--eval", str(corpus)]) == 0
+        capsys.readouterr()
+    references = tmp_path / "refs.jsonl"
+    references.write_bytes(JSONL_ROWS)
+    for argv in (["--candidates", str(corpus), "--references", str(references)],
+                 ["--candidates", str(references), "--references", str(corpus)]):
+        assert main(["score", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: {corpus}: not a valid prediction file ("), err
+        assert err.endswith(f") (read as a prediction file because {reason})\n"), err
+
+
+# Names without a JSON suffix that the other score tests give no prediction file.
+@pytest.mark.parametrize("name", ["p.txt", "p.csv", "p"])
+def test_score_reads_a_prediction_file_under_a_name_without_a_json_suffix(tmp_path, capsys,
+                                                                          name):
+    references = tmp_path / "refs.jsonl"
+    references.write_bytes(JSONL_ROWS)
+    entries = {e.id: e.note for e in load_corpus(references)}
+    preds = tmp_path / name
+    preds.write_text(predictions_text(PredictionSet(approach="single", entries=entries)),
+                     encoding="utf-8")
+    assert main(["score", "--candidates", str(preds), "--references", str(references),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "AGGREGATE,1.0000,1.0000,1.0000"
+
+
 @pytest.mark.parametrize("side", ["--candidates", "--references"])
 def test_score_on_a_corpus_row_without_a_note_fails_with_one_line(tmp_path, capsys, side):
     labeled = tmp_path / "labeled.csv"
@@ -874,12 +949,21 @@ def _predict(ckpt, eval_csv, out, *flags):
                  *flags])
 
 
-def test_train_records_mask_and_cap_in_checkpoint(trained_checkpoint):
+def test_train_records_mask_and_cap_in_checkpoint(trained_checkpoint, tmp_path, corpus_csv):
     payload = json.loads(trained_checkpoint.read_text())
     assert payload["format_version"] == 3
     assert payload["lsg"] == {"block_size": 4, "sparsity_stride": 2, "num_global": 1,
                               "max_input_tokens": 64, "local_radius": 1}
     assert payload["max_summary_tokens"] == 8
+    # --global and --radius away from their defaults, and another decode cap.
+    ckpt = tmp_path / "other.json"
+    assert main(["train", "--train", corpus_csv, "--checkpoint", str(ckpt), "--seed", "0",
+                 *TINY_MODEL_FLAGS, "--global", "3", "--radius", "2",
+                 "--max-summary-tokens", "9"]) == 0
+    payload = json.loads(ckpt.read_text())
+    assert payload["lsg"] == {"block_size": 4, "sparsity_stride": 2, "num_global": 3,
+                              "max_input_tokens": 64, "local_radius": 2}
+    assert payload["max_summary_tokens"] == 9
 
 
 def test_predict_takes_mask_and_cap_from_checkpoint(tmp_path, trained_checkpoint, eval_csv):

@@ -15,10 +15,10 @@ from chartsum.corpus import (
     MalformedFile,
     PredictionSet,
     decode_utf8,
-    is_prediction_file,
     json_text,
     load_corpus,
     load_predictions,
+    prediction_file_reason,
     read_json,
     save_corpus,
     save_predictions,
@@ -348,8 +348,8 @@ KIND_RULE = {
 def test_is_prediction_file_is_the_one_kind_rule(tmp_path, name, data, expected):
     path = tmp_path / name
     path.write_bytes(data)
-    assert is_prediction_file(path) is expected
-    assert is_prediction_file(str(path)) is expected
+    assert (prediction_file_reason(path) is not None) is expected
+    assert (prediction_file_reason(str(path)) is not None) is expected
 
 
 JSONL_ROWS = b'{"id": "e1", "dialogue": "hi", "note": "n"}\n{"id": "e2", "dialogue": "yo"}\n'
